@@ -48,7 +48,6 @@ from .geometry import (
     ConvexPolytope,
     HalfSpace,
     LatticePolytope,
-    contains,
     hrep_from_vrep,
     intersect,
     lattice_hull,
@@ -71,10 +70,6 @@ from .oracle import (
 from .piecewise import (
     PiecewisePoly,
     Poly,
-    poly_add,
-    poly_eval,
-    poly_integrate,
-    poly_mul,
     pw_combine,
     pw_equal,
     pw_from_json,
@@ -83,7 +78,6 @@ from .piecewise import (
 )
 from .rationals import Rat, parse_rat, rat_str
 from .regions import (
-    Arrangement2D,
     MovingPolytope,
     RegionSlice,
     SliceFamily,

@@ -254,15 +254,6 @@ _COMMANDS = {
 }
 
 
-def run_command(command, spec_text, options=None) -> tuple:
-    """Programmatic entry: returns (exit_status, artifact_text, extension)."""
-    argv = [command, "--input", "-"] + list(options or [])
-    args = _build_parser().parse_args(argv)
-    pair = parse_spec(spec_text)
-    text, ext = _COMMANDS[command](pair, args)
-    return 0, text, ext
-
-
 def _build_parser():
     parser = argparse.ArgumentParser(
         prog="hkdensity",
@@ -316,27 +307,44 @@ def _post_process_args(args):
     return args
 
 
-def main(argv=None) -> int:
+def _read_input(name) -> str:
+    if name == "-":
+        return sys.stdin.read()
+    path = Path(name)
+    if not path.exists():
+        raise SpecParseError(f"input file not found: {path}")
+    return path.read_text(encoding="utf-8")
+
+
+def _execute(argv, spec_text=None):
+    """Parse ``argv``, read the spec (``spec_text``, else ``--input``) and run
+    the command: (args, exit_status, artifact_text, extension).  An engine or
+    argument error is status 1 with an error JSON as the artifact."""
     args = _build_parser().parse_args(argv)
     try:
         args = _post_process_args(args)
-        if args.input == "-":
-            spec_text = sys.stdin.read()
-        else:
-            path = Path(args.input)
-            if not path.exists():
-                raise SpecParseError(f"input file not found: {path}")
-            spec_text = path.read_text(encoding="utf-8")
-        pair = parse_spec(spec_text)
-        text, ext = _COMMANDS[args.command](pair, args)
+        if spec_text is None:
+            spec_text = _read_input(args.input)
+        text, ext = _COMMANDS[args.command](parse_spec(spec_text), args)
+        return args, 0, text, ext
     except EngineError as exc:
-        print(json.dumps({"error": {"code": exc.code, "message": str(exc)}}))
-        return 1
+        code, message = exc.code, str(exc)
     except ValueError as exc:
-        print(json.dumps({"error": {"code": "invalid_argument",
-                                    "message": str(exc)}}))
-        return 1
-    if args.output is None:
+        code, message = "invalid_argument", str(exc)
+    error = {"error": {"code": code, "message": message}}
+    return args, 1, json.dumps(error) + "\n", "json"
+
+
+def run_command(command, spec_text, options=None) -> tuple:
+    """Programmatic entry: returns (exit_status, artifact_text, extension),
+    the status and text the command line would give for this spec."""
+    _, status, text, ext = _execute([command] + list(options or []), spec_text)
+    return status, text, ext
+
+
+def main(argv=None) -> int:
+    args, status, text, ext = _execute(argv)
+    if status or args.output is None:
         sys.stdout.write(text)
     else:
         out_dir = Path(args.output)
@@ -344,7 +352,7 @@ def main(argv=None) -> int:
         out_path = out_dir / f"{args.command}.{ext}"
         out_path.write_text(text, encoding="utf-8")
         print(str(out_path))
-    return 0
+    return status
 
 
 if __name__ == "__main__":  # pragma: no cover

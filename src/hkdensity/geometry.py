@@ -128,14 +128,6 @@ def det(mat):
     return result
 
 
-def affine_dim(points) -> int:
-    """Dimension of the affine hull of a point set (-1 for the empty set)."""
-    if not points:
-        return -1
-    base = points[0]
-    return rank([vsub(p, base) for p in points[1:]])
-
-
 # ---------------------------------------------------------------------------
 # half-spaces and polytopes
 # ---------------------------------------------------------------------------
@@ -433,10 +425,6 @@ def product(p: ConvexPolytope, q: ConvexPolytope) -> ConvexPolytope:
     if out.is_lattice:
         return LatticePolytope(out.dim, out.vertices, out.halfspaces, out.pdim)
     return out
-
-
-def contains(poly: ConvexPolytope, x) -> bool:
-    return poly.contains(x)
 
 
 # ---------------------------------------------------------------------------

@@ -95,22 +95,6 @@ class Poly:
 ZERO_POLY = Poly(())
 
 
-def poly_add(p: Poly, q: Poly) -> Poly:
-    return p + q
-
-
-def poly_mul(p: Poly, q: Poly) -> Poly:
-    return p * q
-
-
-def poly_eval(p: Poly, x):
-    return p(x)
-
-
-def poly_integrate(p: Poly, a, b):
-    return p.integrate(a, b)
-
-
 def lagrange_interpolate(points) -> Poly:
     """Exact interpolating polynomial through (x_i, y_i) with distinct x_i."""
     result = Poly(())

@@ -10,13 +10,13 @@ interval by exact interpolation with a verification sample, bisected if
 verification ever fails.  Its candidate breakpoints come from an integer
 scan of incidence events, and each area sample from an integer
 boundary-integration kernel (Green's theorem over the surviving edges).
-Explicit slices (``hk_slice``/``phi_slice``) are resolved as pieces by an
-exact 2D segment arrangement (vertical decomposition with
-representative-point classification), an independent route that serves as
-the reference for the area kernel.
+Explicit slices (``hk_slice``/``phi_slice``) are resolved into convex
+pieces by exact half-plane clipping (Sutherland-Hodgman) of the minuend
+against each subtrahend's facets, an independent route that serves as the
+reference for the area kernel.
 
 Base polytopes of dimension 1 are handled by interval sweeps, dimension 2 by
-the boundary kernel and the arrangement; higher dimensions are rejected here
+the boundary kernel and convex clipping; higher dimensions are rejected here
 (products and the counting oracle cover them).
 """
 
@@ -24,7 +24,6 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from functools import cmp_to_key
 from math import lcm
 
 from . import geometry as geo
@@ -86,197 +85,28 @@ class MovingPolytope:
 
     def body(self, t) -> "_Body":
         t = Rat(t)
-        verts = sorted({geo.vadd(p, geo.vscale(q, t))
-                        for p, q in zip(self.vbase, self.vdir)})
-        offs = tuple(a + b * t for a, b in zip(self.off0, self.off1))
-        return _Body(verts, self.normals, offs)
+        return _Body([geo.vadd(p, geo.vscale(q, t))
+                      for p, q in zip(self.vbase, self.vdir)])
 
 
 class _Body:
-    """Evaluated polytope: vertex list plus half-space data for fast tests."""
+    """Evaluated polytope: its vertex list and bounding box."""
 
-    __slots__ = ("verts", "normals", "offs", "lo", "hi")
+    __slots__ = ("verts", "lo", "hi")
 
-    def __init__(self, verts, normals, offs):
+    def __init__(self, verts):
         self.verts = verts
-        self.normals = normals
-        self.offs = offs
         dim = len(verts[0])
         self.lo = tuple(min(v[i] for v in verts) for i in range(dim))
         self.hi = tuple(max(v[i] for v in verts) for i in range(dim))
 
     @staticmethod
     def of_polytope(poly) -> "_Body":
-        offs = []
-        normals = []
-        for h in poly.halfspaces:
-            normals.append(h.normal)
-            offs.append(h.offset)
-        return _Body(list(poly.vertices), tuple(normals), tuple(offs))
-
-    def contains(self, x) -> bool:
-        return all(geo.dot(n, x) >= c for n, c in zip(self.normals, self.offs))
-
-    def aff_dim(self) -> int:
-        return geo.affine_dim(self.verts)
+        return _Body(list(poly.vertices))
 
     def bbox_overlaps(self, other) -> bool:
         return all(self.lo[i] <= other.hi[i] and other.lo[i] <= self.hi[i]
                    for i in range(len(self.lo)))
-
-    def edges(self):
-        """Edges of a 2D body, from the counterclockwise vertex cycle."""
-        ring = _ccw_ring(self.verts)
-        return [(ring[i], ring[(i + 1) % len(ring)]) for i in range(len(ring))]
-
-
-def _ccw_ring(points):
-    """Counterclockwise cycle of the extreme points of a 2D convex set."""
-    n = len(points)
-    cx = sum((p[0] for p in points), Rat(0)) / n
-    cy = sum((p[1] for p in points), Rat(0)) / n
-
-    def halfplane(p):
-        dx, dy = p[0] - cx, p[1] - cy
-        return 0 if (dy > 0 or (dy == 0 and dx > 0)) else 1
-
-    def cmp(a, b):
-        ha, hb = halfplane(a), halfplane(b)
-        if ha != hb:
-            return -1 if ha < hb else 1
-        cross = (a[0] - cx) * (b[1] - cy) - (a[1] - cy) * (b[0] - cx)
-        if cross > 0:
-            return -1
-        if cross < 0:
-            return 1
-        return 0
-
-    return sorted(points, key=cmp_to_key(cmp))
-
-
-# ---------------------------------------------------------------------------
-# exact 2D segment arrangement via vertical decomposition
-# ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class Face:
-    """Convex cell of the decomposition with an interior representative."""
-
-    vertices: tuple
-    rep: tuple
-    area: object  # Rat
-
-
-@dataclass(frozen=True)
-class Arrangement2D:
-    """Vertical decomposition of a segment set inside a bounding box.
-
-    Faces are trapezoids/triangles with pairwise disjoint interiors whose
-    areas sum to the box area exactly.
-    """
-
-    segments: tuple
-    faces: tuple
-
-    @staticmethod
-    def build(segments, box_lo, box_hi) -> "Arrangement2D":
-        box_lo = tuple(Rat(c) for c in box_lo)
-        box_hi = tuple(Rat(c) for c in box_hi)
-        segs = []
-        for p, q in segments:
-            clipped = _clip_segment(tuple(Rat(c) for c in p),
-                                    tuple(Rat(c) for c in q), box_lo, box_hi)
-            if clipped is not None:
-                segs.append(clipped)
-        # box edges close every slab from above and below
-        blx, bly = box_lo
-        bhx, bhy = box_hi
-        segs.append(((blx, bly), (bhx, bly)))
-        segs.append(((blx, bhy), (bhx, bhy)))
-        faces = tuple(_decompose(segs, blx, bhx))
-        return Arrangement2D(tuple(segs), faces)
-
-
-def _clip_segment(p, q, lo, hi):
-    t0, t1 = Rat(0), Rat(1)
-    d = geo.vsub(q, p)
-    for i in range(2):
-        for sign, bound in ((1, hi[i]), (-1, lo[i])):
-            num = sign * (bound - p[i])
-            den = sign * d[i]
-            if den == 0:
-                if num < 0:
-                    return None
-                continue
-            t = num / den
-            if den > 0:
-                if t < t1:
-                    t1 = t
-            else:
-                if t > t0:
-                    t0 = t
-    if t0 > t1:
-        return None
-    a = geo.vadd(p, geo.vscale(d, t0))
-    b = geo.vadd(p, geo.vscale(d, t1))
-    if a == b:
-        return None
-    return (a, b)
-
-
-def _cross2(u, v):
-    return u[0] * v[1] - u[1] * v[0]
-
-
-def _crossing_x(s1, s2):
-    (p1, p2), (q1, q2) = s1, s2
-    r = geo.vsub(p2, p1)
-    s = geo.vsub(q2, q1)
-    denom = _cross2(r, s)
-    if denom == 0:
-        return None
-    w = geo.vsub(q1, p1)
-    t = _cross2(w, s) / denom
-    u = _cross2(w, r) / denom
-    if 0 <= t <= 1 and 0 <= u <= 1:
-        return p1[0] + t * r[0]
-    return None
-
-
-def _y_at(seg, x):
-    (a, b) = seg
-    return a[1] + (x - a[0]) * (b[1] - a[1]) / (b[0] - a[0])
-
-
-def _decompose(segs, x_min, x_max):
-    events = {x_min, x_max}
-    for (a, b) in segs:
-        events.add(a[0])
-        events.add(b[0])
-    for s1, s2 in itertools.combinations(segs, 2):
-        x = _crossing_x(s1, s2)
-        if x is not None:
-            events.add(x)
-    xs = sorted(x for x in events if x_min <= x <= x_max)
-    faces = []
-    for xa, xb in zip(xs, xs[1:]):
-        xm = (xa + xb) / 2
-        spans = [s for s in segs
-                 if min(s[0][0], s[1][0]) <= xa and max(s[0][0], s[1][0]) >= xb]
-        spans.sort(key=lambda s: _y_at(s, xm))
-        for sb, st in zip(spans, spans[1:]):
-            yb_a, yb_b = _y_at(sb, xa), _y_at(sb, xb)
-            yt_a, yt_b = _y_at(st, xa), _y_at(st, xb)
-            area = ((yt_a - yb_a) + (yt_b - yb_b)) * (xb - xa) / 2
-            if area == 0:
-                continue
-            corners = []
-            for c in ((xa, yb_a), (xb, yb_b), (xb, yt_b), (xa, yt_a)):
-                if c not in corners:
-                    corners.append(c)
-            rep = (xm, (_y_at(sb, xm) + _y_at(st, xm)) / 2)
-            faces.append(Face(tuple(corners), rep, area))
-    return faces
 
 
 # ---------------------------------------------------------------------------
@@ -295,21 +125,51 @@ def area_of_slice(s: RegionSlice):
     return sum((geo.volume(p) for p in s.pieces), Rat(0))
 
 
-def _difference_faces(minuend: _Body, subs):
-    """Decomposition faces inside the minuend and outside every subtrahend."""
-    live = [s for s in subs if s.bbox_overlaps(minuend) and s.aff_dim() == 2]
-    segments = list(minuend.edges())
-    for s in live:
-        segments.extend(s.edges())
-    arr = Arrangement2D.build(segments, minuend.lo, minuend.hi)
-    kept = []
-    for face in arr.faces:
-        if not minuend.contains(face.rep):
-            continue
-        if any(s.contains(face.rep) for s in live):
-            continue
-        kept.append(face)
-    return kept
+def _clip(ring, vals):
+    """One Sutherland-Hodgman pass: the part of a convex counterclockwise
+    ring where an affine function, with values ``vals`` at the ring points,
+    is >= 0.  Fewer than three points left means no area is left."""
+    n = len(ring)
+    out = []
+    for i in range(n):
+        j = (i + 1) % n
+        if vals[i] >= 0:
+            out.append(ring[i])
+        if vals[i] * vals[j] < 0:
+            s = vals[i] / (vals[i] - vals[j])
+            out.append(tuple(a + s * (b - a) for a, b in zip(ring[i], ring[j])))
+    return out
+
+
+def _difference_rings(minuend, subs):
+    """Convex rings with disjoint interiors whose union is the closed
+    minuend minus the open interiors of the subtrahends (all polygons).
+
+    The minuend's ring is its bounding box clipped by each of its
+    half-spaces.  A ring that meets a subtrahend's interior with positive
+    area is replaced by the cells "facet h_j fails and h_1..h_{j-1} hold"
+    of that subtrahend; any other ring is kept whole.
+    """
+    (x0, y0), (x1, y1) = minuend.bounding_box()
+    ring = [(x0, y0), (x1, y0), (x1, y1), (x0, y1)]
+    for h in minuend.halfspaces:
+        ring = _clip(ring, [h.eval(p) for p in ring])
+    rings = [ring]
+    for sub in subs:
+        out = []
+        for ring in rings:
+            cells, rest = [], ring
+            for h in sub.halfspaces:
+                vals = [h.eval(p) for p in rest]
+                cell = _clip(rest, [-v for v in vals])
+                if len(cell) >= 3:
+                    cells.append(cell)
+                rest = _clip(rest, vals)
+                if len(rest) < 3:
+                    break
+            out.extend(cells if len(rest) >= 3 else [ring])
+        rings = out
+    return rings
 
 
 def _interval_of(body: _Body):
@@ -336,16 +196,17 @@ def _difference_intervals(minuend: _Body, subs):
     return out
 
 
-def _difference_slice(minuend: _Body, subs, dim, level) -> RegionSlice:
-    if minuend.aff_dim() < dim:
-        piece = geo.hrep_from_vrep(minuend.verts)
-        return RegionSlice((piece,), Rat(level))
+def _difference_slice(minuend, subs, dim, level) -> RegionSlice:
+    """Full-dimensional minuend minus the open interiors of the subtrahends
+    (all ``ConvexPolytope``), as full-dimensional pieces."""
     if dim == 1:
         pieces = tuple(geo.hrep_from_vrep([(a,), (b,)])
-                       for a, b in _difference_intervals(minuend, subs))
+                       for a, b in _difference_intervals(
+                           _Body.of_polytope(minuend),
+                           [_Body.of_polytope(s) for s in subs]))
     else:
-        pieces = tuple(geo.hrep_from_vrep(face.vertices)
-                       for face in _difference_faces(minuend, subs))
+        pieces = tuple(geo.hrep_from_vrep(ring)
+                       for ring in _difference_rings(minuend, subs))
     return RegionSlice(pieces, Rat(level))
 
 
@@ -359,6 +220,10 @@ def _difference_area(minuend: _Body, subs, dim):
 # ---------------------------------------------------------------------------
 # integer union-area kernel (Green's theorem over the surviving boundary)
 # ---------------------------------------------------------------------------
+
+def _cross2(u, v):
+    return u[0] * v[1] - u[1] * v[0]
+
 
 def _int_hull(points):
     """Counterclockwise extreme points of integer 2D points (monotone chain);
@@ -517,14 +382,6 @@ def _check_dim(poly):
             "base polytope must be full-dimensional in its ambient space")
 
 
-def _nondegenerate_bodies(polys, dim):
-    out = []
-    for p in polys:
-        if p.pdim == dim:
-            out.append(_Body.of_polytope(p))
-    return out
-
-
 def hk_slice(pair, z) -> RegionSlice:
     """Slice of the density region at level z.
 
@@ -539,11 +396,9 @@ def hk_slice(pair, z) -> RegionSlice:
     if z <= 1:
         return RegionSlice((geo.scale(P, z),), z)
     t = z - 1
-    minuend = _Body.of_polytope(geo.scale(P, z))
     small = geo.scale(P, t)
-    subs = _nondegenerate_bodies(
-        [geo.translate(small, u) for u in geo.lattice_points(P)], P.dim)
-    return _difference_slice(minuend, subs, P.dim, z)
+    subs = [geo.translate(small, u) for u in geo.lattice_points(P)]
+    return _difference_slice(geo.scale(P, z), subs, P.dim, z)
 
 
 def _unit_cell(dim):
@@ -572,13 +427,11 @@ def phi_slice(pair, lam) -> RegionSlice:
     if lam < 0:
         raise ValueError("parameter must be nonnegative")
     cell = _unit_cell(P.dim)
-    minuend = _Body.of_polytope(cell)
     if lam == 0:
         return RegionSlice((cell,), lam)
     small = geo.scale(P, lam)
-    subs = _nondegenerate_bodies(
-        [geo.translate(small, u) for u in cell_translates(P, lam)], P.dim)
-    return _difference_slice(minuend, subs, P.dim, lam)
+    subs = [geo.translate(small, u) for u in cell_translates(P, lam)]
+    return _difference_slice(cell, subs, P.dim, lam)
 
 
 # ---------------------------------------------------------------------------

@@ -204,3 +204,20 @@ def test_run_command_programmatic():
     status, text, ext = run_command(
         "density", LINE2, ["--format", "csv", "--samples", "4"])
     assert ext == "csv" and len(text.strip().splitlines()) == 6
+
+
+def test_run_command_oracle_options():
+    from hkdensity.cli import run_command
+    status, text, ext = run_command(
+        "oracle", SIMPLEX, ["--q", "2", "--lambda", "1"])
+    assert (status, ext) == (0, "json")
+    assert json.loads(text) == {"q": 2, "m": 2, "count": 3, "f_value": "3/4"}
+
+
+def test_run_command_agrees_with_main_on_degenerate_spec(capsys, monkeypatch):
+    from hkdensity.cli import run_command
+    spec = '{"vertices": [[0, 0], [1, 1]]}'
+    status, text, ext = run_command("density", spec)
+    assert (status, ext) == (1, "json")
+    assert json.loads(text)["error"]["code"] == "degenerate"
+    assert run(capsys, ["density"], spec, monkeypatch) == (status, text)

@@ -11,7 +11,6 @@ from hkdensity import (
     NonIntegralVertexError,
     Rat,
     UnboundedError,
-    contains,
     hrep_from_vrep,
     intersect,
     lattice_hull,
@@ -235,11 +234,11 @@ def test_lattice_points_scaled_simplex(n):
 
 def test_contains_center_vertex_exterior():
     P = lattice_hull([(0, 0), (1, 0), (0, 1), (1, 1)])
-    assert contains(P, (Rat(1, 2), Rat(1, 2)))
-    assert contains(P, (1, 1))  # closed polytope
-    assert not contains(P, (10, 10))
+    assert P.contains((Rat(1, 2), Rat(1, 2)))
+    assert P.contains((1, 1))  # closed polytope
+    assert not P.contains((10, 10))
     with pytest.raises(DimMismatchError):
-        contains(P, (1,))
+        P.contains((1,))
 
 
 def test_lattice_polytope_rejects_rational_vertices():
@@ -295,8 +294,8 @@ def test_dilation_counts_have_volume_leading_term(poly):
 @pytest.mark.parametrize("poly", FIXTURE_POLYTOPES)
 def test_contains_vertices_and_centroid(poly):
     for v in poly.vertices:
-        assert contains(poly, v)
+        assert poly.contains(v)
     n = len(poly.vertices)
     centroid = tuple(sum(v[i] for v in poly.vertices) / Rat(n)
                      for i in range(poly.dim))
-    assert contains(poly, centroid)
+    assert poly.contains(centroid)

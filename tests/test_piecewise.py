@@ -8,10 +8,6 @@ from hkdensity import (
     Poly,
     Rat,
     lattice_hull,
-    poly_add,
-    poly_eval,
-    poly_integrate,
-    poly_mul,
     pw_combine,
     pw_equal,
     pw_from_json,
@@ -27,19 +23,19 @@ from conftest import line_density_form, projective_line
 
 def test_poly_square():
     p = Poly.of(1, -1)
-    assert poly_mul(p, p).coeffs == (Rat(1), Rat(-2), Rat(1))
+    assert (p * p).coeffs == (Rat(1), Rat(-2), Rat(1))
 
 
 def test_poly_integral_exact():
-    assert poly_integrate(Poly.of(1, 0, -4), 0, Rat(1, 2)) == Rat(1, 3)
+    assert Poly.of(1, 0, -4).integrate(0, Rat(1, 2)) == Rat(1, 3)
 
 
 def test_poly_eval_exact():
-    assert poly_eval(Poly.of(1, 0, Rat(-9, 2)), Rat(1, 3)) == Rat(1, 2)
+    assert Poly.of(1, 0, Rat(-9, 2))(Rat(1, 3)) == Rat(1, 2)
 
 
 def test_poly_add_strips_trailing_zeros():
-    assert poly_add(Poly.of(1, 2, 3), Poly.of(0, 0, -3)).coeffs == (Rat(1), Rat(2))
+    assert (Poly.of(1, 2, 3) + Poly.of(0, 0, -3)).coeffs == (Rat(1), Rat(2))
 
 
 def test_poly_compose_affine():
