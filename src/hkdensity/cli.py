@@ -319,8 +319,13 @@ def _read_input(name) -> str:
 def _execute(argv, spec_text=None):
     """Parse ``argv``, read the spec (``spec_text``, else ``--input``) and run
     the command: (args, exit_status, artifact_text, extension).  An engine or
-    argument error is status 1 with an error JSON as the artifact."""
-    args = _build_parser().parse_args(argv)
+    argument error is status 1 with an error JSON as the artifact; a usage
+    error is argparse's status 2 with its message on stderr and no artifact
+    (args None)."""
+    try:
+        args = _build_parser().parse_args(argv)
+    except SystemExit as exc:  # argparse has written its usage or --help
+        return None, exc.code, "", None
     try:
         args = _post_process_args(args)
         if spec_text is None:
@@ -344,7 +349,7 @@ def run_command(command, spec_text, options=None) -> tuple:
 
 def main(argv=None) -> int:
     args, status, text, ext = _execute(argv)
-    if status or args.output is None:
+    if args is None or status or args.output is None:
         sys.stdout.write(text)
     else:
         out_dir = Path(args.output)

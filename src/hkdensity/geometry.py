@@ -13,8 +13,8 @@ module is safe to use from concurrent callers without locking.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
-from math import gcd
 
 from .errors import (
     DegenerateError,
@@ -146,21 +146,20 @@ class HalfSpace:
         return self.eval(x) >= 0
 
 
+def _clear_denominators(values):
+    """(lcm of the denominators, the values times it as ints)."""
+    entries = [Rat(c) for c in values]
+    lcm = math.lcm(*(int(e.denominator) for e in entries))
+    return lcm, [int(e * lcm) for e in entries]
+
+
 def primitive_halfspace(normal, offset) -> HalfSpace:
     """Canonical form: primitive integer normal, orientation preserved.
 
     The offset is rescaled by the same positive factor and may stay rational.
     """
-    entries = [Rat(c) for c in normal]
-    lcm = 1
-    for e in entries:
-        d = int(e.denominator)
-        lcm = lcm * d // gcd(lcm, d)
-    ints = [int(e * lcm) for e in entries]
-    g = 0
-    for v in ints:
-        g = gcd(g, abs(v))
-    g = g or 1
+    lcm, ints = _clear_denominators(normal)
+    g = math.gcd(*ints) or 1
     return HalfSpace(tuple(Rat(v // g) for v in ints),
                      Rat(offset) * lcm / g)
 
@@ -475,16 +474,9 @@ def volume(poly: ConvexPolytope):
 
 def integer_hrep(poly: ConvexPolytope):
     """H-rep scaled to all-integer entries: list of (normal tuple, offset)."""
-    out = []
-    for h in poly.halfspaces:
-        entries = [Rat(c) for c in h.normal] + [Rat(h.offset)]
-        lcm = 1
-        for e in entries:
-            d = int(e.denominator)
-            lcm = lcm * d // gcd(lcm, d)
-        ints = [int(e * lcm) for e in entries]
-        out.append((tuple(ints[:-1]), ints[-1]))
-    return out
+    rows = [_clear_denominators((*h.normal, h.offset))[1]
+            for h in poly.halfspaces]
+    return [(tuple(r[:-1]), r[-1]) for r in rows]
 
 
 def lattice_points(poly: ConvexPolytope):

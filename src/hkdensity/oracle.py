@@ -1,34 +1,34 @@
-"""Brute-force lattice-counting oracle.
+"""Lattice-counting oracle.
 
 Validates the exact engine from the other direction: graded colengths of
-Frobenius-style powers are counted directly as lattice points, with no
-convex machinery involved.  A degree-m monomial of the (saturated) section
-ring survives the q-th power of the maximal ideal iff its exponent vector w
-lies in m*P and w - q*u lies outside (m-q)*P for every lattice point u of P.
-
-Counts are dimension-agnostic (any base polytope the geometry module can
-hold) and q ranges over all positive integers, not just prime powers; the
+Frobenius-style powers are counted as lattice points, without the area
+machinery.  A degree-m monomial of the (saturated) section ring survives
+the q-th power of the maximal ideal iff its exponent vector w lies in m*P
+and w - q*u lies outside (m-q)*P for every lattice point u of P.  Counts
+are dimension-agnostic and q ranges over all positive integers; the
 normalized counts converge to the density function either way.
 
-Scans run on int64 numpy grids when the bounding box and half-space data
-certify no overflow, with a pure-python exact fallback otherwise.  Work is
-independent across degrees, and the final reduction is an ordered sum, so
-results do not depend on evaluation order.
+Counts go by fibers: over each point of the box of the first n-1
+coordinates (n = dim P), the last coordinate of m*P and of each convex
+translate q*u + (m-q)*P runs through one interval, bounded by exact
+ceil/floor divisions of integer H-rep data, and a fiber counts its
+interval minus the union of the translate intervals.  Memory is O(m^(n-1))
+rows, not the O(m^n) points of n coordinates of a whole-box scan.  One
+exact path runs on numpy arrays: int64 where a certificate rules out
+overflow, Python integers (dtype=object) otherwise.  numpy is imported only
+when a count runs.  The final reduction is an ordered sum, so results do
+not depend on evaluation order.
 """
 
 from __future__ import annotations
 
-import itertools
+import math
 from dataclasses import dataclass
-
-import numpy as np
 
 from . import geometry as geo
 from . import regions
 from .errors import UnsupportedDimensionError
-from .rationals import Rat, floor_rat, rat_str
-
-_INT64_SAFE = 2 ** 62
+from .rationals import Rat, ceil_rat, floor_rat, rat_str
 
 
 @dataclass(frozen=True)
@@ -68,61 +68,75 @@ class ConvergenceReport:
         return rows
 
 
-def _base(pair):
-    poly = regions.base_polytope(pair)
-    return regions.anchored(poly)
+def _numpy_safe(hrep, bound: int, npoints: int) -> bool:
+    """True when int64 holds every intermediate of a count: each numerator
+    is at most (sum |normal| + |offset|) * bound, each count at most npoints."""
+    mx = max(sum(abs(n) for n in normal) + abs(off) for normal, off in hrep)
+    return max(mx * bound, npoints) < 2 ** 62
 
 
-def _int_box(poly, m):
-    lo, hi = poly.bounding_box()
-    return ([int(c) * m for c in lo], [int(c) * m for c in hi])
+def _last_intervals(hrep, sums, offsets):
+    """Per fiber (row) and body (column), the last-coordinate interval
+    [lo, hi] of {x : <normal, x> >= offset}, empty when hi < lo; ``sums[k]``
+    is <normal_k, x> without its last term, ``offsets[k]`` one offset per
+    body."""
+    import numpy as np
+
+    lo, hi, ok = [], [], True
+    for (normal, _), s, off in zip(hrep, sums, offsets):
+        num = np.array(off, s.dtype) - s[:, None]
+        c = normal[-1]
+        if c > 0:
+            lo.append(-(-num // c))
+        elif c < 0:
+            hi.append(num // c)
+        else:
+            ok = ok & (num <= 0)
+    lo = np.max(lo, axis=0)
+    return lo, np.where(ok, np.min(hi, axis=0), lo - 1)
 
 
-def _numpy_safe(poly, bound: int) -> bool:
-    mx = 0
-    for normal, off in geo.integer_hrep(poly):
-        row = sum(abs(n) for n in normal) * bound + abs(off) * bound
-        mx = max(mx, row)
-    return mx < _INT64_SAFE
+def _count(P, hrep, gens, q: int, m: int) -> int:
+    """#{w in m*P : w - q*u lies outside (m-q)*P for every u in gens}, the
+    constraint dropped for m < q; ``hrep`` is ``integer_hrep(P)``."""
+    import numpy as np
 
-
-def _grid(lo, hi):
-    axes = [np.arange(a, b + 1, dtype=np.int64) for a, b in zip(lo, hi)]
-    mesh = np.meshgrid(*axes, indexing="ij")
-    return np.stack(mesh, axis=-1).reshape(-1, len(axes))
-
-
-def _member_mask(points, hrep, m):
-    """Mask of rows of ``points`` lying in the dilate m*P (m >= 0)."""
-    mask = np.ones(len(points), dtype=bool)
-    for normal, off in hrep:
-        vals = points @ np.asarray(normal, dtype=np.int64)
-        mask &= vals >= off * m
-    return mask
-
-
-def _dilate_points(poly, m):
-    """Integer points of m*P as an int64 array (exact fallback included)."""
-    if m == 0:
-        return np.zeros((1, poly.dim), dtype=np.int64)
-    lo, hi = _int_box(poly, m)
-    hrep = geo.integer_hrep(poly)
-    bound = max(max(abs(a) for a in lo), max(abs(b) for b in hi), 1)
-    if _numpy_safe(poly, bound * max(m, 1)):
-        pts = _grid(lo, hi)
-        return pts[_member_mask(pts, hrep, m)]
-    pts = [p for p in itertools.product(
-        *[range(a, b + 1) for a, b in zip(lo, hi)])
-        if all(sum(n * x for n, x in zip(normal, p)) >= off * m
-               for normal, off in hrep)]
-    return np.asarray(pts, dtype=np.int64).reshape(len(pts), poly.dim)
+    los, his = P.bounding_box()
+    lo = [ceil_rat(c * m) for c in los]
+    hi = [floor_rat(c * m) for c in his]
+    size = max(1, *(ceil_rat(abs(c)) for c in los + his))
+    npoints = math.prod(max(0, b - a + 1) for a, b in zip(lo, hi))
+    dtype = np.int64 if _numpy_safe(hrep, (m + q) * size, npoints) else object
+    axes = [np.array(range(a, b + 1), dtype) for a, b in zip(lo[:-1], hi[:-1])]
+    grid = np.meshgrid(*axes, indexing="ij", sparse=True)
+    zero = np.zeros([len(x) for x in axes], dtype)
+    sums = [sum((n * g for n, g in zip(normal, grid)), zero).ravel()
+            for normal, _ in hrep]
+    a, b = _last_intervals(hrep, sums, [[off * m] for _, off in hrep])
+    total = np.maximum(b - a + 1, 0).sum()
+    if m < q or not gens:
+        return int(total)
+    # q*u + (m-q)*P lies in q*P + (m-q)*P = m*P, so each translate interval
+    # lies in [a, b]; sorted by start, an empty one (hi < lo) covers nothing
+    # and never raises the reach past a later start
+    lo_u, hi_u = _last_intervals(hrep, sums, [
+        [off * (m - q) + q * geo.dot(normal, u) for u in gens]
+        for normal, off in hrep])
+    order = np.argsort(lo_u, axis=1)
+    lo_u = np.take_along_axis(lo_u, order, axis=1)
+    hi_u = np.take_along_axis(hi_u, order, axis=1)
+    reach = np.concatenate(
+        [a - 1, np.maximum.accumulate(hi_u, axis=1)[:, :-1]], axis=1)
+    covered = np.maximum(hi_u - np.maximum(lo_u - 1, reach), 0).sum()
+    return int(total - covered)
 
 
 def ehrhart_count(poly, n: int) -> int:
     """#(n*P intersect Z^dim) for n >= 0."""
     if n < 0:
         raise ValueError("nonnegative dilation required")
-    return len(_dilate_points(regions.base_polytope(poly), int(n)))
+    P = regions.base_polytope(poly)
+    return _count(P, geo.integer_hrep(P), (), 0, int(n))
 
 
 def slice_count(pair, q: int, m: int) -> int:
@@ -133,19 +147,8 @@ def slice_count(pair, q: int, m: int) -> int:
     """
     if q < 1 or m < 0:
         raise ValueError("need q >= 1 and m >= 0")
-    P = _base(pair)
-    pts = _dilate_points(P, m)
-    if m < q or len(pts) == 0:
-        return len(pts)
-    gens = geo.lattice_points(P)
-    hrep = geo.integer_hrep(P)
-    alive = np.ones(len(pts), dtype=bool)
-    for u in gens:
-        if not alive.any():
-            break
-        shift = np.asarray([int(c) * q for c in u], dtype=np.int64)
-        alive[alive] &= ~_member_mask(pts[alive] - shift, hrep, m - q)
-    return int(alive.sum())
+    P = regions.anchored(regions.base_polytope(pair))
+    return _count(P, geo.integer_hrep(P), geo.lattice_points(P), q, m)
 
 
 def f_n(pair, q: int, lam) -> OracleSample:
@@ -155,21 +158,20 @@ def f_n(pair, q: int, lam) -> OracleSample:
         raise ValueError("parameter must be nonnegative")
     m = floor_rat(Rat(q) * lam)
     count = slice_count(pair, q, m)
-    dm1 = regions.base_polytope(pair).dim
-    return OracleSample(q=int(q), m=m, count=count,
-                        f_value=Rat(count, q ** dm1))
+    return OracleSample(q=int(q), m=m, count=count, f_value=Rat(
+        count, q ** regions.base_polytope(pair).dim))
 
 
 def oracle_ehk(pair, q: int):
     """Level-q estimate of the multiplicity: sum of all degree counts over
     q^d.  Degrees run to q*(1+l), beyond the support of the density."""
-    P = regions.base_polytope(pair)
-    l = len(P.vertices)
-    d = P.dim + 1
-    total = 0
-    for m in range(0, int(q) * (1 + l) + 1):
-        total += slice_count(pair, q, m)
-    return Rat(total, int(q) ** d)
+    P = regions.anchored(regions.base_polytope(pair))
+    hrep = geo.integer_hrep(P)
+    gens = geo.lattice_points(P)
+    q = int(q)
+    total = sum(_count(P, hrep, gens, q, m)
+                for m in range(0, q * (1 + len(P.vertices)) + 1))
+    return Rat(total, q ** (P.dim + 1))
 
 
 def convergence_report(pair, lam, q_list) -> ConvergenceReport:

@@ -221,3 +221,27 @@ def test_run_command_agrees_with_main_on_degenerate_spec(capsys, monkeypatch):
     assert (status, ext) == (1, "json")
     assert json.loads(text)["error"]["code"] == "degenerate"
     assert run(capsys, ["density"], spec, monkeypatch) == (status, text)
+
+
+def test_run_command_returns_usage_status_like_main(capsys):
+    from hkdensity.cli import run_command
+    status, text, ext = run_command("density", LINE2, ["--format", "xml"])
+    err = capsys.readouterr().err
+    assert (status, text, ext) == (2, "", None)
+    assert "invalid choice: 'xml'" in err
+    assert main(["density", "--format", "xml"]) == status
+    assert capsys.readouterr().err == err
+
+
+def test_cli_import_does_not_load_numpy():
+    import os
+    import subprocess
+    import sys
+    from pathlib import Path
+
+    import hkdensity
+    env = dict(os.environ, PYTHONPATH=str(Path(hkdensity.__file__).parents[1]))
+    subprocess.run(
+        [sys.executable, "-c",
+         "import hkdensity.cli, sys; assert 'numpy' not in sys.modules"],
+        env=env, check=True)

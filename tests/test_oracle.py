@@ -1,12 +1,21 @@
+import itertools
+import math
+
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from hkdensity import (
     Rat,
+    ToricPair,
     convergence_report,
     e_hk,
     ehrhart_count,
     f_n,
     hkd_function,
+    hrep_from_vrep,
+    lattice_hull,
+    oracle,
     oracle_ehk,
     segre,
     slice_count,
@@ -184,3 +193,88 @@ def test_convergence_exact_at_matching_denominator():
         sample = f_n(pair, q, Rat(1, 2))
         assert sample.count == (q // 2 + 1) ** 2
         assert sample.f_value - f(Rat(1, 2)) == Rat(q + 1, q * q)
+
+
+# --- fiber-interval kernel against a brute-force box scan ---------------------------
+
+def _brute_count(P, q, m):
+    """Points w of the box of m*P with w in m*P and, for m >= q, w - q*u
+    outside (m-q)*P for every lattice point u of P; pure-Python integers."""
+    rows = []
+    for h in P.halfspaces:
+        k = math.lcm(*(int(Rat(x).denominator) for x in (*h.normal, h.offset)))
+        rows.append(([int(x * k) for x in h.normal], int(h.offset * k)))
+
+    def inside(x, t):
+        return all(sum(n * c for n, c in zip(normal, x)) >= off * t
+                   for normal, off in rows)
+
+    def box(t):
+        lo, hi = P.bounding_box()
+        return itertools.product(*(range(math.ceil(a * t), math.floor(b * t) + 1)
+                                   for a, b in zip(lo, hi)))
+
+    gens = [u for u in box(1) if inside(u, 1)]
+    return sum(1 for w in box(m) if inside(w, m) and (m < q or not any(
+        inside([c - q * e for c, e in zip(w, u)], m - q) for u in gens)))
+
+
+_POLYGON = st.lists(st.tuples(st.integers(-3, 3), st.integers(-3, 3)),
+                    min_size=3, max_size=6)
+_SETTINGS = settings(max_examples=40, deadline=None, derandomize=True)
+
+
+def _polygon_pair(points):
+    P = lattice_hull(points)
+    assume(P.pdim == 2)
+    return ToricPair(P)
+
+
+@_SETTINGS
+@given(points=_POLYGON, q=st.integers(1, 4), data=st.data())
+def test_slice_count_matches_brute_force_on_polygons(points, q, data):
+    pair = _polygon_pair(points)
+    m = data.draw(st.integers(0, 3 * q), label="m")
+    assert slice_count(pair, q, m) == _brute_count(pair.polytope, q, m)
+    # q > m drops the translate constraint: every point of m*P counts
+    assert ehrhart_count(pair.polytope, m) == _brute_count(pair.polytope, m + 1, m)
+
+
+@_SETTINGS
+@given(length=st.integers(1, 2), points=_POLYGON, q=st.integers(1, 2),
+       data=st.data())
+def test_slice_count_matches_brute_force_on_segre_products(length, points, q,
+                                                             data):
+    pair = segre(ToricPair.from_vertices([(0,), (length,)]),
+                 _polygon_pair(points))
+    m = data.draw(st.integers(0, 2 * q + 1), label="m")
+    assert slice_count(pair, q, m) == _brute_count(pair.polytope, q, m)
+
+
+@pytest.mark.parametrize("vertices,n", [
+    ([(0,), (Rat(5, 2),)], 3),
+    ([(Rat(1, 3), Rat(-1, 2)), (Rat(5, 2), Rat(1, 2)), (Rat(1, 2), Rat(7, 3))], 4),
+])
+def test_ehrhart_count_rational_polytope(vertices, n):
+    # the box of n*P is rounded after dilating: 3*[0, 5/2] holds 8 points
+    P = hrep_from_vrep(vertices)
+    assert ehrhart_count(P, n) == _brute_count(P, n + 1, n)
+
+
+def test_object_path_agrees_with_int64_path(monkeypatch):
+    cases = [(pair, q, m) for pair in (
+        unit_square(), plane_anticanonical(), projective_line(3),
+        segre(projective_line(1), unit_square()))
+        for q, m in ((1, 0), (2, 3), (3, 4), (3, 7), (4, 9))]
+    int64 = [slice_count(p, q, m) for p, q, m in cases]
+    ehrhart = [ehrhart_count(p.polytope, m) for p, _, m in cases]
+    monkeypatch.setattr(oracle, "_numpy_safe", lambda *args: False)
+    assert [slice_count(p, q, m) for p, q, m in cases] == int64
+    assert [ehrhart_count(p.polytope, m) for p, _, m in cases] == ehrhart
+
+
+@pytest.mark.parametrize("q", [2 ** 61, 2 ** 70])
+def test_slice_count_beyond_int64_on_a_line(q):
+    # q = m: w in [0, 2m] dies iff w = q*u for u in {0, 1, 2}
+    line = ToricPair.from_vertices([(0,), (2,)])
+    assert slice_count(line, q, q) == 2 * (q - 1)
