@@ -37,7 +37,6 @@ from .errors import (
     DimMismatchError,
     EmptyRegionError,
     EngineError,
-    FacetParallelToBaseError,
     NegativeScaleError,
     NonIntegralVertexError,
     SpecParseError,
@@ -74,11 +73,9 @@ from .piecewise import (
     pw_equal,
     pw_from_json,
     pw_to_json,
-    sectional_volume_function,
 )
 from .rationals import Rat, parse_rat, rat_str
 from .regions import (
-    MovingPolytope,
     RegionSlice,
     SliceFamily,
     area_of_slice,

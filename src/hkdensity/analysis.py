@@ -30,7 +30,8 @@ from math import factorial
 
 from . import geometry as geo
 from . import regions
-from .errors import DegenerateError, UnsupportedDimensionError
+from .errors import (BreakpointVerificationError, DegenerateError,
+                     UnsupportedDimensionError)
 from .piecewise import PiecewisePoly, Poly, pw_combine, pw_equal
 from .rationals import Rat, ceil_rat, floor_rat
 
@@ -158,7 +159,8 @@ def _hkd_cached(pair: ToricPair) -> PiecewisePoly:
     fam = regions.hk_family(P)
     tail = regions.family_volume_function(fam, 0, pair.l, vanish_monotone=True)
     if tail(0) != vol:
-        raise ArithmeticError("density function discontinuous at level 1")
+        raise BreakpointVerificationError(
+            "density function discontinuous at level 1")
     bps = [Rat(0), Rat(1)]
     pieces = [head]
     for i, piece in enumerate(tail.pieces):
@@ -167,7 +169,8 @@ def _hkd_cached(pair: ToricPair) -> PiecewisePoly:
         pieces.append(piece.compose_affine(1, -1))
     out = PiecewisePoly.build(bps, pieces)
     if not out.is_continuous():
-        raise ArithmeticError("density function fails exact continuity")
+        raise BreakpointVerificationError(
+            "density function fails exact continuity")
     return out
 
 
@@ -196,7 +199,9 @@ def cell_cover_scale(pair) -> int:
             if all(big.contains(tuple(Rat(v[i] + c[i]) for i in range(dim)))
                    for c in corners):
                 return r
-    raise ArithmeticError("no reasonable cell-covering multiple found")
+    raise DegenerateError(
+        "no multiple r*P with r <= 64 contains a translate of the unit cell; "
+        "the base polytope is too thin")
 
 
 @lru_cache(maxsize=256)
@@ -206,7 +211,7 @@ def _phi_cached(pair: ToricPair) -> PiecewisePoly:
     fam = regions.phi_family(P, Rat(r))
     phi = regions.family_volume_function(fam, 0, Rat(r), vanish_monotone=True)
     if phi(0) != 1:
-        raise ArithmeticError("defect function must start at 1")
+        raise BreakpointVerificationError("defect function must start at 1")
     return phi
 
 

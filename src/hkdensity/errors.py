@@ -52,12 +52,6 @@ class DimMismatchError(EngineError):
     code = "dim_mismatch"
 
 
-class FacetParallelToBaseError(EngineError):
-    """A facet lies in a hyperplane parallel to the slicing hyperplane."""
-
-    code = "facet_parallel_to_base"
-
-
 class UnsupportedDimensionError(EngineError):
     """Exact slicing engine only covers base polytopes of dimension 1 or 2."""
 

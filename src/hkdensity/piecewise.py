@@ -2,8 +2,8 @@
 
 A PiecewisePoly is a list of strictly increasing breakpoints with one
 polynomial per open interval; the function is 0 outside its domain.  This is
-the common value type for sectional volume functions, density functions and
-unit-cell defect functions, all of which are continuous on their support.
+the common value type for density functions and unit-cell defect functions,
+both continuous on their support.
 """
 
 from __future__ import annotations
@@ -11,7 +11,6 @@ from __future__ import annotations
 import bisect
 from dataclasses import dataclass
 
-from .errors import DegenerateError, FacetParallelToBaseError, UnboundedError
 from .rationals import Rat, parse_rat, rat_str
 
 
@@ -246,59 +245,3 @@ def pw_from_json(data: dict) -> PiecewisePoly:
     bps = [parse_rat(b) for b in data["breakpoints"]]
     ps = [Poly(_strip([parse_rat(c) for c in piece])) for piece in data["pieces"]]
     return PiecewisePoly.build(bps, ps)
-
-
-# ---------------------------------------------------------------------------
-# sectional volume of a polytope along its last coordinate
-# ---------------------------------------------------------------------------
-
-def sectional_volume_function(poly, *, allow_base_facets=False) -> PiecewisePoly:
-    """t -> Vol_{d-1}(P intersect {z = t}) for a full-dimensional polytope.
-
-    Breakpoints are the distinct last coordinates of the vertices; between
-    consecutive breakpoints the slice volume is a polynomial of degree at
-    most d-1, recovered exactly by interpolation at d interior rational
-    samples and verified at one extra sample.
-
-    A facet lying in a hyperplane {z = c} makes the slice function jump at
-    that end of the support, so by default such polytopes are rejected with
-    FacetParallelToBaseError.  Pass ``allow_base_facets=True`` to compute the
-    (still piecewise-polynomial) function on the closed support anyway; the
-    endpoint values are then not guaranteed to vanish.
-    """
-    from . import geometry  # local import to keep module layering flat
-
-    dim = poly.dim
-    if poly.pdim < dim:
-        raise DegenerateError("sectional volume needs a full-dimensional polytope")
-    if not allow_base_facets:
-        for h in poly.halfspaces:
-            if all(c == 0 for c in h.normal[:-1]):
-                raise FacetParallelToBaseError(
-                    "facet parallel to the slicing hyperplane; decompose first")
-
-    def slice_volume(t):
-        cut = []
-        for h in poly.halfspaces:
-            cut.append(geometry.HalfSpace(h.normal[:-1], h.offset - h.normal[-1] * t))
-        try:
-            sliced = geometry.vrep_from_hrep(cut, dim - 1)
-        except (geometry.EmptyRegionError, UnboundedError):
-            return Rat(0)
-        return geometry.volume(sliced)
-
-    levels = sorted(set(v[-1] for v in poly.vertices))
-    pieces = []
-    for a, b in zip(levels, levels[1:]):
-        step = (b - a) / (dim + 1)
-        samples = [(a + j * step, slice_volume(a + j * step)) for j in range(1, dim + 1)]
-        piece = lagrange_interpolate(samples)
-        check = a + step / 2
-        if piece(check) != slice_volume(check):
-            raise ArithmeticError(
-                "sectional volume interpolation failed verification")
-        pieces.append(piece)
-    out = PiecewisePoly.build(levels, pieces)
-    if not out.is_continuous():
-        raise ArithmeticError("sectional volume function discontinuous")
-    return out

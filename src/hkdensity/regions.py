@@ -4,16 +4,18 @@ The density function of a toric pair at level z > 1 is the area of a dilate
 of the base polytope minus lattice translates of a smaller dilate; the
 unit-cell defect function is the uncovered area of a unit cell under lattice
 translates of a dilate.  Both are instances of one parametric family: a
-minuend polytope and subtrahend translates, every vertex and facet offset
-affine in the parameter.  The parameterized area function is recovered per
-interval by exact interpolation with a verification sample, bisected if
-verification ever fails.  Its candidate breakpoints come from an integer
-scan of incidence events, and each area sample from an integer
-boundary-integration kernel (Green's theorem over the surviving edges).
-Explicit slices (``hk_slice``/``phi_slice``) are resolved into convex
-pieces by exact half-plane clipping (Sutherland-Hodgman) of the minuend
-against each subtrahend's facets, an independent route that serves as the
-reference for the area kernel.
+minuend and translates of one shape, each a nonnegative dilate
+(c0 + c1*t)*polytope of a fixed polytope.  A family is converted once into
+one integer record (rings and facets with a common denominator), from which
+an integer scan of incidence events gives the candidate breakpoints and an
+integer boundary-integration kernel (Green's theorem over the surviving
+edges) gives each area sample.  The parameterized area function is
+recovered per interval by exact interpolation with a verification sample,
+bisected if verification ever fails.  Explicit slices
+(``hk_slice``/``phi_slice``) are resolved into convex pieces by exact
+half-plane clipping (Sutherland-Hodgman) of the minuend against each
+subtrahend's facets, an independent route that serves as the reference for
+the area kernel.
 
 Base polytopes of dimension 1 are handled by interval sweeps, dimension 2 by
 the boundary kernel and convex clipping; higher dimensions are rejected here
@@ -24,89 +26,13 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from functools import cmp_to_key
 from math import lcm
 
 from . import geometry as geo
 from .errors import BreakpointVerificationError, UnsupportedDimensionError
 from .piecewise import PiecewisePoly, Poly, lagrange_interpolate
 from .rationals import Rat, ceil_rat, floor_rat
-
-
-# ---------------------------------------------------------------------------
-# moving polytopes: vertices and facet offsets affine in one parameter
-# ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class MovingPolytope:
-    """Polytope family t -> P(t) with vertices p_i + t q_i and facets
-    <n_j, x> >= a_j + t b_j.  Valid on parameter ranges where the listed
-    vertices are exactly the vertex set (dilations and translations of a
-    fixed polytope, which is all this engine needs)."""
-
-    dim: int
-    vbase: tuple
-    vdir: tuple
-    normals: tuple
-    off0: tuple
-    off1: tuple
-
-    @staticmethod
-    def affine_dilate(poly, c0, c1) -> "MovingPolytope":
-        """(c0 + c1*t) * poly, for parameters with c0 + c1*t >= 0."""
-        c0, c1 = Rat(c0), Rat(c1)
-        ih = geo.integer_hrep(poly)
-        return MovingPolytope(
-            dim=poly.dim,
-            vbase=tuple(geo.vscale(v, c0) for v in poly.vertices),
-            vdir=tuple(geo.vscale(v, c1) for v in poly.vertices),
-            normals=tuple(tuple(Rat(c) for c in n) for n, _ in ih),
-            off0=tuple(Rat(b) * c0 for _, b in ih),
-            off1=tuple(Rat(b) * c1 for _, b in ih),
-        )
-
-    @staticmethod
-    def fixed(poly) -> "MovingPolytope":
-        return MovingPolytope.affine_dilate(poly, 1, 0)
-
-    @staticmethod
-    def dilating(poly) -> "MovingPolytope":
-        return MovingPolytope.affine_dilate(poly, 0, 1)
-
-    def translated(self, u) -> "MovingPolytope":
-        u = tuple(Rat(c) for c in u)
-        return MovingPolytope(
-            dim=self.dim,
-            vbase=tuple(geo.vadd(v, u) for v in self.vbase),
-            vdir=self.vdir,
-            normals=self.normals,
-            off0=tuple(a + geo.dot(n, u) for n, a in zip(self.normals, self.off0)),
-            off1=self.off1,
-        )
-
-    def body(self, t) -> "_Body":
-        t = Rat(t)
-        return _Body([geo.vadd(p, geo.vscale(q, t))
-                      for p, q in zip(self.vbase, self.vdir)])
-
-
-class _Body:
-    """Evaluated polytope: its vertex list and bounding box."""
-
-    __slots__ = ("verts", "lo", "hi")
-
-    def __init__(self, verts):
-        self.verts = verts
-        dim = len(verts[0])
-        self.lo = tuple(min(v[i] for v in verts) for i in range(dim))
-        self.hi = tuple(max(v[i] for v in verts) for i in range(dim))
-
-    @staticmethod
-    def of_polytope(poly) -> "_Body":
-        return _Body(list(poly.vertices))
-
-    def bbox_overlaps(self, other) -> bool:
-        return all(self.lo[i] <= other.hi[i] and other.lo[i] <= self.hi[i]
-                   for i in range(len(self.lo)))
 
 
 # ---------------------------------------------------------------------------
@@ -172,15 +98,11 @@ def _difference_rings(minuend, subs):
     return rings
 
 
-def _interval_of(body: _Body):
-    return body.lo[0], body.hi[0]
-
-
-def _difference_intervals(minuend: _Body, subs):
-    a, b = _interval_of(minuend)
+def _difference_intervals(a, b, subs):
+    """Sorted parts of [a, b] outside the open intervals ``subs``, all
+    given as pairs of numbers."""
     covered = []
-    for s in subs:
-        lo, hi = _interval_of(s)
+    for lo, hi in subs:
         lo, hi = max(lo, a), min(hi, b)
         if lo < hi:
             covered.append((lo, hi))
@@ -200,21 +122,14 @@ def _difference_slice(minuend, subs, dim, level) -> RegionSlice:
     """Full-dimensional minuend minus the open interiors of the subtrahends
     (all ``ConvexPolytope``), as full-dimensional pieces."""
     if dim == 1:
-        pieces = tuple(geo.hrep_from_vrep([(a,), (b,)])
-                       for a, b in _difference_intervals(
-                           _Body.of_polytope(minuend),
-                           [_Body.of_polytope(s) for s in subs]))
+        (a,), (b,) = minuend.bounding_box()
+        spans = [(lo, hi) for (lo,), (hi,) in (s.bounding_box() for s in subs)]
+        pieces = tuple(geo.hrep_from_vrep([(lo,), (hi,)])
+                       for lo, hi in _difference_intervals(a, b, spans))
     else:
         pieces = tuple(geo.hrep_from_vrep(ring)
                        for ring in _difference_rings(minuend, subs))
     return RegionSlice(pieces, Rat(level))
-
-
-def _difference_area(minuend: _Body, subs, dim):
-    if dim == 1:
-        return sum((b - a for a, b in _difference_intervals(minuend, subs)),
-                   Rat(0))
-    return _boundary_area(minuend, subs)
 
 
 # ---------------------------------------------------------------------------
@@ -223,25 +138,6 @@ def _difference_area(minuend: _Body, subs, dim):
 
 def _cross2(u, v):
     return u[0] * v[1] - u[1] * v[0]
-
-
-def _int_hull(points):
-    """Counterclockwise extreme points of integer 2D points (monotone chain);
-    fewer than three means the set is not full-dimensional."""
-    pts = sorted(set(points))
-    if len(pts) < 3:
-        return pts
-
-    def chain(seq):
-        out = []
-        for p in seq:
-            while len(out) >= 2 and _cross2(geo.vsub(out[-1], out[-2]),
-                                            geo.vsub(p, out[-2])) <= 0:
-                out.pop()
-            out.append(p)
-        return out[:-1]
-
-    return chain(pts) + chain(reversed(pts))
 
 
 def _left_window(px, py, dx, dy, facets, lo, hi, tie):
@@ -273,33 +169,20 @@ def _left_window(px, py, dx, dy, facets, lo, hi, tie):
     return (ln, ld), (hn, hd)
 
 
-def _boundary_area(minuend: _Body, subs):
-    """Area of the closed convex minuend minus the open interiors of the
-    convex subtrahends, by Green's theorem over the surviving boundary.
+def _boundary_area(rings):
+    """Twice the area of the closed convex minuend ``rings[0]`` minus the
+    open interiors of the convex subtrahends ``rings[1:]``, each a
+    counterclockwise ring of at least three integer points, by Green's
+    theorem over the surviving boundary.
 
-    The sample is scaled to integer coordinates by the lcm of its
-    denominators.  A minuend edge survives where no subtrahend covers its
-    inner side; a subtrahend edge, reversed, survives where it runs through
-    the open minuend and no other subtrahend covers its outer side.  Edges on
-    a common line cancel when they run opposite ways; running the same way
+    A minuend edge survives where no subtrahend covers its inner side; a
+    subtrahend edge, reversed, survives where it runs through the open
+    minuend and no other subtrahend covers its outer side.  Edges on a
+    common line cancel when they run opposite ways; running the same way
     they count once, the minuend first, then the lower index.  A surviving
     piece of the edge p + s*d, 0 <= s <= 1, contributes its length fraction
-    times cross(p, d) to twice the area.
+    times cross(p, d).
     """
-    bodies = [minuend] + list(subs)
-    scale = 1
-    for body in bodies:
-        for v in body.verts:
-            for c in v:
-                scale = lcm(scale, int(c.denominator))
-    rings = []
-    for body in bodies:
-        ring = _int_hull([tuple(int(c.numerator) * (scale // int(c.denominator))
-                                for c in v) for v in body.verts])
-        if len(ring) >= 3 or not rings:
-            rings.append(ring)
-    if len(rings[0]) < 3:
-        return Rat(0)
     facets = []
     boxes = []
     edges = []     # (owner, p, d): minuend counterclockwise, subtrahends reversed
@@ -341,7 +224,7 @@ def _boundary_area(minuend: _Body, subs):
         (ln, ld), (hn, hd) = window
         kept = Rat(hn * ld - ln * hd, hd * ld) - _union_length(covered)
         total += (px * dy - py * dx) * kept
-    return Rat(total) / (2 * scale * scale)
+    return total
 
 
 def _union_length(intervals):
@@ -440,52 +323,100 @@ def phi_slice(pair, lam) -> RegionSlice:
 
 @dataclass(frozen=True)
 class SliceFamily:
-    """Minuend M(t) minus translates u_i + S(t) of a common moving shape."""
+    """Minuend minus the translates u_i + shape, as plain data.
 
-    dim: int
-    minuend: MovingPolytope
-    translates: tuple
-    shape: MovingPolytope
-
-    def bodies(self):
-        return [self.minuend] + [self.shape.translated(u)
-                                 for u in self.translates]
-
-
-class _EventScan:
-    """Integer data of a family's moving bodies for the event scans.
-
-    Coordinates are scaled by the lcm of every vertex and offset denominator
-    (each normal made integral first), so a facet reads
-    nx*X + ny*Y >= a + b*t and a vertex moves as (px, py) + t*(qx, qy), all
-    integers; a base of dimension 1 is padded to the plane with y = 0.  A
-    moving point is ((x0, y0) + t*(x1, y1))/den with den > 0, an event
-    t = r/c with c > 0, and every test is a cross-multiplied sign comparison.
+    ``minuend`` and ``shape`` are triples (polytope, c0, c1) that stand for
+    the dilate (c0 + c1*t)*polytope, with c0 + c1*t >= 0 on the parameter
+    range; ``translates`` are the vectors u_i.  The dimension is the
+    minuend polytope's.
     """
 
-    def __init__(self, bodies, lo, hi):
-        pad = (0,) if bodies[0].dim == 1 else ()
-        rows = []
-        for body in bodies:
-            row = []
-            for n, a, b in zip(body.normals, body.off0, body.off1):
-                m = lcm(*(int(Rat(c).denominator) for c in n))
-                row.append((tuple(int(Rat(c) * m) for c in n) + pad,
-                            Rat(a) * m, Rat(b) * m))
-            rows.append(row)
-        coords = [v for row in rows for _, a, b in row for v in (a, b)]
-        coords += [c for body in bodies for v in body.vbase + body.vdir
-                   for c in v]
-        scale = lcm(*(int(Rat(c).denominator) for c in coords))
-        self.facets = [[(n[0], n[1], int(a * scale), int(b * scale))
-                        for n, a, b in row] for row in rows]
-        self.verts = [[tuple(int(Rat(c) * scale) for c in p + pad + q + pad)
-                       for p, q in zip(body.vbase, body.vdir)]
-                      for body in bodies]
+    minuend: tuple
+    translates: tuple
+    shape: tuple
+
+
+def _ccw(poly):
+    """Vertices of a full-dimensional polygon in counterclockwise order from
+    its lowest point, or a segment's two endpoints in increasing order;
+    points are padded to the plane with y = 0."""
+    pts = [tuple(v) + (Rat(0),) * (2 - poly.dim) for v in poly.vertices]
+    p0 = min(pts, key=lambda p: (p[1], p[0]))
+    rest = [p for p in pts if p != p0]
+    rest.sort(key=cmp_to_key(
+        lambda a, b: -_cross2(geo.vsub(a, p0), geo.vsub(b, p0))))
+    return [p0] + rest
+
+
+class _FamilyRecord:
+    """Integer record of a family's bodies, built once per call and read by
+    both the event scans and the area samples.
+
+    Body 0 is the minuend, body i the subtrahend u_i + shape.  Coordinates
+    are scaled by one common ``scale``, the lcm of every vertex, facet-offset
+    and translate denominator, so that body k is the counterclockwise ring
+    ``rings[k]`` of points ((px, py) + t*(qx, qy))/scale and the facets
+    ``facets[k]``, each nx*X + ny*Y >= a + b*t in scaled coordinates, all
+    integers.  Each body is a nonnegative dilate of one of two fixed
+    polytopes, so its base order stays counterclockwise for every t in range
+    (at scale 0 the ring collapses to one point).  A base of dimension 1 is
+    padded to the plane with y = 0.
+
+    For the scans a moving point is ((x0, y0) + t*(x1, y1))/den with
+    den > 0, an event t = r/c with c > 0, and every test is a
+    cross-multiplied sign comparison.
+    """
+
+    def __init__(self, family, lo, hi):
+        self.dim = family.minuend[0].dim
+        pad = (0,) * (2 - self.dim)
+        # each dilate (c0 + c1*t)*poly in rational rows: (px, py, qx, qy) per
+        # vertex, the integer normal and (a, b) per facet
+        dilates = []
+        for poly, c0, c1 in (family.minuend, family.shape):
+            c0, c1 = Rat(c0), Rat(c1)
+            dilates.append((
+                [tuple(c * x for c in (c0, c1) for x in v) for v in _ccw(poly)],
+                [(n + pad, (c0 * b, c1 * b)) for n, b in geo.integer_hrep(poly)]))
+        shifts = [tuple(Rat(x) for x in u) + pad for u in family.translates]
+        rows = [row for ring, facets in dilates
+                for row in ring + [ab for _, ab in facets]] + shifts
+        self.scale = lcm(*(int(x.denominator) for row in rows for x in row))
+
+        def scaled(row):
+            return tuple(int(x * self.scale) for x in row)
+
+        (ring, facets), (shape_ring, shape_facets) = (
+            ([scaled(p) for p in ring], [n + scaled(ab) for n, ab in facets])
+            for ring, facets in dilates)
+        self.rings, self.facets = [ring], [facets]
+        for ux, uy in map(scaled, shifts):
+            self.rings.append([(px + ux, py + uy, qx, qy)
+                               for px, py, qx, qy in shape_ring])
+            self.facets.append([(nx, ny, a + nx * ux + ny * uy, b)
+                                for nx, ny, a, b in shape_facets])
         self.lines = [(i,) + f for i, row in enumerate(self.facets)
                       for f in row]
         self.lo = (int(lo.numerator), int(lo.denominator))
         self.hi = (int(hi.numerator), int(hi.denominator))
+
+    def area(self, t):
+        """Exact area of the slice at t = r/s: every ring is evaluated as
+        s*p + r*q over the denominator s*scale."""
+        r, s = int(t.numerator), int(t.denominator)
+        rings = [[(s * px + r * qx, s * py + r * qy)
+                  for px, py, qx, qy in ring] for ring in self.rings]
+        # a body at scale 0 is one point and bounds nothing
+        rings = [rings[0]] + [ring for ring in rings[1:] if ring[0] != ring[1]]
+        den = s * self.scale
+        if self.dim == 1:
+            (a, _), (b, _) = rings[0]
+            spans = [(lo, hi) for (lo, _), (hi, _) in rings[1:]]
+            return Rat(sum(y - x for x, y in _difference_intervals(a, b, spans)),
+                       den)
+        if rings[0][0] == rings[0][1]:
+            return Rat(0)
+        return Rat(_boundary_area(rings)) / (2 * den * den)
 
     def window(self, x0, y0, x1, y1, den):
         """Parameter window (wn, wd, vn, vd) = [wn/wd, vn/vd] inside (lo, hi)
@@ -548,14 +479,13 @@ class _EventScan:
                 events.add(Rat(r, c))
 
 
-def _pair_events(bodies, lo, hi):
+def _pair_events(scan):
     """Parameters where a vertex of one body crosses a facet line of another,
     witnessed inside the (closed) minuend."""
-    scan = _EventScan(bodies, lo, hi)
     events = set()
-    for ai, verts in enumerate(scan.verts):
+    for ai, ring in enumerate(scan.rings):
         others = [line for line in scan.lines if line[0] != ai]
-        for px, py, qx, qy in verts:
+        for px, py, qx, qy in ring:
             point = (px, py, qx, qy, 1)
             window = scan.window(*point)
             if window is not None:
@@ -563,7 +493,7 @@ def _pair_events(bodies, lo, hi):
     return events
 
 
-def _triple_events(bodies, lo, hi):
+def _triple_events(scan):
     """Concurrency of facet lines from three distinct bodies, witnessed
     inside the closed minuend and not smothered by an uninvolved body.
 
@@ -574,9 +504,8 @@ def _triple_events(bodies, lo, hi):
     by the vertex case as well).  In dimension 1 the pairwise events already
     cover everything.
     """
-    if bodies[0].dim == 1:
+    if scan.dim == 1:
         return set()
-    scan = _EventScan(bodies, lo, hi)
     lines = scan.lines
     events = set()
     for j1, (i1, n1x, n1y, a1, b1) in enumerate(lines):
@@ -600,46 +529,23 @@ def _triple_events(bodies, lo, hi):
     return events
 
 
-class _FamilyEvaluator:
-    def __init__(self, family: SliceFamily):
-        self.family = family
-        self.moving = family.bodies()
-        self.dim = family.dim
-
-    def area(self, t):
-        t = Rat(t)
-        minuend = self.moving[0].body(t)
-        subs = [b for b in (mp.body(t) for mp in self.moving[1:])
-                if b.bbox_overlaps(minuend)]
-        return _difference_area(minuend, subs, self.dim)
-
-    def interpolate(self, a, b):
-        """Exact polynomial on [a, b], or None if verification fails."""
-        deg = self.dim  # area of an affine family has degree <= dim
-        step = (b - a) / (deg + 2)
-        samples = [(a + j * step, self.area(a + j * step))
-                   for j in range(1, deg + 2)]
-        poly = lagrange_interpolate(samples)
-        check = a + step / 2
-        if poly(check) != self.area(check):
-            return None
-        return poly
-
-
 def family_volume_function(family: SliceFamily, lo, hi, *,
                            vanish_monotone=False,
                            max_depth=40) -> PiecewisePoly:
     """Exact t -> area(M(t) minus union of translates of S(t)) on [lo, hi].
 
-    Candidate breakpoints are the vertex-on-facet-line incidences over all
-    body pairs together with the triple-line concurrences of distinct
-    bodies, both filtered to witnesses inside the closed minuend; this set
-    is complete for the combinatorial changes an affine family can undergo.
+    The family is turned once into an integer record (``_FamilyRecord``)
+    that both the event scans and the area samples read.  Candidate
+    breakpoints are the vertex-on-facet-line incidences over all body pairs
+    together with the triple-line concurrences of distinct bodies, both
+    filtered to witnesses inside the closed minuend; this set is complete
+    for the combinatorial changes an affine family can undergo.
     Each candidate interval is then interpolated at dim+1 samples and
     verified at one extra sample; a failure (which would indicate a missed
     event) is bisected up to ``max_depth`` times and is a hard error beyond
-    that.  In dimension 2 each sample is an exact integer boundary
-    integration (``_boundary_area``), not an arrangement of the slice.
+    that.  In dimension 2 each sample evaluates the record's integer rings
+    at t and integrates their surviving boundary (``_boundary_area``); no
+    rational vertex, hull or arrangement of the slice is built.
 
     With ``vanish_monotone=True`` (valid when an empty slice stays empty for
     all larger parameters, as holds for these cone families with anchored
@@ -649,34 +555,40 @@ def family_volume_function(family: SliceFamily, lo, hi, *,
     lo, hi = Rat(lo), Rat(hi)
     if lo >= hi:
         raise ValueError("empty parameter interval")
-    ev = _FamilyEvaluator(family)
-    events = _pair_events(ev.moving, lo, hi) | _triple_events(ev.moving, lo, hi)
-    cuts = sorted(set(events) | {lo, hi})
+    record = _FamilyRecord(family, lo, hi)
+    area = record.area
+    cuts = sorted(_pair_events(record) | _triple_events(record) | {lo, hi})
 
     tail_from = None
     if vanish_monotone:
-        if ev.area(lo) == 0:
+        if area(lo) == 0:
             return PiecewisePoly.zero(lo)
-        if ev.area(hi) == 0:
+        if area(hi) == 0:
             # first candidate with vanished area, by bisection
             i, j = 0, len(cuts) - 1
             while j - i > 1:
                 m = (i + j) // 2
-                if ev.area(cuts[m]) == 0:
+                if area(cuts[m]) == 0:
                     j = m
                 else:
                     i = m
             tail_from = j
             # the zero tail is certified at its midpoint as well
             mid = (cuts[j] + hi) / 2
-            if ev.area(mid) != 0:
+            if area(mid) != 0:
                 raise BreakpointVerificationError(
                     "vanishing tail is not identically zero")
             cuts = cuts[:j + 1]
 
+    deg = record.dim  # area of an affine family has degree <= dim
+
     def resolve(a, b, depth):
-        poly = ev.interpolate(a, b)
-        if poly is not None:
+        """Pieces on [a, b]: dim+1 samples interpolated, one more checked."""
+        step = (b - a) / (deg + 2)
+        poly = lagrange_interpolate([(a + j * step, area(a + j * step))
+                                     for j in range(1, deg + 2)])
+        check = a + step / 2
+        if poly(check) == area(check):
             return [(a, b, poly)]
         if depth <= 0:
             raise BreakpointVerificationError(
@@ -703,11 +615,9 @@ def hk_family(poly) -> SliceFamily:
     lattice points u of P."""
     P = anchored(poly)
     return SliceFamily(
-        dim=P.dim,
-        minuend=MovingPolytope.affine_dilate(P, 1, 1),
-        translates=tuple(tuple(Rat(c) for c in u)
-                         for u in geo.lattice_points(P)),
-        shape=MovingPolytope.dilating(P),
+        minuend=(P, 1, 1),
+        translates=tuple(geo.lattice_points(P)),
+        shape=(P, 0, 1),
     )
 
 
@@ -716,8 +626,7 @@ def phi_family(poly, lam_max) -> SliceFamily:
     translates that can meet the cell for t <= lam_max."""
     P = anchored(poly)
     return SliceFamily(
-        dim=P.dim,
-        minuend=MovingPolytope.fixed(_unit_cell(P.dim)),
+        minuend=(_unit_cell(P.dim), 1, 0),
         translates=tuple(cell_translates(P, lam_max)),
-        shape=MovingPolytope.dilating(P),
+        shape=(P, 0, 1),
     )

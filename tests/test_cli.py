@@ -245,3 +245,18 @@ def test_cli_import_does_not_load_numpy():
         [sys.executable, "-c",
          "import hkdensity.cli, sys; assert 'numpy' not in sys.modules"],
         env=env, check=True)
+
+
+@pytest.mark.parametrize("command", ["density", "phi"])
+def test_run_command_reports_failed_certificate(command, monkeypatch):
+    # a wrong area function must surface as a typed error, not a traceback
+    from hkdensity import PiecewisePoly, Poly, analysis, regions
+    from hkdensity.cli import run_command
+    monkeypatch.setattr(regions, "family_volume_function",
+                        lambda *args, **kwargs: PiecewisePoly.build(
+                            [0, 1], [Poly.of(0, 1)]))
+    analysis._hkd_cached.cache_clear()
+    analysis._phi_cached.cache_clear()
+    status, text, ext = run_command(command, SIMPLEX)
+    assert (status, ext) == (1, "json")
+    assert json.loads(text)["error"]["code"] == "breakpoint_verification_failed"

@@ -211,6 +211,27 @@ def test_volume_unit_cube():
     assert volume(P) == 1
 
 
+def _cross_polytope(dim):
+    return lattice_hull([tuple(s if i == j else 0 for i in range(dim))
+                         for j in range(dim) for s in (1, -1)])
+
+
+def _unit_simplex(dim):
+    return lattice_hull([(0,) * dim] + [tuple(1 if i == j else 0
+                                              for i in range(dim))
+                                        for j in range(dim)])
+
+
+@pytest.mark.parametrize("poly,expected", [
+    (_cross_polytope(3), Rat(4, 3)),
+    (_unit_simplex(3), Rat(1, 6)),
+    (_unit_simplex(4), Rat(1, 24)),
+    (_cross_polytope(4), Rat(2, 3)),
+], ids=["octahedron", "simplex3", "simplex4", "cross4"])
+def test_volume_in_dimensions_three_and_four(poly, expected):
+    assert volume(poly) == expected
+
+
 # --- lattice points ---------------------------------------------------------
 
 def test_lattice_points_anticanonical_triangle():

@@ -1,19 +1,11 @@
-import itertools
-
-import pytest
-
 from hkdensity import (
-    FacetParallelToBaseError,
     PiecewisePoly,
     Poly,
     Rat,
-    lattice_hull,
     pw_combine,
     pw_equal,
     pw_from_json,
     pw_to_json,
-    sectional_volume_function,
-    volume,
 )
 
 from conftest import line_density_form, projective_line
@@ -111,69 +103,3 @@ def test_json_accepts_unicode_minus():
     data = {"breakpoints": ["0", "1"], "pieces": [["6", "−4"]]}
     f = pw_from_json(data)
     assert f.pieces[0].coeffs == (Rat(6), Rat(-4))
-
-
-# --- sectional volume ----------------------------------------------------------
-
-def _simplex3():
-    return lattice_hull([(0, 0, 0), (1, 0, 0), (0, 1, 0), (0, 0, 1)])
-
-
-def _bipyramid():
-    return lattice_hull([(1, 0, 0), (-1, 0, 0), (0, 1, 0), (0, -1, 0),
-                         (0, 0, 1), (0, 0, -1)])
-
-
-def test_sectional_simplex_with_base_facet():
-    sv = sectional_volume_function(_simplex3(), allow_base_facets=True)
-    assert pw_equal(sv, PiecewisePoly.build(
-        [0, 1], [Poly.of(Rat(1, 2), -1, Rat(1, 2))]))
-
-
-def test_sectional_base_facet_rejected_by_default():
-    with pytest.raises(FacetParallelToBaseError):
-        sectional_volume_function(_simplex3())
-
-
-def test_sectional_bipyramid():
-    sv = sectional_volume_function(_bipyramid())
-    expected = PiecewisePoly.build(
-        [-1, 0, 1], [Poly.of(2, 4, 2), Poly.of(2, -4, 2)])
-    assert pw_equal(sv, expected)
-    assert sv(0) == 2 and sv(Rat(1, 2)) == Rat(1, 2)
-
-
-def test_sectional_endpoints_vanish_without_base_facets():
-    sv = sectional_volume_function(_bipyramid())
-    assert sv(sv.breakpoints[0]) == 0
-    assert sv(sv.breakpoints[-1]) == 0
-
-
-SLICED_FIXTURES = [
-    (_bipyramid(), False),
-    (_simplex3(), True),
-    (lattice_hull([(0, 0, 0, 0)] + [tuple(1 if i == j else 0 for i in range(4))
-                                    for j in range(4)]), True),
-    (lattice_hull([(1, 0, 0, 0), (-1, 0, 0, 0), (0, 1, 0, 0), (0, -1, 0, 0),
-                   (0, 0, 1, 0), (0, 0, -1, 0), (0, 0, 0, 1), (0, 0, 0, -1)]),
-     False),
-]
-
-
-@pytest.mark.parametrize("poly,needs_flag", SLICED_FIXTURES)
-def test_sectional_integral_equals_volume(poly, needs_flag):
-    sv = sectional_volume_function(poly, allow_base_facets=needs_flag)
-    assert sv.integral() == volume(poly)
-
-
-@pytest.mark.parametrize("poly,needs_flag", SLICED_FIXTURES)
-def test_sectional_degree_bound_and_continuity(poly, needs_flag):
-    sv = sectional_volume_function(poly, allow_base_facets=needs_flag)
-    assert all(p.degree <= poly.dim - 1 for p in sv.pieces)
-    assert sv.is_continuous()
-
-
-def test_sectional_breakpoints_are_vertex_levels():
-    sv = sectional_volume_function(_bipyramid())
-    levels = sorted({v[-1] for v in _bipyramid().vertices})
-    assert set(sv.breakpoints) <= set(levels)

@@ -3,18 +3,23 @@
 import random
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from hkdensity import (
     Rat,
     ToricPair,
+    area_of_slice,
     e0,
     e_hk,
     hk_report,
     hk_slice,
     hkd_function,
     is_tiler,
+    lattice_hull,
     pair_volume,
     phi_function,
+    phi_slice,
     pw_equal,
     tiling_gap_B,
     translate,
@@ -130,3 +135,54 @@ def test_density_integral_in_classical_window(pair):
     assert value >= 1  # normal toric rings: 1 with equality iff regular
     if pair.polytope.dim == 2 and pair_volume(pair) == Rat(1, 2):
         assert value == 1
+
+
+# --- random lattice polygons ---------------------------------------------------
+
+_POLYGON = st.lists(st.tuples(st.integers(-2, 2), st.integers(-2, 2)),
+                    min_size=3, max_size=6)
+# generators of GL2(Z): shears, the coordinate swap and a reflection
+_UNIMODULAR = st.lists(st.sampled_from([
+    ((1, 1), (0, 1)), ((1, -1), (0, 1)), ((1, 0), (1, 1)), ((1, 0), (-1, 1)),
+    ((0, 1), (1, 0)), ((1, 0), (0, -1)),
+]), min_size=1, max_size=2)
+_SHIFT = st.tuples(st.integers(-3, 3), st.integers(-3, 3))
+_RANDOM_SETTINGS = settings(max_examples=5, deadline=None, derandomize=True)
+
+
+def _polygon_pair(points):
+    P = lattice_hull(points)
+    assume(P.pdim == 2)
+    return ToricPair(P)
+
+
+def _probes(f):
+    """Every breakpoint of f and every midpoint between two of them."""
+    bps = list(f.breakpoints)
+    return bps + [(a + b) / 2 for a, b in zip(bps, bps[1:])]
+
+
+@_RANDOM_SETTINGS
+@given(points=_POLYGON)
+def test_random_polygon_functions_match_slices(points):
+    # the family engine against the independent clipping route
+    pair = _polygon_pair(points)
+    f = hkd_function(pair)
+    for z in _probes(f):
+        assert area_of_slice(hk_slice(pair, z)) == f(z)
+    phi = phi_function(pair)
+    for lam in _probes(phi):
+        assert area_of_slice(phi_slice(pair, lam)) == phi(lam)
+
+
+@_RANDOM_SETTINGS
+@given(points=_POLYGON, maps=_UNIMODULAR, shift=_SHIFT)
+def test_random_polygon_functions_unimodular_invariant(points, maps, shift):
+    pair = _polygon_pair(points)
+    image = pair.polytope.vertices
+    for (a, b), (c, d) in maps:
+        image = [(a * x + b * y, c * x + d * y) for x, y in image]
+    moved = ToricPair(lattice_hull([(x + shift[0], y + shift[1])
+                                    for x, y in image]))
+    assert pw_equal(hkd_function(pair), hkd_function(moved))
+    assert pw_equal(phi_function(pair), phi_function(moved))

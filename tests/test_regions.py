@@ -4,7 +4,6 @@ import zlib
 import pytest
 
 from hkdensity import (
-    MovingPolytope,
     PiecewisePoly,
     Poly,
     Rat,
@@ -120,8 +119,8 @@ def test_phi_family_square_side_two():
 
 def test_constant_family():
     square = lattice_hull([(0, 0), (2, 0), (0, 2), (2, 2)])
-    fam = SliceFamily(dim=2, minuend=MovingPolytope.fixed(square),
-                      translates=(), shape=MovingPolytope.dilating(square))
+    fam = SliceFamily(minuend=(square, 1, 0), translates=(),
+                      shape=(square, 0, 1))
     f = family_volume_function(fam, 0, 3)
     assert pw_equal(f, PiecewisePoly.build([0, 3], [Poly.of(4)]))
 
@@ -158,11 +157,9 @@ def test_family_with_rational_offsets_matches_exact_intersections():
     square = lattice_hull([(0, 0), (3, 0), (0, 3), (3, 3)])
     triangle = lattice_hull([(0, 0), (2, 0), (0, 1)])
     shifts = ((Rat(1, 3), Rat(0)), (Rat(1), Rat(1, 2)))
-    fam = SliceFamily(
-        dim=2,
-        minuend=MovingPolytope.fixed(square).translated((0, Rat(1, 4))),
-        translates=shifts,
-        shape=MovingPolytope.affine_dilate(triangle, Rat(1, 2), 1))
+    minuend = translate(square, (0, Rat(1, 4)))
+    fam = SliceFamily(minuend=(minuend, 1, 0), translates=shifts,
+                      shape=(triangle, Rat(1, 2), 1))
     f = family_volume_function(fam, 0, 2)
 
     def vol(*polys):
@@ -173,7 +170,6 @@ def test_family_with_rational_offsets_matches_exact_intersections():
                 return 0
         return volume(meet)
 
-    minuend = translate(square, (0, Rat(1, 4)))
     for t in [Rat(k, 7) for k in range(15)] + list(f.breakpoints):
         s1, s2 = (translate(scale(triangle, Rat(1, 2) + t), u) for u in shifts)
         expected = (vol(minuend) - vol(minuend, s1) - vol(minuend, s2)
@@ -190,9 +186,11 @@ def test_covered_area_consistent_with_exact_intersection():
     z = Rat(4, 3)
     minuend = scale(P, z)
     sub = translate(scale(P, z - 1), (1, 0))
-    from hkdensity.regions import _Body, _difference_area
-    uncovered = _difference_area(_Body.of_polytope(minuend),
-                                 [_Body.of_polytope(sub)], 2)
+    from hkdensity.regions import _boundary_area, _ccw
+    # every vertex has denominator 3: the rings are taken at scale 3
+    rings = [[(int(3 * x), int(3 * y)) for x, y in _ccw(poly)]
+             for poly in (minuend, sub)]
+    uncovered = Rat(_boundary_area(rings)) / (2 * 3 * 3)
     overlap = intersect(minuend, sub)
     assert volume(minuend) - uncovered == volume(overlap)
 
