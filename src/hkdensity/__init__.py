@@ -29,7 +29,6 @@ from .analysis import (
     segre,
     segre_phi,
     tiling_gap_B,
-    veronese_expansion,
 )
 from .errors import (
     BreakpointVerificationError,

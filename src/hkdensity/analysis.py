@@ -23,7 +23,6 @@ decided exactly).
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from functools import lru_cache, reduce
 from math import factorial
@@ -33,7 +32,7 @@ from . import regions
 from .errors import (BreakpointVerificationError, DegenerateError,
                      UnsupportedDimensionError)
 from .piecewise import PiecewisePoly, Poly, pw_combine, pw_equal
-from .rationals import Rat, ceil_rat, floor_rat
+from .rationals import Rat
 
 
 @dataclass(frozen=True)
@@ -189,16 +188,12 @@ def cell_cover_scale(pair) -> int:
     translate of the unit cell; phi vanishes at and beyond r."""
     pair = _as_direct_pair(pair)
     P = regions.anchored(pair.polytope)
-    dim = P.dim
-    corners = list(itertools.product((0, 1), repeat=dim))
+    rows = geo.integer_hrep(P)
     for r in range(1, 65):
-        big = geo.scale(P, Rat(r))
-        lo, hi = big.bounding_box()
-        ranges = [range(ceil_rat(lo[i]), floor_rat(hi[i]) + 1) for i in range(dim)]
-        for v in itertools.product(*ranges):
-            if all(big.contains(tuple(Rat(v[i] + c[i]) for i in range(dim)))
-                   for c in corners):
-                return r
+        # v + [0,1]^n lies in r*P iff v meets each row at its worst corner
+        eroded = [(n, r * off - sum(min(c, 0) for c in n)) for n, off in rows]
+        if any(geo.lattice_fibers(eroded, geo.fiber_box(P, r))):
+            return r
     raise DegenerateError(
         "no multiple r*P with r <= 64 contains a translate of the unit cell; "
         "the base polytope is too thin")
@@ -278,18 +273,6 @@ def tiling_gap_B(pair) -> float:
     expo = (2 - d) / (d - 1)
     return (float(e0(pair)) ** expo) * a - ((d - 1) / d) * float(
         factorial(d - 1)) ** expo
-
-
-def veronese_expansion(pair, k: int = 1):
-    """Leading coefficients (e0/d!, A) of the growth of e_HK over the k-th
-    power of the maximal ideal: e_HK = (e0/d!)*k^d + A*k^{d-1} + o(k^{d-1}).
-
-    The coefficients do not depend on k; the argument is validated for
-    interface symmetry with the exact power computation ``ehk_power``.
-    """
-    if int(k) != k or k < 1:
-        raise ValueError("positive integer power required")
-    return e0(pair) / factorial(pair.d), limit_A(pair)
 
 
 def ehk_power(pair, k: int):

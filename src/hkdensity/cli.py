@@ -241,16 +241,28 @@ def _cmd_convergence(pair, args):
     return _csv_text(rep.csv_rows()), "csv"
 
 
+# name -> (handler, output formats, the other flags the handler reads)
 _COMMANDS = {
-    "density": _cmd_density,
-    "phi": _cmd_phi,
-    "ehk": _cmd_ehk,
-    "limit": _cmd_limit,
-    "tiling": _cmd_tiling,
-    "report": _cmd_report,
-    "segre": _cmd_segre,
-    "oracle": _cmd_oracle,
-    "convergence": _cmd_convergence,
+    "density": (_cmd_density, ("json", "csv", "svg"), ("--samples",)),
+    "phi": (_cmd_phi, ("json", "csv", "svg"), ("--samples", "--k")),
+    "ehk": (_cmd_ehk, (), ("--k",)),
+    "limit": (_cmd_limit, (), ()),
+    "tiling": (_cmd_tiling, (), ()),
+    "report": (_cmd_report, (), ()),
+    "segre": (_cmd_segre, (), ()),
+    "oracle": (_cmd_oracle, (), ("--q", "--lambda")),
+    "convergence": (_cmd_convergence, ("json", "csv"), ("--q", "--lambda")),
+}
+
+_FLAGS = {
+    "--samples": {"dest": "samples", "type": int, "default": 512,
+                  "help": "sample count for csv/svg emission"},
+    "--q": {"dest": "q_raw", "default": None,
+            "help": "Frobenius level (oracle) or comma list (convergence)"},
+    "--lambda": {"dest": "lam_raw", "default": None,
+                 "help": "parameter as an exact rational 'p/q'"},
+    "--k": {"dest": "k", "type": int, "default": 1,
+            "help": "divisor multiple (phi scaling / ehk power)"},
 }
 
 
@@ -259,23 +271,19 @@ def _build_parser():
         prog="hkdensity",
         description="Exact Hilbert-Kunz density functions, multiplicities and "
                     "tiling tests for toric pairs.")
+    # a command that does not take a flag still reads its default
+    parser.set_defaults(**{f["dest"]: f["default"] for f in _FLAGS.values()})
     sub = parser.add_subparsers(dest="command", required=True)
-    for name in _COMMANDS:
+    for name, (_, formats, flags) in _COMMANDS.items():
         p = sub.add_parser(name)
         p.add_argument("--input", default="-",
                        help="pair spec JSON file ('-' for stdin)")
         p.add_argument("--output", default=None,
                        help="output directory (default: stdout)")
-        p.add_argument("--format", choices=("json", "csv", "svg"),
-                       default="json")
-        p.add_argument("--samples", type=int, default=512,
-                       help="sample count for csv/svg emission")
-        p.add_argument("--q", dest="q_raw", default=None,
-                       help="Frobenius level (oracle) or comma list (convergence)")
-        p.add_argument("--lambda", dest="lam_raw", default=None,
-                       help="parameter as an exact rational 'p/q'")
-        p.add_argument("--k", type=int, default=1,
-                       help="divisor multiple (phi scaling / ehk power)")
+        if formats:
+            p.add_argument("--format", choices=formats, default="json")
+        for flag in flags:
+            p.add_argument(flag, **_FLAGS[flag])
     return parser
 
 
@@ -330,7 +338,7 @@ def _execute(argv, spec_text=None):
         args = _post_process_args(args)
         if spec_text is None:
             spec_text = _read_input(args.input)
-        text, ext = _COMMANDS[args.command](parse_spec(spec_text), args)
+        text, ext = _COMMANDS[args.command][0](parse_spec(spec_text), args)
         return args, 0, text, ext
     except EngineError as exc:
         code, message = exc.code, str(exc)

@@ -14,7 +14,9 @@ from __future__ import annotations
 
 import itertools
 import math
+import operator
 from dataclasses import dataclass
+from functools import reduce
 
 from .errors import (
     DegenerateError,
@@ -479,13 +481,52 @@ def integer_hrep(poly: ConvexPolytope):
     return [(tuple(r[:-1]), r[-1]) for r in rows]
 
 
-def lattice_points(poly: ConvexPolytope):
-    """All integer points of the polytope, by bounding-box scan."""
+def fiber_box(poly: ConvexPolytope, k=1):
+    """Integer box of the first n-1 coordinates of the dilate k*P."""
     los, his = poly.bounding_box()
-    ranges = [range(ceil_rat(lo), floor_rat(hi) + 1) for lo, hi in zip(los, his)]
-    hs = integer_hrep(poly)
-    out = []
-    for p in itertools.product(*ranges):
-        if all(sum(n * x for n, x in zip(normal, p)) >= off for normal, off in hs):
-            out.append(p)
-    return out
+    return [(ceil_rat(lo * k), floor_rat(hi * k))
+            for lo, hi in zip(los[:-1], his[:-1])]
+
+
+def lattice_fibers(rows, box):
+    """Integer points of {x : <normal, x> >= offset for each row} by fibers
+    along the last coordinate.
+
+    ``rows`` are integer (normal, offset) pairs bounding the last coordinate
+    from both sides, ``box`` an integer (lo, hi) range for each of the first
+    n-1 coordinates.  Yields (x', a, b) for each x' of the box, in
+    lexicographic order, whose last coordinate runs through a nonempty
+    interval [a, b].  The box is walked by lines along coordinate n-1; a
+    dummy first coordinate fixed at 0 gives n = 1 its line.
+    """
+    rows = [((0, *n), off) for n, off in rows]
+    *outer, (lo, hi) = [(0, 0), *box]
+    for prefix in itertools.product(*(range(a, b + 1) for a, b in outer)):
+        j0, j1, lower, upper = lo, hi, [], []
+        for n, off in rows:
+            # on this line the row reads d*j + c*t >= r
+            r = off - sum(map(operator.mul, n, prefix))
+            d, c = n[-2], n[-1]
+            if c:
+                (lower if c > 0 else upper).append((d, c, r))
+            elif d > 0:
+                j0 = max(j0, -(-r // d))
+            elif d < 0:
+                j1 = min(j1, r // d)
+            elif r > 0:
+                j1 = j0 - 1
+        js = range(j0, j1 + 1)
+        tops = reduce(lambda u, v: map(min, u, v),
+                      [[(r - d * j) // c for j in js] for d, c, r in upper])
+        bottoms = reduce(lambda u, v: map(max, u, v),
+                         [[-((d * j - r) // c) for j in js]
+                          for d, c, r in lower])
+        for j, a, b in zip(js, bottoms, tops):
+            if a <= b:
+                yield (*prefix, j)[1:], a, b
+
+
+def lattice_points(poly: ConvexPolytope):
+    """All integer points of the polytope, in lexicographic order."""
+    fibers = lattice_fibers(integer_hrep(poly), fiber_box(poly))
+    return [(*x, t) for x, a, b in fibers for t in range(a, b + 1)]

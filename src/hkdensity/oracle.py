@@ -8,27 +8,22 @@ and w - q*u lies outside (m-q)*P for every lattice point u of P.  Counts
 are dimension-agnostic and q ranges over all positive integers; the
 normalized counts converge to the density function either way.
 
-Counts go by fibers: over each point of the box of the first n-1
-coordinates (n = dim P), the last coordinate of m*P and of each convex
-translate q*u + (m-q)*P runs through one interval, bounded by exact
-ceil/floor divisions of integer H-rep data, and a fiber counts its
-interval minus the union of the translate intervals.  Memory is O(m^(n-1))
-rows, not the O(m^n) points of n coordinates of a whole-box scan.  One
-exact path runs on numpy arrays: int64 where a certificate rules out
-overflow, Python integers (dtype=object) otherwise.  numpy is imported only
-when a count runs.  The final reduction is an ordered sum, so results do
-not depend on evaluation order.
+Counts go by fibers along the last coordinate (``geometry.lattice_fibers``):
+each fiber of m*P counts its interval minus the union of the intervals of
+the translates q*u + (m-q)*P, read off one shifted fiber table of (m-q)*P.
+Memory is O(m^(n-1)) fibers (n = dim P), and everything runs on Python
+integers, so counts are exact at any size.
 """
 
 from __future__ import annotations
 
-import math
+import operator
 from dataclasses import dataclass
 
 from . import geometry as geo
 from . import regions
 from .errors import UnsupportedDimensionError
-from .rationals import Rat, ceil_rat, floor_rat, rat_str
+from .rationals import Rat, floor_rat, rat_str
 
 
 @dataclass(frozen=True)
@@ -68,67 +63,38 @@ class ConvergenceReport:
         return rows
 
 
-def _numpy_safe(hrep, bound: int, npoints: int) -> bool:
-    """True when int64 holds every intermediate of a count: each numerator
-    is at most (sum |normal| + |offset|) * bound, each count at most npoints."""
-    mx = max(sum(abs(n) for n in normal) + abs(off) for normal, off in hrep)
-    return max(mx * bound, npoints) < 2 ** 62
+def _fibers(P, k):
+    """Fibers (x', a, b) of the lattice points of k*P."""
+    return geo.lattice_fibers([(n, off * k) for n, off in geo.integer_hrep(P)],
+                              geo.fiber_box(P, k))
 
 
-def _last_intervals(hrep, sums, offsets):
-    """Per fiber (row) and body (column), the last-coordinate interval
-    [lo, hi] of {x : <normal, x> >= offset}, empty when hi < lo; ``sums[k]``
-    is <normal_k, x> without its last term, ``offsets[k]`` one offset per
-    body."""
-    import numpy as np
-
-    lo, hi, ok = [], [], True
-    for (normal, _), s, off in zip(hrep, sums, offsets):
-        num = np.array(off, s.dtype) - s[:, None]
-        c = normal[-1]
-        if c > 0:
-            lo.append(-(-num // c))
-        elif c < 0:
-            hi.append(num // c)
-        else:
-            ok = ok & (num <= 0)
-    lo = np.max(lo, axis=0)
-    return lo, np.where(ok, np.min(hi, axis=0), lo - 1)
-
-
-def _count(P, hrep, gens, q: int, m: int) -> int:
-    """#{w in m*P : w - q*u lies outside (m-q)*P for every u in gens}, the
-    constraint dropped for m < q; ``hrep`` is ``integer_hrep(P)``."""
-    import numpy as np
-
-    los, his = P.bounding_box()
-    lo = [ceil_rat(c * m) for c in los]
-    hi = [floor_rat(c * m) for c in his]
-    size = max(1, *(ceil_rat(abs(c)) for c in los + his))
-    npoints = math.prod(max(0, b - a + 1) for a, b in zip(lo, hi))
-    dtype = np.int64 if _numpy_safe(hrep, (m + q) * size, npoints) else object
-    axes = [np.array(range(a, b + 1), dtype) for a, b in zip(lo[:-1], hi[:-1])]
-    grid = np.meshgrid(*axes, indexing="ij", sparse=True)
-    zero = np.zeros([len(x) for x in axes], dtype)
-    sums = [sum((n * g for n, g in zip(normal, grid)), zero).ravel()
-            for normal, _ in hrep]
-    a, b = _last_intervals(hrep, sums, [[off * m] for _, off in hrep])
-    total = np.maximum(b - a + 1, 0).sum()
-    if m < q or not gens:
-        return int(total)
+def _count(P, q: int, m: int) -> int:
+    """#{w in m*P : w - q*u lies outside (m-q)*P for every lattice point u
+    of P}, the constraint dropped for m < q."""
+    total = sum(b - a + 1 for _, a, b in _fibers(P, m))
+    if m < q:
+        return total
     # q*u + (m-q)*P lies in q*P + (m-q)*P = m*P, so each translate interval
-    # lies in [a, b]; sorted by start, an empty one (hi < lo) covers nothing
-    # and never raises the reach past a later start
-    lo_u, hi_u = _last_intervals(hrep, sums, [
-        [off * (m - q) + q * geo.dot(normal, u) for u in gens]
-        for normal, off in hrep])
-    order = np.argsort(lo_u, axis=1)
-    lo_u = np.take_along_axis(lo_u, order, axis=1)
-    hi_u = np.take_along_axis(hi_u, order, axis=1)
-    reach = np.concatenate(
-        [a - 1, np.maximum.accumulate(hi_u, axis=1)[:, :-1]], axis=1)
-    covered = np.maximum(hi_u - np.maximum(lo_u - 1, reach), 0).sum()
-    return int(total - covered)
+    # lies in its fiber of m*P; collect them per fiber and remove their union
+    inner = list(_fibers(P, m - q))
+    covers = {}
+    for u, lo, hi in _fibers(P, 1):
+        shift = [q * c for c in u]
+        for x, a, b in inner:
+            spans = covers.setdefault(tuple(map(operator.add, x, shift)), [])
+            if b - a + 1 >= q:  # translates along the fiber of u meet: one span
+                spans.append((a + q * lo, b + q * hi))
+            else:
+                spans.extend((a + q * t, b + q * t) for t in range(lo, hi + 1))
+    for spans in covers.values():
+        spans.sort()
+        reach = spans[0][0] - 1
+        for a, b in spans:
+            if b > reach:
+                total -= b - max(a - 1, reach)
+                reach = b
+    return total
 
 
 def ehrhart_count(poly, n: int) -> int:
@@ -136,7 +102,7 @@ def ehrhart_count(poly, n: int) -> int:
     if n < 0:
         raise ValueError("nonnegative dilation required")
     P = regions.base_polytope(poly)
-    return _count(P, geo.integer_hrep(P), (), 0, int(n))
+    return sum(b - a + 1 for _, a, b in _fibers(P, int(n)))
 
 
 def slice_count(pair, q: int, m: int) -> int:
@@ -147,8 +113,7 @@ def slice_count(pair, q: int, m: int) -> int:
     """
     if q < 1 or m < 0:
         raise ValueError("need q >= 1 and m >= 0")
-    P = regions.anchored(regions.base_polytope(pair))
-    return _count(P, geo.integer_hrep(P), geo.lattice_points(P), q, m)
+    return _count(regions.anchored(regions.base_polytope(pair)), q, m)
 
 
 def f_n(pair, q: int, lam) -> OracleSample:
@@ -166,10 +131,8 @@ def oracle_ehk(pair, q: int):
     """Level-q estimate of the multiplicity: sum of all degree counts over
     q^d.  Degrees run to q*(1+l), beyond the support of the density."""
     P = regions.anchored(regions.base_polytope(pair))
-    hrep = geo.integer_hrep(P)
-    gens = geo.lattice_points(P)
     q = int(q)
-    total = sum(_count(P, hrep, gens, q, m)
+    total = sum(_count(P, q, m)
                 for m in range(0, q * (1 + len(P.vertices)) + 1))
     return Rat(total, q ** (P.dim + 1))
 

@@ -42,10 +42,6 @@ class Poly:
     def const(c) -> "Poly":
         return Poly(_strip([c]))
 
-    @property
-    def degree(self) -> int:
-        return len(self.coeffs) - 1  # -1 for the zero polynomial
-
     def __call__(self, x):
         x = Rat(x)
         acc = Rat(0)
@@ -161,10 +157,6 @@ class PiecewisePoly:
         if not ps:
             return PiecewisePoly((Rat(0),), ())
         return PiecewisePoly(tuple(bps), tuple(ps))
-
-    @property
-    def support(self):
-        return self.breakpoints[0], self.breakpoints[-1]
 
     def __call__(self, x):
         x = Rat(x)

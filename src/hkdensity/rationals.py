@@ -1,27 +1,13 @@
-"""Exact rational arithmetic backend.
+"""Exact rational arithmetic.
 
-All core computations run on exact rationals; no floating point enters any
-invariant.  gmpy2's ``mpq`` is used when it is installed (the optional
-``gmpy2`` extra), with ``fractions.Fraction`` as a drop-in fallback.  The
-hot loops of the area function (event scans and area samples) run on Python
-integers, so the choice matters little there.  Both types expose
-``numerator``/``denominator`` and interoperate freely with Python ints.
+All core computations run on exact rationals (``fractions.Fraction``); no
+floating point enters any invariant.  The hot loops (event scans, area
+samples and lattice counts) run on Python integers.
 """
 
 from __future__ import annotations
 
-try:
-    from gmpy2 import mpq as Rat
-except ImportError:  # gmpy2 is an optional extra
-    from fractions import Fraction as Rat
-
-ZERO = Rat(0)
-ONE = Rat(1)
-
-
-def rat(num, den=1):
-    """Exact rational num/den."""
-    return Rat(num, den)
+from fractions import Fraction as Rat
 
 
 def parse_rat(text: str):
@@ -35,9 +21,7 @@ def parse_rat(text: str):
 
 def rat_str(x) -> str:
     """Canonical "p/q" (or "p" for integers) rendering."""
-    x = Rat(x)
-    n, d = x.numerator, x.denominator
-    return f"{n}/{d}" if d != 1 else f"{n}"
+    return str(Rat(x))
 
 
 def floor_rat(x) -> int:

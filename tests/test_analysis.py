@@ -1,4 +1,5 @@
 import itertools
+import math
 
 import pytest
 
@@ -27,7 +28,6 @@ from hkdensity import (
     segre,
     segre_phi,
     tiling_gap_B,
-    veronese_expansion,
 )
 
 from conftest import (
@@ -133,8 +133,9 @@ def test_line_growth_coefficient_is_half(n):
 
 
 def test_veronese_expansion_line():
+    # e_HK over m^k grows as (e0/d!) k^d + A k^{d-1}
     pair = projective_line(3)
-    lead, second = veronese_expansion(pair, 4)
+    lead, second = e0(pair) / math.factorial(pair.d), limit_A(pair)
     assert (lead, second) == (Rat(3, 2), Rat(1, 2))
     # exact multiplicities over powers of the maximal ideal: k(kn+1)/2
     for k in (1, 2, 3, 4):
@@ -190,6 +191,15 @@ def test_segre_phi_square():
     prod = segre_phi(f, f)
     assert pw_equal(prod, PiecewisePoly.build([0, 1], [Poly.of(1, 0, -1)]))
     assert pw_equal(prod, phi_function(unit_square()))
+
+
+@pytest.mark.parametrize("a,b", itertools.product(range(1, 6), repeat=2))
+def test_rectangle_phi_obeys_product_rule(a, b):
+    # the 2D boundary kernel on [0,a]x[0,b] against the 1D interval sweep
+    rectangle = ToricPair.from_vertices([(0, 0), (a, 0), (0, b), (a, b)])
+    assert pw_equal(phi_function(rectangle),
+                    segre_phi(phi_function(projective_line(a)),
+                              phi_function(projective_line(b))))
 
 
 def test_segre_phi_with_zero_is_identity():

@@ -233,6 +233,22 @@ def test_run_command_returns_usage_status_like_main(capsys):
     assert capsys.readouterr().err == err
 
 
+@pytest.mark.parametrize("command,options", [
+    ("limit", ["--k", "2"]),
+    ("tiling", ["--k", "3"]),
+    ("ehk", ["--format", "csv"]),
+    ("convergence", ["--q", "4", "--lambda", "1", "--format", "svg"]),
+    ("density", ["--q", "4"]),
+    ("oracle", ["--q", "2", "--lambda", "1", "--samples", "8"]),
+])
+def test_run_command_rejects_flags_the_command_ignores(command, options,
+                                                       capsys):
+    # each subcommand registers only the flags its handler reads
+    from hkdensity.cli import run_command
+    assert run_command(command, LINE2, options) == (2, "", None)
+    assert "error:" in capsys.readouterr().err
+
+
 def test_cli_import_does_not_load_numpy():
     import os
     import subprocess
@@ -245,6 +261,23 @@ def test_cli_import_does_not_load_numpy():
         [sys.executable, "-c",
          "import hkdensity.cli, sys; assert 'numpy' not in sys.modules"],
         env=env, check=True)
+    # with numpy unimportable, the counting commands still run
+    script = (
+        "import json, sys\n"
+        "sys.modules['numpy'] = None\n"
+        "from hkdensity.cli import run_command\n"
+        "print(json.dumps([\n"
+        f"    run_command('oracle', {CUBE!r}, ['--q', '8', '--lambda', '3/2']),\n"
+        f"    run_command('convergence', {SIMPLEX!r},\n"
+        "                ['--q', '4,8', '--lambda', '1', '--format', 'csv'])]))\n")
+    done = subprocess.run([sys.executable, "-c", script], env=env, check=True,
+                          capture_output=True, text=True)
+    oracle_run, convergence_run = json.loads(done.stdout)
+    assert oracle_run == [0, '{"q": 8, "m": 12, "count": 1197, '
+                             '"f_value": "1197/512"}\n', "json"]
+    assert convergence_run == [0, "q,m,count,f_value,exact_value,gap\n"
+                                  "4,4,12,3/4,1/2,1/4\n"
+                                  "8,8,42,21/32,1/2,5/32\n", "csv"]
 
 
 @pytest.mark.parametrize("command", ["density", "phi"])

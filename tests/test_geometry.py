@@ -1,7 +1,10 @@
 import itertools
+import math
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hkdensity import (
     DimMismatchError,
@@ -249,6 +252,38 @@ def test_lattice_points_segment(n):
 def test_lattice_points_scaled_simplex(n):
     P = scale(lattice_hull([(0, 0), (1, 0), (0, 1)]), n)
     assert len(lattice_points(P)) == (n + 1) * (n + 2) // 2
+
+
+def _box_scan(P):
+    """Reference: every point of the bounding box that P contains, in
+    lexicographic order."""
+    lo, hi = P.bounding_box()
+    box = [range(math.ceil(a), math.floor(b) + 1) for a, b in zip(lo, hi)]
+    return [p for p in itertools.product(*box) if P.contains(p)]
+
+
+@pytest.mark.parametrize("points", [
+    [(0,), (Rat(7, 2),)],
+    [(Rat(1, 3), Rat(-1, 2)), (Rat(5, 2), Rat(1, 2)), (Rat(1, 2), Rat(7, 3))],
+    [(0, 0, 0), (2, 0, 0), (0, 3, 0), (0, 0, 2), (1, 1, 1)],
+    [(0, 0, 0), (2, 1, 0), (1, 2, 0)],  # a triangle in a plane of R^3
+    [(0, 0, 0, 0), (1, 0, 0, 0), (0, 2, 0, 0), (0, 0, 1, 0), (0, 0, 0, 2)],
+    # triangle x square: slanted facets with no term in the last two axes
+    [(x, y, z, w) for x, y in ((0, 0), (2, 1), (1, 3)) for z in (0, 1)
+     for w in (0, 2)],
+    [(Rat(1, 2), 1)],
+])
+def test_lattice_points_match_box_scan(points):
+    P = hrep_from_vrep(points)
+    assert lattice_points(P) == _box_scan(P)
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(points=st.lists(st.tuples(st.integers(-4, 4), st.integers(-4, 4)),
+                       min_size=1, max_size=6))
+def test_random_polygon_lattice_points_match_box_scan(points):
+    P = lattice_hull(points)
+    assert lattice_points(P) == _box_scan(P)
 
 
 # --- contains ---------------------------------------------------------------

@@ -15,7 +15,6 @@ from hkdensity import (
     hkd_function,
     hrep_from_vrep,
     lattice_hull,
-    oracle,
     oracle_ehk,
     segre,
     slice_count,
@@ -259,18 +258,6 @@ def test_ehrhart_count_rational_polytope(vertices, n):
     # the box of n*P is rounded after dilating: 3*[0, 5/2] holds 8 points
     P = hrep_from_vrep(vertices)
     assert ehrhart_count(P, n) == _brute_count(P, n + 1, n)
-
-
-def test_object_path_agrees_with_int64_path(monkeypatch):
-    cases = [(pair, q, m) for pair in (
-        unit_square(), plane_anticanonical(), projective_line(3),
-        segre(projective_line(1), unit_square()))
-        for q, m in ((1, 0), (2, 3), (3, 4), (3, 7), (4, 9))]
-    int64 = [slice_count(p, q, m) for p, q, m in cases]
-    ehrhart = [ehrhart_count(p.polytope, m) for p, _, m in cases]
-    monkeypatch.setattr(oracle, "_numpy_safe", lambda *args: False)
-    assert [slice_count(p, q, m) for p, q, m in cases] == int64
-    assert [ehrhart_count(p.polytope, m) for p, _, m in cases] == ehrhart
 
 
 @pytest.mark.parametrize("q", [2 ** 61, 2 ** 70])

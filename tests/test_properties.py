@@ -1,5 +1,7 @@
 """Cross-cutting invariants, exercised over the whole fixture catalog."""
 
+import itertools
+import math
 import random
 
 import pytest
@@ -21,12 +23,14 @@ from hkdensity import (
     phi_function,
     phi_slice,
     pw_equal,
+    scale,
     tiling_gap_B,
     translate,
 )
 from math import factorial
 
 from hkdensity.analysis import cell_cover_scale
+from hkdensity.regions import anchored
 
 from conftest import (
     FANO_TABLE,
@@ -186,3 +190,36 @@ def test_random_polygon_functions_unimodular_invariant(points, maps, shift):
                                     for x, y in image]))
     assert pw_equal(hkd_function(pair), hkd_function(moved))
     assert pw_equal(phi_function(pair), phi_function(moved))
+
+
+def _corner_search_cover_scale(pair):
+    """Reference: the least r <= 64 such that some integer v in the box of
+    r*P has all 2^n corners of v + [0,1]^n in r*P, by Rat containment."""
+    P = anchored(pair.polytope)
+    corners = list(itertools.product((0, 1), repeat=P.dim))
+    for r in range(1, 65):
+        big = scale(P, r)
+        lo, hi = big.bounding_box()
+        box = [range(math.ceil(a), math.floor(b) + 1) for a, b in zip(lo, hi)]
+        for v in itertools.product(*box):
+            if all(big.contains([x + c for x, c in zip(v, corner)])
+                   for corner in corners):
+                return r
+    return None
+
+
+# a wider grid than _POLYGON, so thin triangles need covering scales up to 12
+_COVER_POLYGON = st.lists(st.tuples(st.integers(-4, 4), st.integers(-4, 4)),
+                          min_size=3, max_size=5)
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(points=_COVER_POLYGON)
+def test_random_polygon_cell_cover_scale_matches_corner_search(points):
+    pair = _polygon_pair(points)
+    assert cell_cover_scale(pair) == _corner_search_cover_scale(pair)
+
+
+@pytest.mark.parametrize("pair", ALL_PAIRS)
+def test_cell_cover_scale_matches_corner_search(pair):
+    assert cell_cover_scale(pair) == _corner_search_cover_scale(pair)
