@@ -47,7 +47,6 @@ from .geometry import (
     HalfSpace,
     LatticePolytope,
     hrep_from_vrep,
-    intersect,
     lattice_hull,
     lattice_points,
     polytope_from_divisor,
@@ -75,14 +74,10 @@ from .piecewise import (
 )
 from .rationals import Rat, parse_rat, rat_str
 from .regions import (
-    RegionSlice,
     SliceFamily,
-    area_of_slice,
     family_volume_function,
     hk_family,
-    hk_slice,
     phi_family,
-    phi_slice,
 )
 
 __version__ = "0.1.0"

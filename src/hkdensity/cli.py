@@ -224,9 +224,9 @@ def _cmd_oracle(pair, args):
 
 
 def _cmd_convergence(pair, args):
-    if args.q_list is None or args.lam is None:
+    if args.q is None or args.lam is None:
         raise SpecParseError("'convergence' requires --q (comma list) and --lambda")
-    rep = oracle.convergence_report(pair, args.lam, args.q_list)
+    rep = oracle.convergence_report(pair, args.lam, args.q)
     if args.format == "json":
         return json.dumps({
             "lambda": rat_str(rep.lam),
@@ -288,18 +288,20 @@ def _build_parser():
 
 
 def _post_process_args(args):
+    # oracle takes one Frobenius level, convergence a comma list of them
     args.q = None
-    args.q_list = None
     if args.q_raw is not None:
-        parts = [p for p in str(args.q_raw).split(",") if p]
+        many = args.command == "convergence"
+        parts = str(args.q_raw).split(",") if many else [args.q_raw]
         try:
-            values = [int(p) for p in parts]
+            values = [int(p) for p in parts if p]
         except ValueError as exc:
-            raise SpecParseError(f"--q: expected integers, got {args.q_raw!r}") from exc
+            expected = "a comma list of integers" if many else "an integer"
+            raise SpecParseError(
+                f"--q: expected {expected}, got {args.q_raw!r}") from exc
         if not values or any(v < 1 for v in values):
             raise SpecParseError("--q: positive integers required")
-        args.q = values[0]
-        args.q_list = values
+        args.q = values if many else values[0]
     args.lam = None
     if args.lam_raw is not None:
         try:

@@ -403,17 +403,6 @@ def translate(poly: ConvexPolytope, v) -> ConvexPolytope:
     return out
 
 
-def intersect(p: ConvexPolytope, q: ConvexPolytope):
-    """Exact intersection; returns None when empty."""
-    if p.dim != q.dim:
-        raise DimMismatchError("ambient dimensions differ")
-    try:
-        raw = vrep_from_hrep(list(p.halfspaces) + list(q.halfspaces), p.dim)
-    except EmptyRegionError:
-        return None
-    return raw
-
-
 def product(p: ConvexPolytope, q: ConvexPolytope) -> ConvexPolytope:
     """Cartesian product P x Q (used for products of toric pairs)."""
     dim = p.dim + q.dim

@@ -129,11 +129,16 @@ def f_n(pair, q: int, lam) -> OracleSample:
 
 def oracle_ehk(pair, q: int):
     """Level-q estimate of the multiplicity: sum of all degree counts over
-    q^d.  Degrees run to q*(1+l), beyond the support of the density."""
+    q^d.
+
+    Degrees run over 0 <= m < (n+1)*q, n = dim P; every count beyond is 0.
+    By Caratheodory a lattice point w of m*P is a combination of at most
+    n+1 vertices v_i with coefficients lambda_i >= 0 summing to m, so for
+    m >= (n+1)*q some lambda_i >= q and w - q*v_i lies in (m-q)*P.
+    """
     P = regions.anchored(regions.base_polytope(pair))
     q = int(q)
-    total = sum(_count(P, q, m)
-                for m in range(0, q * (1 + len(P.vertices)) + 1))
+    total = sum(_count(P, q, m) for m in range((P.dim + 1) * q))
     return Rat(total, q ** (P.dim + 1))
 
 

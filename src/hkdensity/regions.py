@@ -1,4 +1,4 @@
-"""Exact slices of the cone-difference regions and their area functions.
+"""Exact area functions of the cone-difference regions.
 
 The density function of a toric pair at level z > 1 is the area of a dilate
 of the base polytope minus lattice translates of a smaller dilate; the
@@ -8,18 +8,13 @@ minuend and translates of one shape, each a nonnegative dilate
 (c0 + c1*t)*polytope of a fixed polytope.  A family is converted once into
 one integer record (rings and facets with a common denominator), from which
 an integer scan of incidence events gives the candidate breakpoints and an
-integer boundary-integration kernel (Green's theorem over the surviving
-edges) gives each area sample.  The parameterized area function is
-recovered per interval by exact interpolation with a verification sample,
-bisected if verification ever fails.  Explicit slices
-(``hk_slice``/``phi_slice``) are resolved into convex pieces by exact
-half-plane clipping (Sutherland-Hodgman) of the minuend against each
-subtrahend's facets, an independent route that serves as the reference for
-the area kernel.
+integer area kernel gives each area sample.  The parameterized area function
+is recovered per interval by exact interpolation with a verification sample,
+bisected if verification ever fails.
 
 Base polytopes of dimension 1 are handled by interval sweeps, dimension 2 by
-the boundary kernel and convex clipping; higher dimensions are rejected here
-(products and the counting oracle cover them).
+boundary integration (Green's theorem over the surviving edges); higher
+dimensions are rejected here (products and the counting oracle cover them).
 """
 
 from __future__ import annotations
@@ -34,69 +29,13 @@ from .errors import BreakpointVerificationError, UnsupportedDimensionError
 from .piecewise import PiecewisePoly, Poly, lagrange_interpolate
 from .rationals import Rat, ceil_rat, floor_rat
 
+_MAX_BISECTIONS = 40  # halvings of a failing interval before a hard error
+
 
 # ---------------------------------------------------------------------------
-# region slices
+# integer area kernels: interval sweep (dimension 1) and Green's theorem over
+# the surviving boundary (dimension 2)
 # ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class RegionSlice:
-    """Finite union of interior-disjoint convex pieces at one level."""
-
-    pieces: tuple
-    level: object  # Rat
-
-
-def area_of_slice(s: RegionSlice):
-    return sum((geo.volume(p) for p in s.pieces), Rat(0))
-
-
-def _clip(ring, vals):
-    """One Sutherland-Hodgman pass: the part of a convex counterclockwise
-    ring where an affine function, with values ``vals`` at the ring points,
-    is >= 0.  Fewer than three points left means no area is left."""
-    n = len(ring)
-    out = []
-    for i in range(n):
-        j = (i + 1) % n
-        if vals[i] >= 0:
-            out.append(ring[i])
-        if vals[i] * vals[j] < 0:
-            s = vals[i] / (vals[i] - vals[j])
-            out.append(tuple(a + s * (b - a) for a, b in zip(ring[i], ring[j])))
-    return out
-
-
-def _difference_rings(minuend, subs):
-    """Convex rings with disjoint interiors whose union is the closed
-    minuend minus the open interiors of the subtrahends (all polygons).
-
-    The minuend's ring is its bounding box clipped by each of its
-    half-spaces.  A ring that meets a subtrahend's interior with positive
-    area is replaced by the cells "facet h_j fails and h_1..h_{j-1} hold"
-    of that subtrahend; any other ring is kept whole.
-    """
-    (x0, y0), (x1, y1) = minuend.bounding_box()
-    ring = [(x0, y0), (x1, y0), (x1, y1), (x0, y1)]
-    for h in minuend.halfspaces:
-        ring = _clip(ring, [h.eval(p) for p in ring])
-    rings = [ring]
-    for sub in subs:
-        out = []
-        for ring in rings:
-            cells, rest = [], ring
-            for h in sub.halfspaces:
-                vals = [h.eval(p) for p in rest]
-                cell = _clip(rest, [-v for v in vals])
-                if len(cell) >= 3:
-                    cells.append(cell)
-                rest = _clip(rest, vals)
-                if len(rest) < 3:
-                    break
-            out.extend(cells if len(rest) >= 3 else [ring])
-        rings = out
-    return rings
-
 
 def _difference_intervals(a, b, subs):
     """Sorted parts of [a, b] outside the open intervals ``subs``, all
@@ -117,24 +56,6 @@ def _difference_intervals(a, b, subs):
         out.append((cursor, b))
     return out
 
-
-def _difference_slice(minuend, subs, dim, level) -> RegionSlice:
-    """Full-dimensional minuend minus the open interiors of the subtrahends
-    (all ``ConvexPolytope``), as full-dimensional pieces."""
-    if dim == 1:
-        (a,), (b,) = minuend.bounding_box()
-        spans = [(lo, hi) for (lo,), (hi,) in (s.bounding_box() for s in subs)]
-        pieces = tuple(geo.hrep_from_vrep([(lo,), (hi,)])
-                       for lo, hi in _difference_intervals(a, b, spans))
-    else:
-        pieces = tuple(geo.hrep_from_vrep(ring)
-                       for ring in _difference_rings(minuend, subs))
-    return RegionSlice(pieces, Rat(level))
-
-
-# ---------------------------------------------------------------------------
-# integer union-area kernel (Green's theorem over the surviving boundary)
-# ---------------------------------------------------------------------------
 
 def _cross2(u, v):
     return u[0] * v[1] - u[1] * v[0]
@@ -255,39 +176,6 @@ def anchored(poly):
     return geo.translate(poly, geo.vscale(v0, -1))
 
 
-def _check_dim(poly):
-    if poly.pdim not in (1, 2):
-        raise UnsupportedDimensionError(
-            f"exact slicing supports base dimension 1 or 2, got {poly.pdim}; "
-            "use products or the counting oracle")
-    if poly.pdim != poly.dim:
-        raise UnsupportedDimensionError(
-            "base polytope must be full-dimensional in its ambient space")
-
-
-def hk_slice(pair, z) -> RegionSlice:
-    """Slice of the density region at level z.
-
-    For z <= 1 this is the dilate z*P; for z = 1 + t it is the closure of
-    (1+t)P minus the translates u + tP over the lattice points u of P.
-    """
-    P = anchored(base_polytope(pair))
-    _check_dim(P)
-    z = Rat(z)
-    if z < 0:
-        raise ValueError("level must be nonnegative")
-    if z <= 1:
-        return RegionSlice((geo.scale(P, z),), z)
-    t = z - 1
-    small = geo.scale(P, t)
-    subs = [geo.translate(small, u) for u in geo.lattice_points(P)]
-    return _difference_slice(geo.scale(P, z), subs, P.dim, z)
-
-
-def _unit_cell(dim):
-    return geo.lattice_hull(list(itertools.product((0, 1), repeat=dim)))
-
-
 def cell_translates(poly, lam_max):
     """Integer translates u with (u + t*P) possibly meeting the unit cell
     for some 0 <= t <= lam_max (bounding-box superset; exact tests happen
@@ -300,21 +188,6 @@ def cell_translates(poly, lam_max):
     for u in itertools.product(*ranges):
         out.append(tuple(Rat(c) for c in u))
     return out
-
-
-def phi_slice(pair, lam) -> RegionSlice:
-    """Uncovered part of the unit cell under translates of the dilate t*P."""
-    P = anchored(base_polytope(pair))
-    _check_dim(P)
-    lam = Rat(lam)
-    if lam < 0:
-        raise ValueError("parameter must be nonnegative")
-    cell = _unit_cell(P.dim)
-    if lam == 0:
-        return RegionSlice((cell,), lam)
-    small = geo.scale(P, lam)
-    subs = [geo.translate(small, u) for u in cell_translates(P, lam)]
-    return _difference_slice(cell, subs, P.dim, lam)
 
 
 # ---------------------------------------------------------------------------
@@ -368,6 +241,12 @@ class _FamilyRecord:
     """
 
     def __init__(self, family, lo, hi):
+        for poly, _, _ in (family.minuend, family.shape):
+            if poly.pdim not in (1, 2) or poly.pdim != poly.dim:
+                raise UnsupportedDimensionError(
+                    "exact slicing supports full-dimensional bases of "
+                    f"dimension 1 or 2, got dimension {poly.pdim} in "
+                    f"R^{poly.dim}; use products or the counting oracle")
         self.dim = family.minuend[0].dim
         pad = (0,) * (2 - self.dim)
         # each dilate (c0 + c1*t)*poly in rational rows: (px, py, qx, qy) per
@@ -530,8 +409,7 @@ def _triple_events(scan):
 
 
 def family_volume_function(family: SliceFamily, lo, hi, *,
-                           vanish_monotone=False,
-                           max_depth=40) -> PiecewisePoly:
+                           vanish_monotone=False) -> PiecewisePoly:
     """Exact t -> area(M(t) minus union of translates of S(t)) on [lo, hi].
 
     The family is turned once into an integer record (``_FamilyRecord``)
@@ -542,10 +420,10 @@ def family_volume_function(family: SliceFamily, lo, hi, *,
     for the combinatorial changes an affine family can undergo.
     Each candidate interval is then interpolated at dim+1 samples and
     verified at one extra sample; a failure (which would indicate a missed
-    event) is bisected up to ``max_depth`` times and is a hard error beyond
-    that.  In dimension 2 each sample evaluates the record's integer rings
-    at t and integrates their surviving boundary (``_boundary_area``); no
-    rational vertex, hull or arrangement of the slice is built.
+    event) is bisected up to ``_MAX_BISECTIONS`` times and is a hard error
+    beyond that.  In dimension 2 each sample evaluates the record's integer
+    rings at t and integrates their surviving boundary (``_boundary_area``);
+    no rational vertex, hull or arrangement of the slice is built.
 
     With ``vanish_monotone=True`` (valid when an empty slice stays empty for
     all larger parameters, as holds for these cone families with anchored
@@ -598,7 +476,7 @@ def family_volume_function(family: SliceFamily, lo, hi, *,
 
     resolved = []
     for a, b in zip(cuts, cuts[1:]):
-        resolved.extend(resolve(a, b, max_depth))
+        resolved.extend(resolve(a, b, _MAX_BISECTIONS))
     if tail_from is not None and cuts[-1] < hi:
         resolved.append((cuts[-1], hi, Poly(())))
 
@@ -625,8 +503,9 @@ def phi_family(poly, lam_max) -> SliceFamily:
     """Family for the unit-cell defect: cell minus u + tP over the integer
     translates that can meet the cell for t <= lam_max."""
     P = anchored(poly)
+    cell = geo.lattice_hull(list(itertools.product((0, 1), repeat=P.dim)))
     return SliceFamily(
-        minuend=(_unit_cell(P.dim), 1, 0),
+        minuend=(cell, 1, 0),
         translates=tuple(cell_translates(P, lam_max)),
         shape=(P, 0, 1),
     )

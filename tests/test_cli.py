@@ -172,6 +172,20 @@ def test_missing_oracle_flags(capsys, monkeypatch):
     assert json.loads(out)["error"]["code"] == "parse_error"
 
 
+@pytest.mark.parametrize("command,q", [
+    ("oracle", "2,4"), ("oracle", "0"), ("oracle", "x"),
+    ("convergence", "0"), ("convergence", "x"), ("convergence", "4,x"),
+])
+def test_bad_q_is_a_parse_error(command, q, capsys, monkeypatch):
+    # oracle counts at one Frobenius level; only convergence takes a list
+    from hkdensity.cli import run_command
+    options = ["--q", q, "--lambda", "1"]
+    status, text, ext = run_command(command, SIMPLEX, options)
+    assert (status, ext) == (1, "json")
+    assert json.loads(text)["error"]["code"] == "parse_error"
+    assert run(capsys, [command] + options, SIMPLEX, monkeypatch) == (status, text)
+
+
 def test_output_directory(tmp_path, capsys, monkeypatch):
     status, out = run(capsys, ["density", "--output", str(tmp_path)],
                       LINE2, monkeypatch)

@@ -15,7 +15,6 @@ from hkdensity import (
     Rat,
     UnboundedError,
     hrep_from_vrep,
-    intersect,
     lattice_hull,
     lattice_points,
     polytope_from_divisor,
@@ -24,6 +23,8 @@ from hkdensity import (
     volume,
     vrep_from_hrep,
 )
+
+from reference import intersect
 
 
 def _vertex_set(poly):

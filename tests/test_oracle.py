@@ -25,6 +25,7 @@ from conftest import (
     plane_degree_one,
     projective_line,
     quadric_anticanonical,
+    symmetric_hexagon,
     unit_square,
 )
 
@@ -132,6 +133,21 @@ def test_oracle_ehk_dimension_agnostic_cube():
     est = oracle_ehk(cube, 8)
     # product-rule multiplicity of the cube, integrated by hand: exactly 2
     assert abs(est - 2) <= Rat(2, 10)
+
+
+@pytest.mark.parametrize("pair,q", [
+    (segre(projective_line(1), projective_line(1), projective_line(1)), 8),
+    # Reeve tetrahedron: not normal, and its last nonzero degree is 14 = 4q-2
+    (ToricPair.from_vertices([(0, 0, 0), (1, 0, 0), (0, 1, 0), (1, 1, 5)]), 4),
+    (plane_degree_one(), 8),
+    (symmetric_hexagon(), 6),
+], ids=["cube", "reeve", "simplex", "hexagon"])
+def test_oracle_ehk_drops_only_vanishing_degrees(pair, q):
+    # counts vanish from degree (n+1)*q up to the old limit q*(1+l), l vertices
+    n, l = pair.polytope.dim, len(pair.polytope.vertices)
+    counts = [slice_count(pair, q, m) for m in range(q * (1 + l) + 1)]
+    assert not any(counts[(n + 1) * q:])
+    assert oracle_ehk(pair, q) == Rat(sum(counts), q ** (n + 1))
 
 
 # --- convergence reports ----------------------------------------------------------------

@@ -11,17 +11,14 @@ from hypothesis import strategies as st
 from hkdensity import (
     Rat,
     ToricPair,
-    area_of_slice,
     e0,
     e_hk,
     hk_report,
-    hk_slice,
     hkd_function,
     is_tiler,
     lattice_hull,
     pair_volume,
     phi_function,
-    phi_slice,
     pw_equal,
     scale,
     tiling_gap_B,
@@ -43,6 +40,7 @@ from conftest import (
     symmetric_hexagon,
     unit_square,
 )
+from reference import area, hk_slice, phi_slice
 
 ALL_PAIRS = [
     projective_line(1), projective_line(3),
@@ -78,12 +76,7 @@ def test_support_bounds(pair):
     phi = phi_function(pair)
     r = cell_cover_scale(pair)
     assert phi.breakpoints[-1] <= r <= pair.l * r
-    assert area_is_zero_beyond(pair, 1 + pair.l)
-
-
-def area_is_zero_beyond(pair, z):
-    from hkdensity import area_of_slice
-    return area_of_slice(hk_slice(pair, z)) == 0
+    assert area(hk_slice(pair, 1 + pair.l)) == 0
 
 
 @pytest.mark.parametrize("pair", ALL_PAIRS)
@@ -173,10 +166,10 @@ def test_random_polygon_functions_match_slices(points):
     pair = _polygon_pair(points)
     f = hkd_function(pair)
     for z in _probes(f):
-        assert area_of_slice(hk_slice(pair, z)) == f(z)
+        assert area(hk_slice(pair, z)) == f(z)
     phi = phi_function(pair)
     for lam in _probes(phi):
-        assert area_of_slice(phi_slice(pair, lam)) == phi(lam)
+        assert area(phi_slice(pair, lam)) == phi(lam)
 
 
 @_RANDOM_SETTINGS

@@ -1,3 +1,4 @@
+import itertools
 import random
 import zlib
 
@@ -9,14 +10,11 @@ from hkdensity import (
     Rat,
     SliceFamily,
     UnsupportedDimensionError,
-    area_of_slice,
     family_volume_function,
     hk_family,
-    hk_slice,
     hkd_function,
     lattice_hull,
     phi_family,
-    phi_slice,
     pw_equal,
 )
 
@@ -29,70 +27,64 @@ from conftest import (
     symmetric_hexagon,
     unit_square,
 )
+from reference import area, hk_slice, intersect, phi_slice
 
 
 # --- slices -------------------------------------------------------------------
 
 def test_hk_slice_line_degree_two():
-    s = hk_slice(projective_line(2), Rat(5, 4))
-    assert area_of_slice(s) == 1  # 6 - 4*(5/4)
+    assert area(hk_slice(projective_line(2), Rat(5, 4))) == 1  # 6 - 4*(5/4)
 
 
 def test_hk_slice_origin_at_zero():
-    s = hk_slice(plane_anticanonical(), 0)
-    assert len(s.pieces) == 1
-    assert area_of_slice(s) == 0
+    rings = hk_slice(plane_anticanonical(), 0)
+    assert len(rings) == 1
+    assert area(rings) == 0
 
 
 def test_hk_slice_below_one_is_dilate():
-    s = hk_slice(plane_anticanonical(), Rat(1, 2))
-    assert len(s.pieces) == 1
-    assert area_of_slice(s) == Rat(9, 8)
+    rings = hk_slice(plane_anticanonical(), Rat(1, 2))
+    assert len(rings) == 1
+    assert area(rings) == Rat(9, 8)
 
 
 def test_hk_slice_empty_beyond_support_bound():
     pair = plane_anticanonical()
     for z in (1 + pair.l, 1 + pair.l + 2):
-        assert area_of_slice(hk_slice(pair, z)) == 0
+        assert area(hk_slice(pair, z)) == 0
 
 
 def test_hk_slice_pieces_have_disjoint_interiors():
-    from hkdensity import intersect, volume
+    from hkdensity import hrep_from_vrep, volume
     slices = [
         hk_slice(quadric_anticanonical(), Rat(5, 4)),
         # several translates overlap the minuend and each other
         hk_slice(symmetric_hexagon(), Rat(7, 6)),
         phi_slice(hirzebruch(1, 1, 2), Rat(2, 5)),
     ]
-    for s in slices:
-        assert len(s.pieces) > 1
-        for piece in s.pieces:
+    for rings in slices:
+        assert len(rings) > 1
+        pieces = [hrep_from_vrep(ring) for ring in rings]
+        for piece in pieces:
             assert piece.pdim == piece.dim
-        for i, a in enumerate(s.pieces):
-            for b in s.pieces[i + 1:]:
+        for i, a in enumerate(pieces):
+            for b in pieces[i + 1:]:
                 overlap = intersect(a, b)
                 assert overlap is None or volume(overlap) == 0
-
-
-def test_hk_slice_rejects_higher_dimension():
-    import itertools
-    cube = lattice_hull(list(itertools.product((0, 1), repeat=3)))
-    with pytest.raises(UnsupportedDimensionError):
-        hk_slice(cube, Rat(1, 2))
 
 
 def test_phi_slice_line():
     # at t < 1/n the cell keeps length 1 - n*t
     pair = projective_line(3)
-    assert area_of_slice(phi_slice(pair, Rat(1, 6))) == Rat(1, 2)
+    assert area(phi_slice(pair, Rat(1, 6))) == Rat(1, 2)
 
 
 def test_phi_slice_at_zero_is_full_cell():
-    assert area_of_slice(phi_slice(plane_anticanonical(), 0)) == 1
+    assert area(phi_slice(plane_anticanonical(), 0)) == 1
 
 
 def test_phi_slice_plane_anticanonical():
-    assert area_of_slice(phi_slice(plane_anticanonical(), Rat(1, 3))) == Rat(1, 2)
+    assert area(phi_slice(plane_anticanonical(), Rat(1, 3))) == Rat(1, 2)
 
 
 def hirzebruch_112():
@@ -101,6 +93,14 @@ def hirzebruch_112():
 
 
 # --- families -------------------------------------------------------------------
+
+def test_family_rejects_higher_dimension():
+    cube = lattice_hull(list(itertools.product((0, 1), repeat=3)))
+    with pytest.raises(UnsupportedDimensionError):
+        family_volume_function(hk_family(cube), 0, 1)
+    with pytest.raises(UnsupportedDimensionError):
+        family_volume_function(phi_family(cube, 1), 0, 1)
+
 
 @pytest.mark.parametrize("n", [1, 2, 3])
 def test_hk_family_line(n):
@@ -136,7 +136,7 @@ def test_density_agrees_with_slices_at_random_levels(pair_factory):
     end = f.breakpoints[-1]
     levels = [end * Rat(rng.randint(0, 48), 48) for _ in range(20)]
     for z in levels:
-        assert area_of_slice(hk_slice(pair, z)) == f(z)
+        assert area(hk_slice(pair, z)) == f(z)
 
 
 def test_phi_matches_slices_at_breakpoints_and_midpoints():
@@ -147,13 +147,13 @@ def test_phi_matches_slices_at_breakpoints_and_midpoints():
         probes = list(phi.breakpoints)
         probes += [(a + b) / 2 for a, b in zip(phi.breakpoints, phi.breakpoints[1:])]
         for lam in probes:
-            assert area_of_slice(phi_slice(pair, lam)) == phi(lam)
+            assert area(phi_slice(pair, lam)) == phi(lam)
 
 
 def test_family_with_rational_offsets_matches_exact_intersections():
     # a minuend and two translates whose offsets are not integers: the area
     # is checked by inclusion-exclusion over exact polytope intersections
-    from hkdensity import intersect, scale, translate, volume
+    from hkdensity import scale, translate, volume
     square = lattice_hull([(0, 0), (3, 0), (0, 3), (3, 3)])
     triangle = lattice_hull([(0, 0), (2, 0), (0, 1)])
     shifts = ((Rat(1, 3), Rat(0)), (Rat(1), Rat(1, 2)))
@@ -180,7 +180,7 @@ def test_family_with_rational_offsets_matches_exact_intersections():
 def test_covered_area_consistent_with_exact_intersection():
     # the area kernel's covered area for one translate must equal the area
     # of the exact polytope intersection computed by the geometry engine
-    from hkdensity import intersect, scale, translate, volume
+    from hkdensity import scale, translate, volume
     pair = plane_anticanonical()
     P = pair.polytope
     z = Rat(4, 3)
