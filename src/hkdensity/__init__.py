@@ -8,76 +8,56 @@ maximal ideal, the associated growth coefficient, and the exact criterion
 for the base polytope to tile space under lattice translates.  A
 dimension-agnostic lattice-counting oracle validates everything from the
 combinatorial side.
+
+Importing the package loads none of its modules: each exported name is
+imported from its module on first use (PEP 562), so a command line call
+loads only the layers it runs.
 """
 
-from .analysis import (
-    HKReport,
-    SegrePair,
-    ToricPair,
-    e0,
-    e_hk,
-    ehk_power,
-    h0,
-    hk_report,
-    hkd_function,
-    is_tiler,
-    limit_A,
-    pair_volume,
-    phi_function,
-    phi_integral,
-    phi_scaled,
-    segre,
-    segre_phi,
-    tiling_gap_B,
-)
-from .errors import (
-    BreakpointVerificationError,
-    DegenerateError,
-    DimMismatchError,
-    EmptyRegionError,
-    EngineError,
-    NegativeScaleError,
-    NonIntegralVertexError,
-    SpecParseError,
-    UnboundedError,
-    UnsupportedDimensionError,
-)
-from .geometry import (
-    ConvexPolytope,
-    HalfSpace,
-    LatticePolytope,
-    hrep_from_vrep,
-    lattice_hull,
-    lattice_points,
-    polytope_from_divisor,
-    scale,
-    translate,
-    volume,
-    vrep_from_hrep,
-)
-from .oracle import (
-    ConvergenceReport,
-    OracleSample,
-    convergence_report,
-    ehrhart_count,
-    f_n,
-    oracle_ehk,
-    slice_count,
-)
-from .piecewise import (
-    PiecewisePoly,
-    Poly,
-    pw_combine,
-    pw_equal,
-    pw_from_json,
-    pw_to_json,
-)
-from .rationals import Rat, parse_rat, rat_str
-from .regions import (
-    SliceFamily,
-    family_volume_function,
-    hk_family,
-    phi_family,
-)
+import importlib
 
+_EXPORTS = {
+    "analysis": (
+        "HKReport", "e0", "e_hk", "ehk_power", "h0", "hk_report",
+        "hkd_function", "is_tiler", "limit_A", "pair_volume", "phi_function",
+        "phi_integral", "phi_scaled", "segre_phi", "tiling_gap_B",
+    ),
+    "errors": (
+        "BreakpointVerificationError", "DegenerateError", "DimMismatchError",
+        "EmptyRegionError", "EngineError", "NegativeScaleError",
+        "NonIntegralVertexError", "SpecParseError", "UnboundedError",
+        "UnsupportedDimensionError",
+    ),
+    "geometry": (
+        "ConvexPolytope", "HalfSpace", "LatticePolytope", "hrep_from_vrep",
+        "lattice_hull", "lattice_points", "polytope_from_divisor", "scale",
+        "translate", "volume", "vrep_from_hrep",
+    ),
+    "oracle": (
+        "ConvergenceReport", "OracleSample", "convergence_report",
+        "ehrhart_count", "f_n", "oracle_ehk", "slice_count",
+    ),
+    "pairs": ("SegrePair", "ToricPair", "segre"),
+    "piecewise": (
+        "PiecewisePoly", "Poly", "pw_combine", "pw_equal", "pw_from_json",
+        "pw_to_json",
+    ),
+    "rationals": ("Rat", "parse_rat", "rat_str"),
+    "regions": (
+        "SliceFamily", "family_volume_function", "hk_family", "phi_family",
+    ),
+}
+_MODULE_OF = {name: module for module, names in _EXPORTS.items()
+              for name in names}
+
+__all__ = sorted(_MODULE_OF)
 __version__ = "0.1.0"
+
+
+def __getattr__(name):
+    module = _MODULE_OF.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(importlib.import_module(f".{module}", __name__), name)
+    globals()[name] = value
+    return value

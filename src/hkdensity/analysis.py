@@ -23,7 +23,6 @@ decided exactly).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache, reduce
 from math import factorial
 
@@ -31,81 +30,9 @@ from . import geometry as geo
 from . import regions
 from .errors import (BreakpointVerificationError, DegenerateError,
                      UnsupportedDimensionError)
+from .pairs import SegrePair, ToricPair, segre  # noqa: F401 (segre re-exported)
 from .piecewise import PiecewisePoly, Poly, pw_combine, pw_equal
-from .rationals import Rat
-
-
-@dataclass(frozen=True)
-class ToricPair:
-    """A projective toric pair, given by its base lattice polytope.
-
-    ``d`` is the dimension of the associated graded ring (base dimension
-    plus one) and ``l`` the number of vertices of the base polytope.
-    """
-
-    polytope: geo.LatticePolytope
-    provenance: str = "vertices"
-
-    def __post_init__(self):
-        P = self.polytope
-        if P.pdim != P.dim:
-            raise DegenerateError("base polytope must be full-dimensional")
-        if P.dim < 1 or P.dim > 4:
-            raise UnsupportedDimensionError(
-                f"base polytope dimension {P.dim} outside 1..4")
-
-    @staticmethod
-    def from_vertices(points, provenance="vertices") -> "ToricPair":
-        return ToricPair(geo.lattice_hull(points), provenance)
-
-    @staticmethod
-    def from_fan(rays, coeffs) -> "ToricPair":
-        return ToricPair(geo.polytope_from_divisor(rays, coeffs), "fan")
-
-    @property
-    def d(self) -> int:
-        return self.polytope.dim + 1
-
-    @property
-    def l(self) -> int:
-        return len(self.polytope.vertices)
-
-    def scaled(self, k: int) -> "ToricPair":
-        """The pair of the dilated polytope k*P (the k-th multiple divisor)."""
-        if int(k) != k or k < 1:
-            raise ValueError("positive integer multiple required")
-        return ToricPair(geo.scale(self.polytope, Rat(int(k))), self.provenance)
-
-
-@dataclass(frozen=True)
-class SegrePair:
-    """Product of toric pairs; invariants multiply along the factors."""
-
-    factors: tuple
-
-    def __post_init__(self):
-        if len(self.factors) < 2:
-            raise ValueError("a product needs at least two factors")
-
-    @property
-    def polytope(self):
-        polys = [f.polytope for f in self.factors]
-        return reduce(geo.product, polys)
-
-    @property
-    def d(self) -> int:
-        return sum(f.d - 1 for f in self.factors) + 1
-
-    @property
-    def l(self) -> int:
-        out = 1
-        for f in self.factors:
-            out *= f.l
-        return out
-
-
-def segre(*pairs) -> SegrePair:
-    return SegrePair(tuple(pairs))
+from .rationals import Rat, Value
 
 
 def pair_volume(pair):
@@ -187,7 +114,7 @@ def cell_cover_scale(pair) -> int:
     """Least positive integer r such that r*P contains some integer
     translate of the unit cell; phi vanishes at and beyond r."""
     pair = _as_direct_pair(pair)
-    P = regions.anchored(pair.polytope)
+    P = geo.anchored(pair.polytope)
     rows = geo.integer_hrep(P)
     for r in range(1, 65):
         # v + [0,1]^n lies in r*P iff v meets each row at its worst corner
@@ -284,21 +211,15 @@ def ehk_power(pair, k: int):
     return Rat(int(k)) * e_hk(direct.scaled(int(k)))
 
 
-@dataclass(frozen=True)
-class HKReport:
-    """All computed invariants of one pair."""
+class HKReport(Value):
+    """All computed invariants of one pair: exact rationals, except the
+    integers ``d``, ``l`` and ``h0``, the PiecewisePoly ``hkd`` and ``phi``,
+    the float ``tiling_gap_B`` and the bool ``is_tiler``.  ``hkd`` and
+    ``e_hk`` are None when the base dimension exceeds 2.
+    """
 
-    d: int
-    l: int
-    e0: object           # Rat
-    h0: int
-    hkd: PiecewisePoly   # None when the base dimension exceeds 2
-    e_hk: object         # Rat or None
-    phi: PiecewisePoly
-    phi_integral: object
-    limit_A: object
-    tiling_gap_B: float
-    is_tiler: bool
+    __slots__ = ("d", "l", "e0", "h0", "hkd", "e_hk", "phi", "phi_integral",
+                 "limit_A", "tiling_gap_B", "is_tiler")
 
 
 def hk_report(pair) -> HKReport:

@@ -10,6 +10,9 @@ Rationals serialize as strings "p/q" everywhere (JSON and CSV are
 bit-exact); SVG is the only lossy output and is presentation-only.  Every
 engine failure exits nonzero with a machine-readable error JSON carrying a
 stable code.
+
+Only the layers a command runs are imported: spec parsing needs the pair
+types alone, and each handler loads ``analysis`` or ``oracle`` itself.
 """
 
 from __future__ import annotations
@@ -21,9 +24,9 @@ import json
 import sys
 from pathlib import Path
 
-from . import analysis, oracle
 from .errors import EngineError, SpecParseError
-from .piecewise import PiecewisePoly, pw_to_json
+from .pairs import SegrePair, ToricPair, segre
+from .piecewise import pw_to_json
 from .rationals import Rat, parse_rat, rat_str
 
 
@@ -32,6 +35,8 @@ from .rationals import Rat, parse_rat, rat_str
 # ---------------------------------------------------------------------------
 
 def _int_list(values, path):
+    if not isinstance(values, list):
+        raise SpecParseError(f"{path}: expected a list of integers, got {values!r}")
     out = []
     for i, v in enumerate(values):
         if isinstance(v, bool) or not isinstance(v, int):
@@ -52,7 +57,7 @@ def _pair_from_data(data, path="$"):
         pts = data["vertices"]
         if not isinstance(pts, list) or not pts:
             raise SpecParseError(f"{path}.vertices: expected a nonempty list")
-        return analysis.ToricPair.from_vertices(
+        return ToricPair.from_vertices(
             [_int_list(p, f"{path}.vertices") for p in pts])
     if form == "rays":
         rays = data.get("rays")
@@ -61,13 +66,13 @@ def _pair_from_data(data, path="$"):
             raise SpecParseError(f"{path}.rays: expected a nonempty list")
         if not isinstance(coeffs, list) or len(coeffs) != len(rays):
             raise SpecParseError(f"{path}.coeffs: one integer per ray required")
-        return analysis.ToricPair.from_fan(
+        return ToricPair.from_fan(
             [_int_list(r, f"{path}.rays") for r in rays],
             _int_list(coeffs, f"{path}.coeffs"))
     subs = data["segre"]
     if not isinstance(subs, list) or len(subs) < 2:
         raise SpecParseError(f"{path}.segre: expected a list of >= 2 specs")
-    return analysis.segre(*[
+    return segre(*[
         _pair_from_data(s, f"{path}.segre[{i}]") for i, s in enumerate(subs)])
 
 
@@ -88,7 +93,8 @@ def _b_string(b: float) -> str:
     return "0" if b == 0 else repr(b)
 
 
-def report_to_json(rep: analysis.HKReport) -> dict:
+def report_to_json(rep) -> dict:
+    """JSON document of an ``analysis.HKReport``."""
     return {
         "d": rep.d,
         "l": rep.l,
@@ -104,8 +110,9 @@ def report_to_json(rep: analysis.HKReport) -> dict:
     }
 
 
-def function_csv_rows(f: PiecewisePoly, samples: int):
-    """Exactly samples+1 rows spanning [0, support end], exact rationals."""
+def function_csv_rows(f, samples: int):
+    """Exactly samples+1 rows spanning [0, support end] of the piecewise
+    polynomial f, exact rationals."""
     end = f.breakpoints[-1]
     if end <= 0:
         end = Rat(1)
@@ -116,7 +123,7 @@ def function_csv_rows(f: PiecewisePoly, samples: int):
     return rows
 
 
-def function_svg(f: PiecewisePoly, samples: int, title: str) -> str:
+def function_svg(f, samples: int, title: str) -> str:
     """Static polyline plot with breakpoint markers (presentation only)."""
     width, height, margin = 640, 360, 40
     end = float(f.breakpoints[-1]) or 1.0
@@ -170,15 +177,18 @@ def _function_artifact(f, args, title):
 
 
 def _cmd_density(pair, args):
+    from . import analysis
     return _function_artifact(analysis.hkd_function(pair), args, "density")
 
 
 def _cmd_phi(pair, args):
+    from . import analysis
     f = analysis.phi_scaled(pair, args.k) if args.k > 1 else analysis.phi_function(pair)
     return _function_artifact(f, args, "phi")
 
 
 def _cmd_ehk(pair, args):
+    from . import analysis
     if args.k > 1:
         value = analysis.ehk_power(pair, args.k)
         return json.dumps({"k": args.k, "e_hk_power": rat_str(value)}) + "\n", "json"
@@ -186,6 +196,7 @@ def _cmd_ehk(pair, args):
 
 
 def _cmd_limit(pair, args):
+    from . import analysis
     return json.dumps({
         "e0": rat_str(analysis.e0(pair)),
         "phi_integral": rat_str(analysis.phi_integral(pair)),
@@ -194,6 +205,7 @@ def _cmd_limit(pair, args):
 
 
 def _cmd_tiling(pair, args):
+    from . import analysis
     return json.dumps({
         "is_tiler": analysis.is_tiler(pair),
         "B": _b_string(analysis.tiling_gap_B(pair)),
@@ -201,12 +213,13 @@ def _cmd_tiling(pair, args):
 
 
 def _cmd_report(pair, args):
+    from . import analysis
     rep = analysis.hk_report(pair)
     return json.dumps(report_to_json(rep), indent=2) + "\n", "json"
 
 
 def _cmd_segre(pair, args):
-    if not isinstance(pair, analysis.SegrePair):
+    if not isinstance(pair, SegrePair):
         raise SpecParseError("'segre' command expects a {\"segre\": [...]} spec")
     return _cmd_report(pair, args)
 
@@ -214,6 +227,7 @@ def _cmd_segre(pair, args):
 def _cmd_oracle(pair, args):
     if args.q is None or args.lam is None:
         raise SpecParseError("'oracle' requires --q and --lambda")
+    from . import oracle
     sample = oracle.f_n(pair, args.q, args.lam)
     return json.dumps({
         "q": sample.q,
@@ -226,6 +240,7 @@ def _cmd_oracle(pair, args):
 def _cmd_convergence(pair, args):
     if args.q is None or args.lam is None:
         raise SpecParseError("'convergence' requires --q (comma list) and --lambda")
+    from . import oracle
     rep = oracle.convergence_report(pair, args.lam, args.q)
     if args.format == "json":
         return json.dumps({

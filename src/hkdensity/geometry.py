@@ -15,7 +15,6 @@ from __future__ import annotations
 import itertools
 import math
 import operator
-from dataclasses import dataclass
 from functools import reduce
 
 from .errors import (
@@ -26,9 +25,7 @@ from .errors import (
     NonIntegralVertexError,
     UnboundedError,
 )
-from .rationals import Rat, as_integer, ceil_rat, floor_rat
-
-Point = tuple  # tuple of Rat, length == ambient dimension
+from .rationals import Rat, Value, as_integer, ceil_rat, floor_rat
 
 
 # ---------------------------------------------------------------------------
@@ -134,12 +131,11 @@ def det(mat):
 # half-spaces and polytopes
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class HalfSpace:
-    """Closed half-space {x : <normal, x> >= offset}."""
+class HalfSpace(Value):
+    """Closed half-space {x : <normal, x> >= offset}: ``normal`` is a point,
+    ``offset`` a Rat."""
 
-    normal: Point
-    offset: object  # Rat
+    __slots__ = ("normal", "offset")
 
     def eval(self, x):
         return dot(self.normal, x) - self.offset
@@ -166,22 +162,18 @@ def primitive_halfspace(normal, offset) -> HalfSpace:
                      Rat(offset) * lcm / g)
 
 
-@dataclass(frozen=True)
-class ConvexPolytope:
+class ConvexPolytope(Value):
     """Bounded convex polytope with consistent V- and H-representations.
 
     ``dim`` is the ambient dimension, ``pdim`` the dimension of the affine
     hull; lower-dimensional polytopes are first-class values (their H-rep
     includes the affine-hull equations as paired half-spaces) and have
-    volume 0.
+    volume 0.  ``vertices`` and ``halfspaces`` are tuples.
     """
 
-    dim: int
-    vertices: tuple
-    halfspaces: tuple
-    pdim: int
+    __slots__ = ("dim", "vertices", "halfspaces", "pdim")
 
-    def __post_init__(self):
+    def _validate(self):
         if not self.vertices:
             raise EmptyRegionError("a polytope needs at least one vertex")
         if any(len(v) != self.dim for v in self.vertices):
@@ -211,8 +203,10 @@ class ConvexPolytope:
 class LatticePolytope(ConvexPolytope):
     """ConvexPolytope whose vertices all have integer coordinates."""
 
-    def __post_init__(self):
-        super().__post_init__()
+    __slots__ = ()
+
+    def _validate(self):
+        super()._validate()
         if not self.is_lattice:
             raise NonIntegralVertexError(
                 "vertices are not all integral", polytope=self)
@@ -401,6 +395,22 @@ def translate(poly: ConvexPolytope, v) -> ConvexPolytope:
     if isinstance(poly, LatticePolytope) and out.is_lattice:
         return LatticePolytope(out.dim, out.vertices, out.halfspaces, out.pdim)
     return out
+
+
+def base_polytope(pair):
+    """Base polytope of a pair-like object (or the polytope itself)."""
+    return getattr(pair, "polytope", pair)
+
+
+def anchored(poly):
+    """Translate so the lexicographically smallest vertex sits at the origin.
+
+    Every invariant of a pair is translation-invariant; anchoring makes the
+    dilates of the base polytope nested, which the support bounds and the
+    vanishing-tail trim of the area engine rely on.
+    """
+    v0 = min(poly.vertices)
+    return translate(poly, vscale(v0, -1))
 
 
 def product(p: ConvexPolytope, q: ConvexPolytope) -> ConvexPolytope:

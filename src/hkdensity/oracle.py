@@ -18,26 +18,19 @@ integers, so counts are exact at any size.
 from __future__ import annotations
 
 import operator
-from dataclasses import dataclass
 
 from . import geometry as geo
-from . import regions
-from .errors import UnsupportedDimensionError
-from .rationals import Rat, floor_rat, rat_str
+from .rationals import Rat, Value, floor_rat, rat_str
 
 
-@dataclass(frozen=True)
-class OracleSample:
-    """Normalized colength count at Frobenius level q and degree m."""
+class OracleSample(Value):
+    """Normalized colength count at Frobenius level q and degree m, with
+    ``f_value`` the Rat count / q^{d-1}."""
 
-    q: int
-    m: int
-    count: int
-    f_value: object  # Rat = count / q^{d-1}
+    __slots__ = ("q", "m", "count", "f_value")
 
 
-@dataclass(frozen=True)
-class ConvergenceReport:
+class ConvergenceReport(Value):
     """Oracle samples against the exact engine value at one parameter.
 
     ``gaps[i]`` is |samples[i].f_value - exact_value| (exact rational);
@@ -46,11 +39,7 @@ class ConvergenceReport:
     None when the base dimension is out of reach of the exact engine.
     """
 
-    lam: object
-    exact_value: object
-    samples: tuple
-    gaps: tuple
-    max_gap_tail: object
+    __slots__ = ("lam", "exact_value", "samples", "gaps", "max_gap_tail")
 
     def csv_rows(self):
         rows = [("q", "m", "count", "f_value", "exact_value", "gap")]
@@ -101,7 +90,7 @@ def ehrhart_count(poly, n: int) -> int:
     """#(n*P intersect Z^dim) for n >= 0."""
     if n < 0:
         raise ValueError("nonnegative dilation required")
-    P = regions.base_polytope(poly)
+    P = geo.base_polytope(poly)
     return sum(b - a + 1 for _, a, b in _fibers(P, int(n)))
 
 
@@ -113,7 +102,7 @@ def slice_count(pair, q: int, m: int) -> int:
     """
     if q < 1 or m < 0:
         raise ValueError("need q >= 1 and m >= 0")
-    return _count(regions.anchored(regions.base_polytope(pair)), q, m)
+    return _count(geo.anchored(geo.base_polytope(pair)), q, m)
 
 
 def f_n(pair, q: int, lam) -> OracleSample:
@@ -124,7 +113,7 @@ def f_n(pair, q: int, lam) -> OracleSample:
     m = floor_rat(Rat(q) * lam)
     count = slice_count(pair, q, m)
     return OracleSample(q=int(q), m=m, count=count, f_value=Rat(
-        count, q ** regions.base_polytope(pair).dim))
+        count, q ** geo.base_polytope(pair).dim))
 
 
 def oracle_ehk(pair, q: int):
@@ -136,21 +125,21 @@ def oracle_ehk(pair, q: int):
     n+1 vertices v_i with coefficients lambda_i >= 0 summing to m, so for
     m >= (n+1)*q some lambda_i >= q and w - q*v_i lies in (m-q)*P.
     """
-    P = regions.anchored(regions.base_polytope(pair))
+    P = geo.anchored(geo.base_polytope(pair))
     q = int(q)
     total = sum(_count(P, q, m) for m in range((P.dim + 1) * q))
     return Rat(total, q ** (P.dim + 1))
 
 
 def convergence_report(pair, lam, q_list) -> ConvergenceReport:
-    """Oracle samples at each q against the exact density value at lam."""
+    """Oracle samples at each q against the exact density value at lam,
+    which the exact engine gives for base dimension 1 or 2 only."""
     lam = Rat(lam)
     samples = tuple(f_n(pair, q, lam) for q in q_list)
-    try:
-        from .analysis import hkd_function
+    exact = None
+    if geo.base_polytope(pair).dim <= 2:
+        from .analysis import hkd_function  # loaded only when it can answer
         exact = hkd_function(pair)(lam)
-    except UnsupportedDimensionError:
-        exact = None
     gaps = tuple(None if exact is None else abs(s.f_value - exact)
                  for s in samples)
     tail = [g for g in gaps[len(gaps) // 2:] if g is not None]

@@ -1,0 +1,86 @@
+"""Toric pairs and their products, as values.
+
+A projective toric pair is given by its base lattice polytope.  These types
+are all that spec parsing and the counting oracle need, so they live apart
+from the exact engine in ``analysis``.
+"""
+
+from __future__ import annotations
+
+from functools import reduce
+
+from . import geometry as geo
+from .errors import DegenerateError, UnsupportedDimensionError
+from .rationals import Rat, Value
+
+
+class ToricPair(Value):
+    """A projective toric pair, given by its base lattice polytope.
+
+    ``d`` is the dimension of the associated graded ring (base dimension
+    plus one) and ``l`` the number of vertices of the base polytope.
+    ``provenance`` records how the pair was given.
+    """
+
+    __slots__ = ("polytope", "provenance")
+    _defaults = {"provenance": "vertices"}
+
+    def _validate(self):
+        P = self.polytope
+        if P.pdim != P.dim:
+            raise DegenerateError("base polytope must be full-dimensional")
+        if P.dim < 1 or P.dim > 4:
+            raise UnsupportedDimensionError(
+                f"base polytope dimension {P.dim} outside 1..4")
+
+    @staticmethod
+    def from_vertices(points, provenance="vertices") -> "ToricPair":
+        return ToricPair(geo.lattice_hull(points), provenance)
+
+    @staticmethod
+    def from_fan(rays, coeffs) -> "ToricPair":
+        return ToricPair(geo.polytope_from_divisor(rays, coeffs), "fan")
+
+    @property
+    def d(self) -> int:
+        return self.polytope.dim + 1
+
+    @property
+    def l(self) -> int:
+        return len(self.polytope.vertices)
+
+    def scaled(self, k: int) -> "ToricPair":
+        """The pair of the dilated polytope k*P (the k-th multiple divisor)."""
+        if int(k) != k or k < 1:
+            raise ValueError("positive integer multiple required")
+        return ToricPair(geo.scale(self.polytope, Rat(int(k))), self.provenance)
+
+
+class SegrePair(Value):
+    """Product of toric pairs; invariants multiply along the factors."""
+
+    __slots__ = ("factors",)
+
+    def _validate(self):
+        if len(self.factors) < 2:
+            raise ValueError("a product needs at least two factors")
+
+    @property
+    def polytope(self):
+        polys = [f.polytope for f in self.factors]
+        return reduce(geo.product, polys)
+
+    @property
+    def d(self) -> int:
+        return sum(f.d - 1 for f in self.factors) + 1
+
+    @property
+    def l(self) -> int:
+        out = 1
+        for f in self.factors:
+            out *= f.l
+        return out
+
+
+def segre(*pairs) -> SegrePair:
+    return SegrePair(tuple(pairs))

@@ -9,9 +9,8 @@ both continuous on their support.
 from __future__ import annotations
 
 import bisect
-from dataclasses import dataclass
 
-from .rationals import Rat, parse_rat, rat_str
+from .rationals import Rat, Value, parse_rat, rat_str
 
 
 # ---------------------------------------------------------------------------
@@ -25,14 +24,13 @@ def _strip(coeffs):
     return tuple(coeffs)
 
 
-@dataclass(frozen=True)
-class Poly:
+class Poly(Value):
     """Polynomial with exact rational coefficients, ascending order.
 
     The zero polynomial has an empty coefficient tuple.
     """
 
-    coeffs: tuple
+    __slots__ = ("coeffs",)
 
     @staticmethod
     def of(*coeffs) -> "Poly":
@@ -111,17 +109,15 @@ def lagrange_interpolate(points) -> Poly:
 # piecewise polynomials
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class PiecewisePoly:
+class PiecewisePoly(Value):
     """Piecewise polynomial, implicitly 0 outside [breakpoints[0], breakpoints[-1]].
 
     Breakpoints are strictly increasing; pieces[i] lives on
     [breakpoints[i], breakpoints[i+1]].  A single breakpoint and no pieces
-    is the canonical identically-zero function.
+    is the canonical identically-zero function.  Both fields are tuples.
     """
 
-    breakpoints: tuple
-    pieces: tuple
+    __slots__ = ("breakpoints", "pieces")
 
     @staticmethod
     def build(breakpoints, pieces) -> "PiecewisePoly":

@@ -20,14 +20,13 @@ dimensions are rejected here (products and the counting oracle cover them).
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from functools import cmp_to_key
 from math import lcm
 
 from . import geometry as geo
 from .errors import BreakpointVerificationError, UnsupportedDimensionError
 from .piecewise import PiecewisePoly, Poly, lagrange_interpolate
-from .rationals import Rat, ceil_rat, floor_rat
+from .rationals import Rat, Value, ceil_rat, floor_rat
 
 _MAX_BISECTIONS = 40  # halvings of a failing interval before a hard error
 
@@ -160,22 +159,6 @@ def _union_length(intervals):
     return length
 
 
-def base_polytope(pair):
-    """Base polytope of a pair-like object (or the polytope itself)."""
-    return getattr(pair, "polytope", pair)
-
-
-def anchored(poly):
-    """Translate so the lexicographically smallest vertex sits at the origin.
-
-    Every invariant computed here is translation-invariant; anchoring makes
-    the dilates of the base polytope nested, which the support bounds and
-    the vanishing-tail trim rely on.
-    """
-    v0 = min(poly.vertices)
-    return geo.translate(poly, geo.vscale(v0, -1))
-
-
 def cell_translates(poly, lam_max):
     """Integer translates u with (u + t*P) possibly meeting the unit cell
     for some 0 <= t <= lam_max (bounding-box superset; exact tests happen
@@ -194,8 +177,7 @@ def cell_translates(poly, lam_max):
 # parameterized family -> exact piecewise polynomial
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class SliceFamily:
+class SliceFamily(Value):
     """Minuend minus the translates u_i + shape, as plain data.
 
     ``minuend`` and ``shape`` are triples (polytope, c0, c1) that stand for
@@ -204,9 +186,7 @@ class SliceFamily:
     minuend polytope's.
     """
 
-    minuend: tuple
-    translates: tuple
-    shape: tuple
+    __slots__ = ("minuend", "translates", "shape")
 
 
 def _ccw(poly):
@@ -491,7 +471,7 @@ def family_volume_function(family: SliceFamily, lo, hi, *,
 def hk_family(poly) -> SliceFamily:
     """Family for density levels z = 1 + t: (1+t)P minus u + tP over the
     lattice points u of P."""
-    P = anchored(poly)
+    P = geo.anchored(poly)
     return SliceFamily(
         minuend=(P, 1, 1),
         translates=tuple(geo.lattice_points(P)),
@@ -502,7 +482,7 @@ def hk_family(poly) -> SliceFamily:
 def phi_family(poly, lam_max) -> SliceFamily:
     """Family for the unit-cell defect: cell minus u + tP over the integer
     translates that can meet the cell for t <= lam_max."""
-    P = anchored(poly)
+    P = geo.anchored(poly)
     cell = geo.lattice_hull(list(itertools.product((0, 1), repeat=P.dim)))
     return SliceFamily(
         minuend=(cell, 1, 0),

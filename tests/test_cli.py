@@ -3,7 +3,7 @@ import json
 import pytest
 
 from hkdensity import Rat, SegrePair, SpecParseError, ToricPair, pw_equal, pw_from_json
-from hkdensity.cli import main, parse_spec
+from hkdensity.cli import main, parse_spec, run_command
 
 from conftest import line_density_form
 
@@ -56,6 +56,13 @@ def test_parse_rejects_malformed():
         parse_spec('{"vertices": [[0, "x"]]}')
     with pytest.raises(SpecParseError):
         parse_spec('{"segre": [{"vertices": [[0],[1]]}]}')
+    # a point that is not a list is a parse error, not a TypeError
+    for spec in ('{"vertices": [1, 2]}', '{"rays": [1, 2], "coeffs": [1, 1]}'):
+        with pytest.raises(SpecParseError):
+            parse_spec(spec)
+        status, text, ext = run_command("density", spec)
+        assert (status, ext) == (1, "json")
+        assert json.loads(text)["error"]["code"] == "parse_error"
 
 
 # --- commands ---------------------------------------------------------------------
@@ -271,27 +278,49 @@ def test_cli_import_does_not_load_numpy():
 
     import hkdensity
     env = dict(os.environ, PYTHONPATH=str(Path(hkdensity.__file__).parents[1]))
-    subprocess.run(
-        [sys.executable, "-c",
-         "import hkdensity.cli, sys; assert 'numpy' not in sys.modules"],
-        env=env, check=True)
-    # with numpy unimportable, the counting commands still run
+
+    def python(script):
+        done = subprocess.run([sys.executable, "-c", script], env=env,
+                              check=True, capture_output=True, text=True)
+        return json.loads(done.stdout)
+
+    modules = "json.dumps(sorted(sys.modules))"
+    bare = set(python(f"import json, sys; print({modules})"))
+    assert "numpy" not in python(f"import hkdensity.cli, json, sys; print({modules})")
+    # with numpy unimportable, the counting commands still run; on a base
+    # out of reach of the exact engine they load neither it nor the area
+    # layer, and no command loads dataclasses
     script = (
         "import json, sys\n"
         "sys.modules['numpy'] = None\n"
         "from hkdensity.cli import run_command\n"
-        "print(json.dumps([\n"
+        "runs = [\n"
         f"    run_command('oracle', {CUBE!r}, ['--q', '8', '--lambda', '3/2']),\n"
-        f"    run_command('convergence', {SIMPLEX!r},\n"
-        "                ['--q', '4,8', '--lambda', '1', '--format', 'csv'])]))\n")
-    done = subprocess.run([sys.executable, "-c", script], env=env, check=True,
-                          capture_output=True, text=True)
-    oracle_run, convergence_run = json.loads(done.stdout)
+        f"    run_command('convergence', {CUBE!r},\n"
+        "                ['--q', '4', '--lambda', '3/2', '--format', 'csv'])]\n"
+        f"loaded = {modules}\n"
+        f"runs.append(run_command('convergence', {SIMPLEX!r},\n"
+        "             ['--q', '4,8', '--lambda', '1', '--format', 'csv']))\n"
+        "print(json.dumps([runs, loaded]))\n")
+    (oracle_run, cube_run, convergence_run), loaded = python(script)
     assert oracle_run == [0, '{"q": 8, "m": 12, "count": 1197, '
                              '"f_value": "1197/512"}\n', "json"]
+    assert cube_run == [0, "q,m,count,f_value,exact_value,gap\n"
+                           "4,6,127,127/64,,\n", "csv"]
     assert convergence_run == [0, "q,m,count,f_value,exact_value,gap\n"
                                   "4,4,12,3/4,1/2,1/4\n"
                                   "8,8,42,21/32,1/2,5/32\n", "csv"]
+    assert "hkdensity.oracle" in loaded
+    assert "hkdensity.regions" not in loaded
+    assert "hkdensity.analysis" not in loaded
+    assert "dataclasses" in bare or "dataclasses" not in loaded
+    density_run, loaded = python(
+        "import json, sys\n"
+        "from hkdensity.cli import run_command\n"
+        f"run = run_command('density', {LINE2!r})\n"
+        f"print(json.dumps([run, {modules}]))\n")
+    assert density_run[0] == 0 and "hkdensity.regions" in loaded
+    assert "dataclasses" in bare or "dataclasses" not in loaded
 
 
 @pytest.mark.parametrize("command", ["density", "phi"])

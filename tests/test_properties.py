@@ -27,7 +27,7 @@ from hkdensity import (
 from math import factorial
 
 from hkdensity.analysis import cell_cover_scale
-from hkdensity.regions import anchored
+from hkdensity.geometry import anchored
 
 from conftest import (
     FANO_TABLE,
@@ -168,8 +168,16 @@ def test_random_polygon_functions_match_slices(points):
     for z in _probes(f):
         assert area(hk_slice(pair, z)) == f(z)
     phi = phi_function(pair)
-    for lam in _probes(phi):
+    probes = _probes(phi)
+    for lam in probes:
         assert area(phi_slice(pair, lam)) == phi(lam)
+    # the tiling lower bound, tight exactly for tilers; the probes hold three
+    # points of each quadratic piece, so equality there is equality of phi
+    # with the bound on its whole support
+    vol = pair_volume(pair)
+    assert all(phi(lam) >= max(0, 1 - vol * lam ** 2) for lam in probes)
+    assert is_tiler(pair) == all(phi(lam) == 1 - vol * lam ** 2
+                                 for lam in probes)
 
 
 @_RANDOM_SETTINGS
