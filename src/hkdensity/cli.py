@@ -18,8 +18,6 @@ types alone, and each handler loads ``analysis`` or ``oracle`` itself.
 from __future__ import annotations
 
 import argparse
-import csv
-import io
 import json
 import sys
 from pathlib import Path
@@ -27,7 +25,7 @@ from pathlib import Path
 from .errors import EngineError, SpecParseError
 from .pairs import SegrePair, ToricPair, segre
 from .piecewise import pw_to_json
-from .rationals import Rat, parse_rat, rat_str
+from .rationals import Rat, parse_rat, rat_str, ratio_str
 
 
 # ---------------------------------------------------------------------------
@@ -110,16 +108,24 @@ def report_to_json(rep) -> dict:
     }
 
 
-def function_csv_rows(f, samples: int):
-    """Exactly samples+1 rows spanning [0, support end] of the piecewise
-    polynomial f, exact rationals."""
+def _sample_grid(f, samples: int):
+    """(p, q, values): the samples sit at p*i/q for i = 0..samples, spanning
+    [0, support end] (or [0, 1] when the support ends at or below 0), and
+    ``values`` are f there as integer (numerator, denominator) pairs."""
     end = f.breakpoints[-1]
     if end <= 0:
         end = Rat(1)
+    return (int(end.numerator), int(end.denominator) * samples,
+            f.grid(end, samples))
+
+
+def function_csv_rows(f, samples: int):
+    """Exactly samples+1 rows spanning [0, support end] of the piecewise
+    polynomial f, exact rationals."""
+    p, q, values = _sample_grid(f, samples)
     rows = [("lambda", "value")]
-    for i in range(samples + 1):
-        x = end * i / samples
-        rows.append((rat_str(x), rat_str(f(x))))
+    for i, (n, d) in enumerate(values):
+        rows.append((ratio_str(p * i, q), ratio_str(n, d)))
     return rows
 
 
@@ -127,10 +133,10 @@ def function_svg(f, samples: int, title: str) -> str:
     """Static polyline plot with breakpoint markers (presentation only)."""
     width, height, margin = 640, 360, 40
     end = float(f.breakpoints[-1]) or 1.0
-    end_rat = f.breakpoints[-1] if f.breakpoints[-1] > 0 else Rat(1)
-    xs = [end_rat * i / samples for i in range(samples + 1)]
-    ys = [float(f(x)) for x in xs]
-    xs = [float(x) for x in xs]
+    p, q, values = _sample_grid(f, samples)
+    # int / int is correctly rounded, so each float equals float(Fraction)
+    xs = [p * i / q for i in range(samples + 1)]
+    ys = [n / d for n, d in values]
     top = max(ys) or 1.0
 
     def px(x):
@@ -158,6 +164,8 @@ def function_svg(f, samples: int, title: str) -> str:
 
 
 def _csv_text(rows) -> str:
+    import csv
+    import io
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerows(rows)

@@ -9,6 +9,7 @@ both continuous on their support.
 from __future__ import annotations
 
 import bisect
+from math import lcm
 
 from .rationals import Rat, Value, parse_rat, rat_str
 
@@ -163,6 +164,55 @@ class PiecewisePoly(Value):
         if i == len(self.pieces):  # x == right end of the domain
             i -= 1
         return self.pieces[i](x)
+
+    def grid(self, end, n):
+        """Values f(end*i/n) for i = 0..n, for end > 0 and n >= 1, as
+        integer (numerator, denominator) pairs with positive, unreduced
+        denominators: the same rationals as ``f(end*i/n)``, by the
+        breakpoint rule of ``__call__``.
+
+        With end = p/q, the samples are p*i/(q*n).  Each piece is put over
+        the one denominator lcm(coefficient denominators)*(q*n)**deg, so its
+        value at sample i is an integer polynomial in i, evaluated by
+        Horner's rule; a cursor over the breakpoints picks the piece by
+        cross-multiplied comparisons.
+        """
+        end = Rat(end)
+        if end <= 0 or n < 1:
+            raise ValueError("grid needs end > 0 and n >= 1")
+        p, qn = int(end.numerator), int(end.denominator) * n
+        if not self.pieces:
+            return [(0, 1)] * (n + 1)
+        bps = [(int(b.numerator), int(b.denominator)) for b in self.breakpoints]
+        # per piece: its integer coefficients in i, highest first, and their
+        # common denominator
+        polys = []
+        for piece in self.pieces:
+            deg = len(piece.coeffs) - 1
+            den = lcm(*(int(c.denominator) for c in piece.coeffs))
+            polys.append((
+                [int(c * den) * p ** j * qn ** (deg - j)
+                 for j, c in reversed(list(enumerate(piece.coeffs)))],
+                den * qn ** max(deg, 0)))
+        (lo_n, lo_d), (hi_n, hi_d) = bps[0], bps[-1]
+        last = len(polys) - 1
+        k = -1
+        out = []
+        for i in range(n + 1):
+            x = p * i   # the sample x/qn
+            if x * lo_d < lo_n * qn or x * hi_d > hi_n * qn:
+                out.append((0, 1))
+                continue
+            # the last breakpoint at or before the sample, capped at the
+            # last piece: a breakpoint takes its right-hand piece
+            while k < last and bps[k + 1][0] * qn <= x * bps[k + 1][1]:
+                k += 1
+            coeffs, den = polys[k]
+            acc = 0
+            for c in coeffs:
+                acc = acc * i + c
+            out.append((acc, den))
+        return out
 
     def integral(self):
         total = Rat(0)

@@ -9,6 +9,7 @@ base of the package's immutable value types.
 from __future__ import annotations
 
 from fractions import Fraction as Rat
+from math import gcd
 from operator import attrgetter
 
 
@@ -24,6 +25,13 @@ def parse_rat(text: str):
 def rat_str(x) -> str:
     """Canonical "p/q" (or "p" for integers) rendering."""
     return str(Rat(x))
+
+
+def ratio_str(n: int, d: int) -> str:
+    """``rat_str`` of the integer ratio n/d with d > 0, after one gcd."""
+    g = gcd(n, d)
+    n, d = n // g, d // g
+    return str(n) if d == 1 else f"{n}/{d}"
 
 
 def floor_rat(x) -> int:

@@ -102,6 +102,10 @@ def _boundary_area(rings):
     they count once, the minuend first, then the lower index.  A surviving
     piece of the edge p + s*d, 0 <= s <= 1, contributes its length fraction
     times cross(p, d).
+
+    The kept gaps between an edge's covers, walked in order of their start,
+    are integer fractions; each adds cross*length over its own denominator
+    to one integer sum per denominator, and the sums meet in one Fraction.
     """
     facets = []
     boxes = []
@@ -119,7 +123,7 @@ def _boundary_area(rings):
                 edges.append((0, a, (b[0] - a[0], b[1] - a[1])))
             else:
                 edges.append((k, b, (a[0] - b[0], a[1] - b[1])))
-    total = 0
+    sums = {}      # denominator -> sum of cross*numerator of the kept gaps
     unit = ((0, 1), (1, 1))
     for k, (px, py), (dx, dy) in edges:
         if k == 0:
@@ -141,22 +145,26 @@ def _boundary_area(rings):
                                  2 if j < k else 1)
             if cover is not None:
                 covered.append(cover)
-        (ln, ld), (hn, hd) = window
-        kept = Rat(hn * ld - ln * hd, hd * ld) - _union_length(covered)
-        total += (px * dy - py * dx) * kept
-    return total
+        covered.sort(key=_by_start)
+        # every cover lies inside the window; (cn, cd) is the end of the
+        # covered stretch walked so far
+        (cn, cd), (hn, hd) = window
+        cross = px * dy - py * dx
+        for (an, ad), (bn, bd) in covered:
+            if an * cd > cn * ad:
+                den = ad * cd
+                sums[den] = sums.get(den, 0) + cross * (an * cd - cn * ad)
+            if bn * cd > cn * bd:
+                cn, cd = bn, bd
+        if hn * cd > cn * hd:
+            den = hd * cd
+            sums[den] = sums.get(den, 0) + cross * (hn * cd - cn * hd)
+    den = lcm(*sums)
+    return Rat(sum(v * (den // d) for d, v in sums.items()), den)
 
 
-def _union_length(intervals):
-    """Total length of a union of intervals given as fraction pairs."""
-    length, cursor = 0, None
-    for a, b in sorted((Rat(ln, ld), Rat(hn, hd))
-                       for (ln, ld), (hn, hd) in intervals):
-        start = a if cursor is None else max(a, cursor)
-        if b > start:
-            length += b - start
-            cursor = b
-    return length
+# intervals ((an, ad), (bn, bd)) with ad, bd > 0 by their start an/ad
+_by_start = cmp_to_key(lambda u, v: u[0][0] * v[0][1] - v[0][0] * u[0][1])
 
 
 def cell_translates(poly, lam_max):
@@ -275,7 +283,7 @@ class _FamilyRecord:
                        den)
         if rings[0][0] == rings[0][1]:
             return Rat(0)
-        return Rat(_boundary_area(rings)) / (2 * den * den)
+        return _boundary_area(rings) / (2 * den * den)
 
     def window(self, x0, y0, x1, y1, den):
         """Parameter window (wn, wd, vn, vd) = [wn/wd, vn/vd] inside (lo, hi)

@@ -1,17 +1,22 @@
-"""Exact slices of the density and defect regions by convex clipping, an
-independent reference for the family engine of ``hkdensity.regions``.
+"""Independent references for the engine's integer kernels.
 
-A slice, the closed minuend minus the open subtrahends, is cut into convex
-counterclockwise rings by Sutherland-Hodgman clipping; its area is an exact
-shoelace sum.  A base segment [a, b] is thickened to [a, b] x [0, 1], so its
-slices go through the same clipper and their areas are lengths.
+Slices of the density and defect regions by convex clipping, for the family
+engine of ``hkdensity.regions``: a slice, the closed minuend minus the open
+subtrahends, is cut into convex counterclockwise rings by Sutherland-Hodgman
+clipping; its area is an exact shoelace sum.  A base segment [a, b] is
+thickened to [a, b] x [0, 1], so its slices go through the same clipper and
+their areas are lengths.
+
+CSV rows and SVG plots of a piecewise polynomial sampled one point at a
+time, ``f(end*i/N)`` as a ``Fraction``, for the integer grid sampler of
+``hkdensity.cli``.
 """
 
 import itertools
 import math
 
-from hkdensity import (EmptyRegionError, Rat, lattice_hull, scale, translate,
-                       vrep_from_hrep)
+from hkdensity import (EmptyRegionError, Rat, lattice_hull, rat_str, scale,
+                       translate, vrep_from_hrep)
 
 
 def intersect(p, q):
@@ -102,3 +107,58 @@ def phi_slice(pair, lam):
     lo, hi = small.bounding_box()
     shifts = _box_points([-b for b in hi], [1 - a for a in lo])
     return _difference_rings(cell, [translate(small, u) for u in shifts])
+
+
+def ring_difference_area(rings):
+    """Exact area of the closed convex minuend ``rings[0]`` minus the open
+    interiors of the convex subtrahends ``rings[1:]``, integer point rings."""
+    return area(_difference_rings(lattice_hull(rings[0]),
+                                  [lattice_hull(ring) for ring in rings[1:]]))
+
+
+def function_csv_rows(f, samples):
+    """Rows lambda, value of f at end*i/samples for i = 0..samples, where
+    end is the support end (1 when it is at or below 0)."""
+    end = f.breakpoints[-1]
+    if end <= 0:
+        end = Rat(1)
+    rows = [("lambda", "value")]
+    for i in range(samples + 1):
+        x = end * i / samples
+        rows.append((rat_str(x), rat_str(f(x))))
+    return rows
+
+
+def function_svg(f, samples, title):
+    """Polyline plot of f at the points of ``function_csv_rows``, each
+    converted from its ``Fraction``, with breakpoint markers."""
+    width, height, margin = 640, 360, 40
+    end = float(f.breakpoints[-1]) or 1.0
+    end_rat = f.breakpoints[-1] if f.breakpoints[-1] > 0 else Rat(1)
+    xs = [end_rat * i / samples for i in range(samples + 1)]
+    ys = [float(f(x)) for x in xs]
+    xs = [float(x) for x in xs]
+    top = max(ys) or 1.0
+
+    def px(x):
+        return margin + (width - 2 * margin) * x / end
+
+    def py(y):
+        return height - margin - (height - 2 * margin) * y / top
+
+    pts = " ".join(f"{px(x):.2f},{py(y):.2f}" for x, y in zip(xs, ys))
+    marks = "".join(
+        f'<circle cx="{px(float(b)):.2f}" cy="{py(float(f(b))):.2f}" r="3" fill="#c33"/>'
+        for b in f.breakpoints)
+    return (
+        f'<svg xmlns="http://www.w3.org/2000/svg" width="{width}" height="{height}">'
+        f'<rect width="{width}" height="{height}" fill="white"/>'
+        f'<line x1="{margin}" y1="{height - margin}" x2="{width - margin}" '
+        f'y2="{height - margin}" stroke="#888"/>'
+        f'<line x1="{margin}" y1="{margin}" x2="{margin}" '
+        f'y2="{height - margin}" stroke="#888"/>'
+        f'<polyline points="{pts}" fill="none" stroke="#36c" stroke-width="1.5"/>'
+        f"{marks}"
+        f'<text x="{margin}" y="{margin - 10}" font-size="13">{title}</text>'
+        "</svg>"
+    )

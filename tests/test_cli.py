@@ -286,7 +286,10 @@ def test_cli_import_does_not_load_numpy():
 
     modules = "json.dumps(sorted(sys.modules))"
     bare = set(python(f"import json, sys; print({modules})"))
-    assert "numpy" not in python(f"import hkdensity.cli, json, sys; print({modules})")
+    cli_loaded = python(f"import hkdensity.cli, json, sys; print({modules})")
+    assert "numpy" not in cli_loaded
+    # csv is imported only when a command writes csv
+    assert "csv" in bare or "csv" not in cli_loaded
     # with numpy unimportable, the counting commands still run; on a base
     # out of reach of the exact engine they load neither it nor the area
     # layer, and no command loads dataclasses
@@ -336,3 +339,26 @@ def test_run_command_reports_failed_certificate(command, monkeypatch):
     status, text, ext = run_command(command, SIMPLEX)
     assert (status, ext) == (1, "json")
     assert json.loads(text)["error"]["code"] == "breakpoint_verification_failed"
+
+
+def test_readme_examples():
+    # each README example is "$ echo 'SPEC' | hkdensity ARGS" followed by its
+    # stdout lines; CI runs the same lines through the installed script
+    import shlex
+    from pathlib import Path
+    lines = (Path(__file__).resolve().parents[1] / "README.md").read_text(
+        encoding="utf-8").splitlines()
+    examples = [i for i, line in enumerate(lines) if line.startswith("$ ")]
+    assert len(examples) == 3
+    for i in examples:
+        echo, command = lines[i][2:].split(" | ")
+        spec = shlex.split(echo)[1]
+        argv = shlex.split(command)
+        assert argv[0] == "hkdensity"
+        want = []
+        for text in lines[i + 1:]:
+            if not text or text.startswith(("$ ", "```")):
+                break
+            want.append(text + "\n")
+        status, text, _ = run_command(argv[1], spec, argv[2:])
+        assert (status, text) == (0, "".join(want))

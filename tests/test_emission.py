@@ -1,0 +1,98 @@
+"""CSV and SVG emission: the integer grid sampler against the one-point-at-a-
+time reference, and every recorded benchmark output, byte for byte."""
+
+import json
+import runpy
+from pathlib import Path
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from hkdensity import PiecewisePoly, Poly, Rat
+from hkdensity.cli import function_csv_rows, function_svg, run_command
+
+import reference
+
+PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
+
+_RATS = st.fractions(min_value=-3, max_value=3, max_denominator=12)
+_POSITIVE = st.fractions(min_value=Rat(1, 12), max_value=3, max_denominator=12)
+
+
+@st.composite
+def _piece(draw):
+    """A polynomial of degree 0-3 that is not identically zero, so that
+    no end piece is trimmed and the breakpoints stay as drawn."""
+    coeffs = draw(st.lists(_RATS, min_size=1, max_size=4))
+    if not any(coeffs):
+        coeffs[0] = Rat(1)
+    return Poly.of(*coeffs)
+
+
+@st.composite
+def _sampled_functions(draw):
+    """(f, samples): random pieces with jumps between them, on breakpoints
+    that all lie on the sample grid, start above 0, end at or below 0, or
+    lie anywhere; or the zero function."""
+    samples = draw(st.integers(1, 64))
+    kind = draw(st.sampled_from(["grid", "above", "nonpositive", "free", "zero"]))
+    if kind == "zero":
+        return PiecewisePoly.zero(draw(_RATS)), samples
+    if kind == "grid":
+        # the support ends at end = last breakpoint, so sample j sits on
+        # the breakpoint end*j/samples
+        end = draw(_POSITIVE)
+        steps = draw(st.lists(st.integers(0, samples - 1), min_size=1,
+                              max_size=5, unique=True))
+        bps = [end * j / samples for j in sorted(steps)] + [end]
+    else:
+        values = {"above": _POSITIVE, "free": _RATS,
+                  "nonpositive": st.fractions(min_value=-3, max_value=0,
+                                              max_denominator=12)}[kind]
+        bps = sorted(draw(st.sets(values, min_size=2, max_size=6)))
+        if kind == "nonpositive" and draw(st.booleans()):
+            bps[-1] = Rat(0)
+    pieces = [draw(_piece()) for _ in bps[1:]]
+    return PiecewisePoly.build(bps, pieces), samples
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(case=_sampled_functions())
+def test_grid_emission_matches_pointwise_reference(case):
+    f, samples = case
+    assert function_csv_rows(f, samples) == reference.function_csv_rows(f, samples)
+    assert function_svg(f, samples, "f") == reference.function_svg(f, samples, "f")
+
+
+def test_grid_samples_take_the_right_hand_piece_and_vanish_outside():
+    f = PiecewisePoly.build([Rat(1, 2), 1, 2], [Poly.of(1), Poly.of(0, -3)])
+
+    def values(end, n):
+        pairs = f.grid(end, n)
+        assert all(d > 0 for _, d in pairs)
+        return [Rat(n, d) for n, d in pairs]
+
+    # samples 0, 1/2, 1, 3/2, 2 over end 2; 1 is a breakpoint with a jump
+    assert values(Rat(2), 4) == [0, 1, -3, Rat(-9, 2), -6]
+    # samples 0, 2, 4 over end 4: the right end takes the last piece
+    assert values(Rat(4), 2) == [0, -6, 0]
+    with pytest.raises(ValueError):
+        f.grid(Rat(0), 4)
+
+
+def _recorded_ops():
+    # run_path compiles the file without writing a bytecode cache next to it
+    workloads = runpy.run_path(str(PERFBENCH / "workloads.py"))["WORKLOADS"]
+    for workload in ("surfaces", "multiples", "cli_small"):
+        expected = json.loads(
+            (PERFBENCH / "expected" / f"{workload}.json").read_text())
+        for op_id, argv, spec in workloads[workload]:
+            yield pytest.param(argv, spec, expected[op_id],
+                               id=f"{workload}/{op_id}")
+
+
+@pytest.mark.parametrize("argv, spec, expected", list(_recorded_ops()))
+def test_recorded_benchmark_output(argv, spec, expected):
+    status, text, _ = run_command(argv[0], json.dumps(spec), argv[1:])
+    assert (status, text) == (0, expected)

@@ -3,6 +3,8 @@ import random
 import zlib
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hkdensity import (
     PiecewisePoly,
@@ -27,7 +29,7 @@ from conftest import (
     symmetric_hexagon,
     unit_square,
 )
-from reference import area, hk_slice, intersect, phi_slice
+from reference import area, hk_slice, intersect, phi_slice, ring_difference_area
 
 
 # --- slices -------------------------------------------------------------------
@@ -194,3 +196,53 @@ def test_covered_area_consistent_with_exact_intersection():
     overlap = intersect(minuend, sub)
     assert volume(minuend) - uncovered == volume(overlap)
 
+
+# --- the boundary-area kernel on random rings -----------------------------------
+
+_RING_POINTS = st.lists(st.tuples(st.integers(-5, 5), st.integers(-5, 5)),
+                        min_size=3, max_size=6)
+
+
+def _ring(points):
+    """The counterclockwise integer vertex ring of the hull of points, or
+    None when the hull is not a polygon."""
+    from hkdensity.regions import _ccw
+    hull = lattice_hull(points)
+    if hull.pdim != 2:
+        return None
+    return [(int(x), int(y)) for x, y in _ccw(hull)]
+
+
+@st.composite
+def _ring_sets(draw):
+    """A minuend and 2-6 subtrahends.  Besides fresh random rings, a
+    subtrahend may copy an earlier ring (same edges, covers with the same
+    start), slide it along one of its edges (overlapping covers on a common
+    line) or turn it a half turn about an edge midpoint (the same edge
+    running the other way)."""
+    minuend = draw(_RING_POINTS.map(_ring).filter(bool))
+    rings = [minuend]
+    for _ in range(draw(st.integers(2, 6))):
+        how = draw(st.sampled_from(["fresh", "copy", "slide", "turn"]))
+        if how == "fresh":
+            rings.append(draw(_RING_POINTS.map(_ring).filter(bool)))
+            continue
+        base = draw(st.sampled_from(rings))
+        i = draw(st.integers(0, len(base) - 1))
+        (ax, ay), (bx, by) = base[i], base[(i + 1) % len(base)]
+        if how == "copy":
+            rings.append(base[i:] + base[:i])
+        elif how == "slide":
+            s = draw(st.sampled_from([-1, 1]))
+            rings.append([(x + s * (bx - ax), y + s * (by - ay))
+                          for x, y in base])
+        else:
+            rings.append([(ax + bx - x, ay + by - y) for x, y in base])
+    return rings
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(rings=_ring_sets())
+def test_boundary_area_matches_clipped_rings(rings):
+    from hkdensity.regions import _boundary_area
+    assert _boundary_area(rings) == 2 * ring_difference_area(rings)
