@@ -29,13 +29,13 @@ _EXPORTS = {
         "UnsupportedDimensionError",
     ),
     "geometry": (
-        "ConvexPolytope", "HalfSpace", "LatticePolytope", "hrep_from_vrep",
-        "lattice_hull", "lattice_points", "polytope_from_divisor", "scale",
-        "translate", "volume", "vrep_from_hrep",
+        "ConvexPolytope", "hrep_from_vrep", "lattice_hull", "lattice_points",
+        "polytope_from_divisor", "scale", "translate", "volume",
+        "vrep_from_hrep",
     ),
     "oracle": (
-        "ConvergenceReport", "OracleSample", "convergence_report",
-        "ehrhart_count", "f_n", "oracle_ehk", "slice_count",
+        "ConvergenceReport", "OracleSample", "convergence_report", "f_n",
+        "oracle_ehk", "slice_count",
     ),
     "pairs": ("SegrePair", "ToricPair", "segre"),
     "piecewise": (

@@ -115,7 +115,7 @@ def cell_cover_scale(pair) -> int:
     translate of the unit cell; phi vanishes at and beyond r."""
     pair = _as_direct_pair(pair)
     P = geo.anchored(pair.polytope)
-    rows = geo.integer_hrep(P)
+    rows = P.halfspaces
     for r in range(1, 65):
         # v + [0,1]^n lies in r*P iff v meets each row at its worst corner
         eroded = [(n, r * off - sum(min(c, 0) for c in n)) for n, off in rows]

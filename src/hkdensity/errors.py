@@ -59,7 +59,9 @@ class UnsupportedDimensionError(EngineError):
 
 
 class BreakpointVerificationError(EngineError):
-    """Interpolation self-check failed even after event enrichment/bisection."""
+    """An exact self-check of a computed function failed: an interpolated
+    piece missed its verification sample, a vanishing tail was not zero, or
+    the assembled function broke continuity or a known value."""
 
     code = "breakpoint_verification_failed"
 

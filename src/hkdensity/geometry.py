@@ -1,7 +1,9 @@
 """Exact rational convex-polytope primitives in ambient dimension <= 4.
 
-Points are plain tuples of Rat.  A polytope always carries both a vertex
-representation and an irredundant half-space representation; the two are
+Points are plain tuples of Rat.  A polytope always carries both its
+rational vertices and an irredundant half-space representation as canonical
+integer facet rows (normal, offset), meaning <normal, x> >= offset with no
+common factor across the row: the form the exact kernels read.  The two are
 kept consistent by construction.  Vertex enumeration goes through all
 dim-subsets of bounding hyperplanes, which is entirely adequate at the facet
 counts this engine sees (a few dozen at most).
@@ -131,35 +133,20 @@ def det(mat):
 # half-spaces and polytopes
 # ---------------------------------------------------------------------------
 
-class HalfSpace(Value):
-    """Closed half-space {x : <normal, x> >= offset}: ``normal`` is a point,
-    ``offset`` a Rat."""
-
-    __slots__ = ("normal", "offset")
-
-    def eval(self, x):
-        return dot(self.normal, x) - self.offset
-
-    def contains(self, x) -> bool:
-        return self.eval(x) >= 0
-
-
-def _clear_denominators(values):
-    """(lcm of the denominators, the values times it as ints)."""
-    entries = [Rat(c) for c in values]
-    lcm = math.lcm(*(int(e.denominator) for e in entries))
-    return lcm, [int(e * lcm) for e in entries]
-
-
-def primitive_halfspace(normal, offset) -> HalfSpace:
-    """Canonical form: primitive integer normal, orientation preserved.
-
-    The offset is rescaled by the same positive factor and may stay rational.
-    """
-    lcm, ints = _clear_denominators(normal)
+def _row(normal, offset):
+    """Canonical integer row (normal, offset) of {x : <normal, x> >= offset}:
+    the entries cleared of denominators and of their common factor, so each
+    half-space has exactly one row."""
+    entries = [Rat(c) for c in (*normal, offset)]
+    lcm = math.lcm(*(e.denominator for e in entries))
+    ints = [e.numerator * (lcm // e.denominator) for e in entries]
     g = math.gcd(*ints) or 1
-    return HalfSpace(tuple(Rat(v // g) for v in ints),
-                     Rat(offset) * lcm / g)
+    return tuple(v // g for v in ints[:-1]), ints[-1] // g
+
+
+def _slack(row, x):
+    normal, offset = row
+    return dot(normal, x) - offset
 
 
 class ConvexPolytope(Value):
@@ -168,7 +155,9 @@ class ConvexPolytope(Value):
     ``dim`` is the ambient dimension, ``pdim`` the dimension of the affine
     hull; lower-dimensional polytopes are first-class values (their H-rep
     includes the affine-hull equations as paired half-spaces) and have
-    volume 0.  ``vertices`` and ``halfspaces`` are tuples.
+    volume 0.  ``vertices`` is a tuple of points, ``halfspaces`` a tuple of
+    canonical integer rows (normal, offset) meaning <normal, x> >= offset:
+    int entries with no common factor across the row.
     """
 
     __slots__ = ("dim", "vertices", "halfspaces", "pdim")
@@ -184,7 +173,7 @@ class ConvexPolytope(Value):
             raise DimMismatchError(
                 f"point of dimension {len(x)} vs polytope in R^{self.dim}")
         x = tuple(Rat(c) for c in x)
-        return all(h.contains(x) for h in self.halfspaces)
+        return all(_slack(h, x) >= 0 for h in self.halfspaces)
 
     def bounding_box(self):
         los = [min(v[i] for v in self.vertices) for i in range(self.dim)]
@@ -200,18 +189,6 @@ class ConvexPolytope(Value):
                 f"{len(self.vertices)} vertices, {len(self.halfspaces)} halfspaces)")
 
 
-class LatticePolytope(ConvexPolytope):
-    """ConvexPolytope whose vertices all have integer coordinates."""
-
-    __slots__ = ()
-
-    def _validate(self):
-        super()._validate()
-        if not self.is_lattice:
-            raise NonIntegralVertexError(
-                "vertices are not all integral", polytope=self)
-
-
 def _as_points(points):
     return [tuple(Rat(c) for c in p) for p in points]
 
@@ -220,17 +197,15 @@ def _extreme_points(points, halfspaces, dim):
     """Filter a closed point set down to the vertices of its hull."""
     out = []
     for p in points:
-        active = [h.normal for h in halfspaces if h.eval(p) == 0]
+        active = [h[0] for h in halfspaces if _slack(h, p) == 0]
         if rank(active) == dim:
             out.append(p)
     return out
 
 
 def _facets_fulldim(points, dim):
-    """Irredundant facets of a full-dimensional hull, with tight point sets.
-
-    Returns a list of (HalfSpace, tight_index_tuple).
-    """
+    """Irredundant facets of a full-dimensional hull: a dict from each
+    canonical row to the indices of the points tight on it."""
     n = len(points)
     seen = {}
     for subset in itertools.combinations(range(n), dim):
@@ -241,20 +216,16 @@ def _facets_fulldim(points, dim):
         normal = nullspace(diffs, dim)
         if len(normal) != 1:
             continue
-        hs = primitive_halfspace(normal[0], dot(normal[0], base))
-        vals = [hs.eval(p) for p in points]
-        if all(v >= 0 for v in vals):
-            oriented = hs
-        elif all(v <= 0 for v in vals):
-            oriented = primitive_halfspace(vscale(hs.normal, -1), -hs.offset)
+        row = _row(normal[0], dot(normal[0], base))
+        vals = [_slack(row, p) for p in points]
+        if all(v <= 0 for v in vals):
+            row = (vscale(row[0], -1), -row[1])
             vals = [-v for v in vals]
-        else:
+        elif not all(v >= 0 for v in vals):
             continue
-        key = (oriented.normal, oriented.offset)
-        if key not in seen:
-            tight = tuple(i for i, v in enumerate(vals) if v == 0)
-            seen[key] = (oriented, tight)
-    return list(seen.values())
+        if row not in seen:
+            seen[row] = tuple(i for i, v in enumerate(vals) if v == 0)
+    return seen
 
 
 def hrep_from_vrep(points) -> ConvexPolytope:
@@ -279,30 +250,28 @@ def hrep_from_vrep(points) -> ConvexPolytope:
     halfspaces = []
     if pdim < dim:
         for e in nullspace(diffs, dim) if diffs else nullspace([[Rat(0)] * dim], dim):
-            he = primitive_halfspace(e, dot(e, base))
-            halfspaces.append(he)
-            halfspaces.append(primitive_halfspace(vscale(he.normal, -1), -he.offset))
+            normal, offset = _row(e, dot(e, base))
+            halfspaces += [(normal, offset), (vscale(normal, -1), -offset)]
     if pdim == 0:
         return ConvexPolytope(dim, (base,), tuple(halfspaces), 0)
 
     if pdim == dim:
-        facets = _facets_fulldim(pts, dim)
-        halfspaces.extend(h for h, _ in facets)
+        halfspaces.extend(_facets_fulldim(pts, dim))
     else:
         # project to the pivot coordinates, where the hull is full-dimensional
         proj = [tuple(p[c] for c in pivots) for p in pts]
-        for h, _ in _facets_fulldim(proj, pdim):
-            normal = [Rat(0)] * dim
+        for n, offset in _facets_fulldim(proj, pdim):
+            normal = [0] * dim
             for j, c in enumerate(pivots):
-                normal[c] = h.normal[j]
-            halfspaces.append(HalfSpace(tuple(normal), h.offset))
+                normal[c] = n[j]
+            halfspaces.append((tuple(normal), offset))
 
     verts = _extreme_points(pts, halfspaces, dim)
     return ConvexPolytope(dim, tuple(sorted(verts)), tuple(halfspaces), pdim)
 
 
 def _recession_nontrivial(halfspaces, dim) -> bool:
-    normals = [h.normal for h in halfspaces]
+    normals = [h[0] for h in halfspaces]
     if rank(normals) < dim:
         return True
     for subset in itertools.combinations(range(len(normals)), dim - 1):
@@ -322,29 +291,28 @@ def _recession_nontrivial(halfspaces, dim) -> bool:
 def vrep_from_hrep(halfspaces, dim) -> ConvexPolytope:
     """Vertices of a bounded half-space intersection.
 
-    Raises UnboundedError when the recession cone is nontrivial and
-    EmptyRegionError when the system is infeasible.  The returned polytope
-    carries a canonical irredundant H-rep rebuilt from the vertices.
+    ``halfspaces`` are (normal, offset) pairs of rationals, each meaning
+    <normal, x> >= offset.  Raises UnboundedError when the recession cone is
+    nontrivial and EmptyRegionError when the system is infeasible.  The
+    returned polytope carries a canonical irredundant H-rep rebuilt from the
+    vertices.
     """
-    hs = [HalfSpace(tuple(Rat(c) for c in h.normal), Rat(h.offset))
-          for h in halfspaces]
+    hs = list(halfspaces)
     if _recession_nontrivial(hs, dim):
         raise UnboundedError("half-space intersection is unbounded")
     verts = set()
-    for subset in itertools.combinations(range(len(hs)), dim):
-        mat = [hs[i].normal for i in subset]
-        rhs = [hs[i].offset for i in subset]
-        x = solve_square(mat, rhs)
+    for subset in itertools.combinations(hs, dim):
+        x = solve_square([n for n, _ in subset], [off for _, off in subset])
         if x is None:
             continue
-        if all(h.eval(x) >= 0 for h in hs):
+        if all(_slack(h, x) >= 0 for h in hs):
             verts.add(x)
     if not verts:
         raise EmptyRegionError("half-space intersection is empty")
     return hrep_from_vrep(sorted(verts))
 
 
-def polytope_from_divisor(rays, coeffs) -> LatticePolytope:
+def polytope_from_divisor(rays, coeffs) -> ConvexPolytope:
     """Lattice polytope {u : <u, ray_i> >= -coeff_i} of toric divisor data."""
     rays = _as_points(rays)
     if not rays:
@@ -352,21 +320,23 @@ def polytope_from_divisor(rays, coeffs) -> LatticePolytope:
     dim = len(rays[0])
     if len(coeffs) != len(rays):
         raise DimMismatchError("one coefficient per ray required")
-    hs = [HalfSpace(r, Rat(-a)) for r, a in zip(rays, coeffs)]
-    poly = vrep_from_hrep(hs, dim)
+    poly = vrep_from_hrep([(r, -a) for r, a in zip(rays, coeffs)], dim)
     if poly.pdim < dim:
         raise DegenerateError(
             f"divisor polytope has dimension {poly.pdim} < {dim}")
     if not poly.is_lattice:
         raise NonIntegralVertexError(
             "divisor polytope has non-integral vertices", polytope=poly)
-    return LatticePolytope(poly.dim, poly.vertices, poly.halfspaces, poly.pdim)
+    return poly
 
 
-def lattice_hull(points) -> LatticePolytope:
-    """Convex hull of integer points, as a LatticePolytope."""
+def lattice_hull(points) -> ConvexPolytope:
+    """Convex hull of integer points; NonIntegralVertexError otherwise."""
     poly = hrep_from_vrep(points)
-    return LatticePolytope(poly.dim, poly.vertices, poly.halfspaces, poly.pdim)
+    if not poly.is_lattice:
+        raise NonIntegralVertexError(
+            "vertices are not all integral", polytope=poly)
+    return poly
 
 
 def scale(poly: ConvexPolytope, t) -> ConvexPolytope:
@@ -377,11 +347,8 @@ def scale(poly: ConvexPolytope, t) -> ConvexPolytope:
     if t == 0:
         return hrep_from_vrep([tuple(Rat(0) for _ in range(poly.dim))])
     verts = tuple(vscale(v, t) for v in poly.vertices)
-    hs = tuple(HalfSpace(h.normal, h.offset * t) for h in poly.halfspaces)
-    out = ConvexPolytope(poly.dim, verts, hs, poly.pdim)
-    if isinstance(poly, LatticePolytope) and out.is_lattice:
-        return LatticePolytope(out.dim, out.vertices, out.halfspaces, out.pdim)
-    return out
+    hs = tuple(_row(n, off * t) for n, off in poly.halfspaces)
+    return ConvexPolytope(poly.dim, verts, hs, poly.pdim)
 
 
 def translate(poly: ConvexPolytope, v) -> ConvexPolytope:
@@ -389,17 +356,8 @@ def translate(poly: ConvexPolytope, v) -> ConvexPolytope:
     if len(v) != poly.dim:
         raise DimMismatchError("translation vector dimension mismatch")
     verts = tuple(vadd(p, v) for p in poly.vertices)
-    hs = tuple(HalfSpace(h.normal, h.offset + dot(h.normal, v))
-               for h in poly.halfspaces)
-    out = ConvexPolytope(poly.dim, verts, hs, poly.pdim)
-    if isinstance(poly, LatticePolytope) and out.is_lattice:
-        return LatticePolytope(out.dim, out.vertices, out.halfspaces, out.pdim)
-    return out
-
-
-def base_polytope(pair):
-    """Base polytope of a pair-like object (or the polytope itself)."""
-    return getattr(pair, "polytope", pair)
+    hs = tuple(_row(n, off + dot(n, v)) for n, off in poly.halfspaces)
+    return ConvexPolytope(poly.dim, verts, hs, poly.pdim)
 
 
 def anchored(poly):
@@ -415,25 +373,15 @@ def anchored(poly):
 
 def product(p: ConvexPolytope, q: ConvexPolytope) -> ConvexPolytope:
     """Cartesian product P x Q (used for products of toric pairs)."""
-    dim = p.dim + q.dim
-    zeros_q = tuple(Rat(0) for _ in range(q.dim))
-    zeros_p = tuple(Rat(0) for _ in range(p.dim))
     verts = tuple(vp + vq for vp in p.vertices for vq in q.vertices)
-    hs = tuple(HalfSpace(h.normal + zeros_q, h.offset) for h in p.halfspaces)
-    hs += tuple(HalfSpace(zeros_p + h.normal, h.offset) for h in q.halfspaces)
-    out = ConvexPolytope(dim, verts, hs, p.pdim + q.pdim)
-    if out.is_lattice:
-        return LatticePolytope(out.dim, out.vertices, out.halfspaces, out.pdim)
-    return out
+    hs = tuple((n + (0,) * q.dim, off) for n, off in p.halfspaces)
+    hs += tuple(((0,) * p.dim + n, off) for n, off in q.halfspaces)
+    return ConvexPolytope(p.dim + q.dim, verts, hs, p.pdim + q.pdim)
 
 
 # ---------------------------------------------------------------------------
 # volume and lattice points
 # ---------------------------------------------------------------------------
-
-def _facet_vertex_sets(points, dim):
-    return [tight for _, tight in _facets_fulldim(points, dim)]
-
 
 def _triangulate_fulldim(points, dim):
     """Triangulation of a full-dimensional hull into index simplices.
@@ -444,7 +392,7 @@ def _triangulate_fulldim(points, dim):
     if len(points) == dim + 1:
         return [tuple(range(dim + 1))]
     simplices = []
-    for tight in _facet_vertex_sets(points, dim):
+    for tight in _facets_fulldim(points, dim).values():
         if 0 in tight:
             continue
         fpts = [points[i] for i in tight]
@@ -471,13 +419,6 @@ def volume(poly: ConvexPolytope):
         mat = [vsub(pts[i], base) for i in simplex[1:]]
         total += abs(det(mat))
     return total / fact
-
-
-def integer_hrep(poly: ConvexPolytope):
-    """H-rep scaled to all-integer entries: list of (normal tuple, offset)."""
-    rows = [_clear_denominators((*h.normal, h.offset))[1]
-            for h in poly.halfspaces]
-    return [(tuple(r[:-1]), r[-1]) for r in rows]
 
 
 def fiber_box(poly: ConvexPolytope, k=1):
@@ -527,5 +468,5 @@ def lattice_fibers(rows, box):
 
 def lattice_points(poly: ConvexPolytope):
     """All integer points of the polytope, in lexicographic order."""
-    fibers = lattice_fibers(integer_hrep(poly), fiber_box(poly))
+    fibers = lattice_fibers(poly.halfspaces, fiber_box(poly))
     return [(*x, t) for x, a, b in fibers for t in range(a, b + 1)]

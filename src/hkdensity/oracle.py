@@ -54,7 +54,7 @@ class ConvergenceReport(Value):
 
 def _fibers(P, k):
     """Fibers (x', a, b) of the lattice points of k*P."""
-    return geo.lattice_fibers([(n, off * k) for n, off in geo.integer_hrep(P)],
+    return geo.lattice_fibers([(n, off * k) for n, off in P.halfspaces],
                               geo.fiber_box(P, k))
 
 
@@ -86,14 +86,6 @@ def _count(P, q: int, m: int) -> int:
     return total
 
 
-def ehrhart_count(poly, n: int) -> int:
-    """#(n*P intersect Z^dim) for n >= 0."""
-    if n < 0:
-        raise ValueError("nonnegative dilation required")
-    P = geo.base_polytope(poly)
-    return sum(b - a + 1 for _, a, b in _fibers(P, int(n)))
-
-
 def slice_count(pair, q: int, m: int) -> int:
     """Degree-m colength count of the q-th Frobenius-style power.
 
@@ -102,7 +94,7 @@ def slice_count(pair, q: int, m: int) -> int:
     """
     if q < 1 or m < 0:
         raise ValueError("need q >= 1 and m >= 0")
-    return _count(geo.anchored(geo.base_polytope(pair)), q, m)
+    return _count(geo.anchored(pair.polytope), q, m)
 
 
 def f_n(pair, q: int, lam) -> OracleSample:
@@ -113,7 +105,7 @@ def f_n(pair, q: int, lam) -> OracleSample:
     m = floor_rat(Rat(q) * lam)
     count = slice_count(pair, q, m)
     return OracleSample(q=int(q), m=m, count=count, f_value=Rat(
-        count, q ** geo.base_polytope(pair).dim))
+        count, q ** pair.polytope.dim))
 
 
 def oracle_ehk(pair, q: int):
@@ -125,7 +117,7 @@ def oracle_ehk(pair, q: int):
     n+1 vertices v_i with coefficients lambda_i >= 0 summing to m, so for
     m >= (n+1)*q some lambda_i >= q and w - q*v_i lies in (m-q)*P.
     """
-    P = geo.anchored(geo.base_polytope(pair))
+    P = geo.anchored(pair.polytope)
     q = int(q)
     total = sum(_count(P, q, m) for m in range((P.dim + 1) * q))
     return Rat(total, q ** (P.dim + 1))
@@ -137,7 +129,7 @@ def convergence_report(pair, lam, q_list) -> ConvergenceReport:
     lam = Rat(lam)
     samples = tuple(f_n(pair, q, lam) for q in q_list)
     exact = None
-    if geo.base_polytope(pair).dim <= 2:
+    if pair.polytope.dim <= 2:
         from .analysis import hkd_function  # loaded only when it can answer
         exact = hkd_function(pair)(lam)
     gaps = tuple(None if exact is None else abs(s.f_value - exact)

@@ -9,8 +9,8 @@ minuend and translates of one shape, each a nonnegative dilate
 one integer record (rings and facets with a common denominator), from which
 an integer scan of incidence events gives the candidate breakpoints and an
 integer area kernel gives each area sample.  The parameterized area function
-is recovered per interval by exact interpolation with a verification sample,
-bisected if verification ever fails.
+is recovered per interval by exact interpolation with a verification sample;
+a failed verification is a hard error.
 
 Base polytopes of dimension 1 are handled by interval sweeps, dimension 2 by
 boundary integration (Green's theorem over the surviving edges); higher
@@ -27,8 +27,6 @@ from . import geometry as geo
 from .errors import BreakpointVerificationError, UnsupportedDimensionError
 from .piecewise import PiecewisePoly, Poly, lagrange_interpolate
 from .rationals import Rat, Value, ceil_rat, floor_rat
-
-_MAX_BISECTIONS = 40  # halvings of a failing interval before a hard error
 
 
 # ---------------------------------------------------------------------------
@@ -244,7 +242,7 @@ class _FamilyRecord:
             c0, c1 = Rat(c0), Rat(c1)
             dilates.append((
                 [tuple(c * x for c in (c0, c1) for x in v) for v in _ccw(poly)],
-                [(n + pad, (c0 * b, c1 * b)) for n, b in geo.integer_hrep(poly)]))
+                [(n + pad, (c0 * b, c1 * b)) for n, b in poly.halfspaces]))
         shifts = [tuple(Rat(x) for x in u) + pad for u in family.translates]
         rows = [row for ring, facets in dilates
                 for row in ring + [ab for _, ab in facets]] + shifts
@@ -408,10 +406,10 @@ def family_volume_function(family: SliceFamily, lo, hi, *,
     for the combinatorial changes an affine family can undergo.
     Each candidate interval is then interpolated at dim+1 samples and
     verified at one extra sample; a failure (which would indicate a missed
-    event) is bisected up to ``_MAX_BISECTIONS`` times and is a hard error
-    beyond that.  In dimension 2 each sample evaluates the record's integer
-    rings at t and integrates their surviving boundary (``_boundary_area``);
-    no rational vertex, hull or arrangement of the slice is built.
+    event) raises BreakpointVerificationError.  In dimension 2 each sample
+    evaluates the record's integer rings at t and integrates their surviving
+    boundary (``_boundary_area``); no rational vertex, hull or arrangement
+    of the slice is built.
 
     With ``vanish_monotone=True`` (valid when an empty slice stays empty for
     all larger parameters, as holds for these cone families with anchored
@@ -447,24 +445,17 @@ def family_volume_function(family: SliceFamily, lo, hi, *,
             cuts = cuts[:j + 1]
 
     deg = record.dim  # area of an affine family has degree <= dim
-
-    def resolve(a, b, depth):
-        """Pieces on [a, b]: dim+1 samples interpolated, one more checked."""
+    resolved = []
+    for a, b in zip(cuts, cuts[1:]):
+        # dim+1 samples interpolated, one more checked
         step = (b - a) / (deg + 2)
         poly = lagrange_interpolate([(a + j * step, area(a + j * step))
                                      for j in range(1, deg + 2)])
         check = a + step / 2
-        if poly(check) == area(check):
-            return [(a, b, poly)]
-        if depth <= 0:
+        if poly(check) != area(check):
             raise BreakpointVerificationError(
                 f"could not certify a polynomial piece on [{a}, {b}]")
-        m = (a + b) / 2
-        return resolve(a, m, depth - 1) + resolve(m, b, depth - 1)
-
-    resolved = []
-    for a, b in zip(cuts, cuts[1:]):
-        resolved.extend(resolve(a, b, _MAX_BISECTIONS))
+        resolved.append((a, b, poly))
     if tail_from is not None and cuts[-1] < hi:
         resolved.append((cuts[-1], hi, Poly(())))
 

@@ -27,6 +27,12 @@ def intersect(p, q):
         return None
 
 
+def _slack(row, x):
+    """<normal, x> - offset of a facet row (normal, offset), as a Rat."""
+    normal, offset = row
+    return sum((a * b for a, b in zip(normal, x)), Rat(-offset))
+
+
 def _clip(ring, vals):
     """The part of a convex counterclockwise ring where an affine function,
     with values ``vals`` at the ring points, is >= 0."""
@@ -53,14 +59,14 @@ def _difference_rings(minuend, subs):
         lo, hi = lo + (0,), hi + (1,)
     ring = [lo, (hi[0], lo[1]), hi, (lo[0], hi[1])]
     for h in minuend.halfspaces:
-        ring = _clip(ring, [h.eval(p[:minuend.dim]) for p in ring])
+        ring = _clip(ring, [_slack(h, p[:minuend.dim]) for p in ring])
     rings = [ring]
     for sub in subs:
         out = []
         for ring in rings:
             cells, rest = [], ring
             for h in sub.halfspaces:
-                vals = [h.eval(p[:sub.dim]) for p in rest]
+                vals = [_slack(h, p[:sub.dim]) for p in rest]
                 cell = _clip(rest, [-v for v in vals])
                 if len(cell) >= 3:
                     cells.append(cell)

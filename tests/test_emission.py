@@ -84,7 +84,7 @@ def test_grid_samples_take_the_right_hand_piece_and_vanish_outside():
 def _recorded_ops():
     # run_path compiles the file without writing a bytecode cache next to it
     workloads = runpy.run_path(str(PERFBENCH / "workloads.py"))["WORKLOADS"]
-    for workload in ("surfaces", "multiples", "cli_small"):
+    for workload in ("surfaces", "multiples", "oracle", "cli_small"):
         expected = json.loads(
             (PERFBENCH / "expected" / f"{workload}.json").read_text())
         for op_id, argv, spec in workloads[workload]:

@@ -3,13 +3,12 @@ import math
 import random
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from hkdensity import (
     DimMismatchError,
     EmptyRegionError,
-    HalfSpace,
     NegativeScaleError,
     NonIntegralVertexError,
     Rat,
@@ -32,11 +31,11 @@ def _vertex_set(poly):
 
 
 def _facet_set(poly):
-    return {(h.normal, h.offset) for h in poly.halfspaces}
+    return set(poly.halfspaces)
 
 
 def hs(normal, offset):
-    return HalfSpace(tuple(Rat(c) for c in normal), Rat(offset))
+    return tuple(Rat(c) for c in normal), Rat(offset)
 
 
 # --- polytope_from_divisor --------------------------------------------------
@@ -176,6 +175,40 @@ def test_translate_dim_mismatch():
         translate(cell, (1,))
 
 
+# --- canonical integer rows -------------------------------------------------
+
+def _assert_canonical_rows(poly):
+    """Each row is ints with no common factor (lattice_fibers runs range
+    and // on them), and the rows are those of the hull of the vertices."""
+    for normal, offset in poly.halfspaces:
+        row = (*normal, offset)
+        assert all(type(c) is int for c in row)
+        assert math.gcd(*row) == 1
+    assert _facet_set(poly) == _facet_set(hrep_from_vrep(poly.vertices))
+
+
+_SHIFT = st.fractions(min_value=-3, max_value=3, max_denominator=6)
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(points=st.lists(st.tuples(st.integers(-4, 4), st.integers(-4, 4)),
+                       min_size=3, max_size=6),
+       t=st.fractions(min_value=0, max_value=4, max_denominator=6),
+       shift=st.tuples(_SHIFT, _SHIFT))
+def test_random_polygon_moved_rows_are_canonical(points, t, shift):
+    P = lattice_hull(points)
+    assume(P.pdim == 2 and t > 0)
+    for poly in (P, scale(P, t), translate(P, shift)):
+        _assert_canonical_rows(poly)
+
+
+def test_divisor_with_non_primitive_ray_has_canonical_rows():
+    P = polytope_from_divisor([(2, 0), (0, 1), (-1, -1)], [2, 1, 1])
+    assert _facet_set(P) == {((1, 0), -1), ((0, 1), -1), ((-1, -1), -1)}
+    for poly in (P, scale(P, Rat(2, 3)), translate(P, (Rat(1, 2), 3))):
+        _assert_canonical_rows(poly)
+
+
 # --- intersect --------------------------------------------------------------
 
 def test_intersect_disjoint_is_none():
@@ -299,11 +332,11 @@ def test_contains_center_vertex_exterior():
 
 
 def test_lattice_polytope_rejects_rational_vertices():
-    from hkdensity import LatticePolytope
     square = lattice_hull([(0, 0), (1, 0), (0, 1), (1, 1)])
     half = scale(square, Rat(1, 2))
-    with pytest.raises(NonIntegralVertexError):
-        LatticePolytope(half.dim, half.vertices, half.halfspaces, half.pdim)
+    with pytest.raises(NonIntegralVertexError) as err:
+        lattice_hull(half.vertices)
+    assert err.value.polytope.vertices == half.vertices
 
 
 # --- invariants -------------------------------------------------------------

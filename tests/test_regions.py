@@ -6,7 +6,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from hkdensity import regions
 from hkdensity import (
+    BreakpointVerificationError,
     PiecewisePoly,
     Poly,
     Rat,
@@ -125,6 +127,17 @@ def test_constant_family():
                       shape=(square, 0, 1))
     f = family_volume_function(fam, 0, 3)
     assert pw_equal(f, PiecewisePoly.build([0, 3], [Poly.of(4)]))
+
+
+def test_missed_events_fail_certificate(monkeypatch):
+    # without its events the plane's density tail is one candidate interval,
+    # on which no single quadratic passes the verification sample
+    monkeypatch.setattr(regions, "_pair_events", lambda scan: set())
+    monkeypatch.setattr(regions, "_triple_events", lambda scan: set())
+    pair = plane_anticanonical()
+    with pytest.raises(BreakpointVerificationError, match="polynomial piece"):
+        family_volume_function(hk_family(pair.polytope), 0, pair.l,
+                               vanish_monotone=True)
 
 
 @pytest.mark.parametrize("pair_factory", [
