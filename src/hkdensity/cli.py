@@ -6,6 +6,8 @@ Input is a JSON pair spec in one of three forms:
     {"rays": [[1,0],[0,1],[-1,-1]], "coeffs": [1,1,1]}
     {"segre": [SPEC, SPEC, ...]}
 
+Any other key, at any nesting level, is a parse error.
+
 Rationals serialize as strings "p/q" everywhere (JSON and CSV are
 bit-exact); SVG is the only lossy output and is presentation-only.  Every
 engine failure exits nonzero with a machine-readable error JSON carrying a
@@ -51,6 +53,10 @@ def _pair_from_data(data, path="$"):
         raise SpecParseError(
             f"{path}: exactly one of 'vertices', 'rays'+'coeffs', 'segre' required")
     form = forms[0]
+    unknown = sorted(set(data) - {form, "coeffs" if form == "rays" else form})
+    if unknown:
+        raise SpecParseError(f"{path}: unknown key {unknown[0]!r} in a "
+                             f"{'rays+coeffs' if form == 'rays' else form} spec")
     if form == "vertices":
         pts = data["vertices"]
         if not isinstance(pts, list) or not pts:

@@ -26,7 +26,7 @@ from math import lcm
 from . import geometry as geo
 from .errors import BreakpointVerificationError, UnsupportedDimensionError
 from .piecewise import PiecewisePoly, Poly, lagrange_interpolate
-from .rationals import Rat, Value, ceil_rat, floor_rat
+from .rationals import Rat, Value, floor_rat
 
 
 # ---------------------------------------------------------------------------
@@ -166,17 +166,23 @@ _by_start = cmp_to_key(lambda u, v: u[0][0] * v[0][1] - v[0][0] * u[0][1])
 
 
 def cell_translates(poly, lam_max):
-    """Integer translates u with (u + t*P) possibly meeting the unit cell
-    for some 0 <= t <= lam_max (bounding-box superset; exact tests happen
-    at classification time)."""
-    big = geo.scale(poly, lam_max) if lam_max > 0 else poly
-    lo, hi = big.bounding_box()
-    out = []
-    ranges = [range(ceil_rat(-hi[i]), floor_rat(1 - lo[i]) + 1)
-              for i in range(poly.dim)]
-    for u in itertools.product(*ranges):
-        out.append(tuple(Rat(c) for c in u))
-    return out
+    """Integer translates u whose body u + lam_max*P meets the open unit
+    cell, in lexicographic order: the integer points strictly inside
+    cell - lam_max*P, whose rows are P's rows negated and +-e_i (exact up to
+    dimension 2), each n with offset sum(min(n_i, 0)) - lam_max*max <n, v>
+    over the vertices v.  With 0 in P no other u + t*P, t <= lam_max, meets
+    the open cell; a body that does not changes no area and no witness."""
+    lam, dim = Rat(lam_max), poly.dim
+    units = [tuple(s * (j == i) for j in range(dim))
+             for i in range(dim) for s in (1, -1)]
+    rows = []
+    for n in units + [tuple(-c for c in m) for m, _ in poly.halfspaces]:
+        top = max(geo.dot(n, v) for v in poly.vertices)
+        rows.append((n, floor_rat(sum(min(c, 0) for c in n) - lam * top) + 1))
+    # the unit rows bound coordinate i to [rows[2i] offset, -rows[2i+1] offset]
+    box = [(rows[2 * i][1], -rows[2 * i + 1][1]) for i in range(dim - 1)]
+    return [(*x, c) for x, a, b in geo.lattice_fibers(rows, box)
+            for c in range(a, b + 1)]
 
 
 # ---------------------------------------------------------------------------

@@ -5,7 +5,8 @@ engine of ``hkdensity.regions``: a slice, the closed minuend minus the open
 subtrahends, is cut into convex counterclockwise rings by Sutherland-Hodgman
 clipping; its area is an exact shoelace sum.  A base segment [a, b] is
 thickened to [a, b] x [0, 1], so its slices go through the same clipper and
-their areas are lengths.
+their areas are lengths.  The same clipping decides which integer
+translates of a dilate overlap the unit cell, for ``cell_translates``.
 
 CSV rows and SVG plots of a piecewise polynomial sampled one point at a
 time, ``f(end*i/N)`` as a ``Fraction``, for the integer grid sampler of
@@ -101,18 +102,36 @@ def hk_slice(pair, z):
                              [translate(small, u) for u in points])
 
 
+def _unit_cell(dim):
+    return lattice_hull(list(itertools.product((0, 1), repeat=dim)))
+
+
+def _cell_candidates(small):
+    """Integer u in [-hi, 1 - lo] for the bounding box [lo, hi] of
+    ``small``: the only translates u + small that can meet the unit cell."""
+    lo, hi = small.bounding_box()
+    return _box_points([-b for b in hi], [1 - a for a in lo])
+
+
 def phi_slice(pair, lam):
     """Rings of the part of the unit cell left uncovered by the lattice
-    translates u + lam*P; only u in [-hi, 1 - lo] can meet the cell, for
-    the bounding box [lo, hi] of lam*P."""
+    translates u + lam*P."""
     P, lam = pair.polytope, Rat(lam)
-    cell = lattice_hull(list(itertools.product((0, 1), repeat=P.dim)))
+    cell = _unit_cell(P.dim)
     if lam == 0:
         return _difference_rings(cell, [])
     small = scale(P, lam)
-    lo, hi = small.bounding_box()
-    shifts = _box_points([-b for b in hi], [1 - a for a in lo])
-    return _difference_rings(cell, [translate(small, u) for u in shifts])
+    return _difference_rings(cell, [translate(small, u)
+                                    for u in _cell_candidates(small)])
+
+
+def meeting_translates(P, lam):
+    """Integer u, in lexicographic order, whose u + lam*P overlaps the unit
+    cell in positive area (positive length on the line): the candidates
+    whose open body leaves less than the whole cell uncovered."""
+    cell, small = _unit_cell(P.dim), scale(P, Rat(lam))
+    return [u for u in _cell_candidates(small)
+            if area(_difference_rings(cell, [translate(small, u)])) < 1]
 
 
 def ring_difference_area(rings):

@@ -65,6 +65,28 @@ def test_parse_rejects_malformed():
         assert json.loads(text)["error"]["code"] == "parse_error"
 
 
+@pytest.mark.parametrize("spec", [
+    # a fan key on a vertex spec, and a misspelt key
+    '{"vertices": [[0,0],[1,0],[0,1]], "coeffs": [1]}',
+    '{"vertices": [[0,0],[1,0],[0,1]], "verticse": [[5,5]]}',
+    '{"rays": [[1,0],[0,1],[-1,-1]], "coeffs": [1,1,1], "vertices_": []}',
+    '{"segre": [{"vertices": [[0],[1]]}, {"vertices": [[0],[1]]}], "k": 2}',
+    # nested one and two levels down
+    '{"segre": [{"vertices": [[0],[1]]}, {"vertices": [[0],[1]], "coeffs": [1]}]}',
+    '{"segre": [{"vertices": [[0],[1]]}, {"segre": [{"vertices": [[0],[2]]}, '
+    '{"vertices": [[0],[1]], "coeff": [1]}]}]}',
+])
+def test_unknown_spec_keys_are_parse_errors(spec, capsys, monkeypatch):
+    with pytest.raises(SpecParseError):
+        parse_spec(spec)
+    status, text, ext = run_command("ehk", spec)
+    assert (status, ext) == (1, "json")
+    assert json.loads(text)["error"]["code"] == "parse_error"
+    status, out = run(capsys, ["ehk"], spec, monkeypatch)
+    assert status == 1
+    assert json.loads(out)["error"]["code"] == "parse_error"
+
+
 # --- commands ---------------------------------------------------------------------
 
 def test_density_json_round_trip(capsys, monkeypatch):

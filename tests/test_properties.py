@@ -28,10 +28,13 @@ from math import factorial
 
 from hkdensity.analysis import cell_cover_scale
 from hkdensity.geometry import anchored
+from hkdensity.regions import cell_translates
 
 from conftest import (
     FANO_TABLE,
     blowup1_anticanonical,
+    blowup2_anticanonical,
+    blowup3_anticanonical,
     hirzebruch,
     plane_anticanonical,
     plane_degree_one,
@@ -40,7 +43,7 @@ from conftest import (
     symmetric_hexagon,
     unit_square,
 )
-from reference import area, hk_slice, phi_slice
+from reference import area, hk_slice, meeting_translates, phi_slice
 
 ALL_PAIRS = [
     projective_line(1), projective_line(3),
@@ -144,7 +147,7 @@ _UNIMODULAR = st.lists(st.sampled_from([
     ((0, 1), (1, 0)), ((1, 0), (0, -1)),
 ]), min_size=1, max_size=2)
 _SHIFT = st.tuples(st.integers(-3, 3), st.integers(-3, 3))
-_RANDOM_SETTINGS = settings(max_examples=5, deadline=None, derandomize=True)
+_RANDOM_SETTINGS = settings(max_examples=9, deadline=None, derandomize=True)
 
 
 def _polygon_pair(points):
@@ -180,15 +183,22 @@ def test_random_polygon_functions_match_slices(points):
                                  for lam in probes)
 
 
+def _mapped(points, maps, shift=(0, 0)):
+    """Points under the product of the generator ``maps``, then shifted."""
+    for (a, b), (c, d) in maps:
+        points = [(a * x + b * y, c * x + d * y) for x, y in points]
+    return [(x + shift[0], y + shift[1]) for x, y in points]
+
+
+def _image(pair, maps, shift=(0, 0)):
+    return ToricPair(lattice_hull(_mapped(pair.polytope.vertices, maps, shift)))
+
+
 @_RANDOM_SETTINGS
 @given(points=_POLYGON, maps=_UNIMODULAR, shift=_SHIFT)
 def test_random_polygon_functions_unimodular_invariant(points, maps, shift):
     pair = _polygon_pair(points)
-    image = pair.polytope.vertices
-    for (a, b), (c, d) in maps:
-        image = [(a * x + b * y, c * x + d * y) for x, y in image]
-    moved = ToricPair(lattice_hull([(x + shift[0], y + shift[1])
-                                    for x, y in image]))
+    moved = _image(pair, maps, shift)
     assert pw_equal(hkd_function(pair), hkd_function(moved))
     assert pw_equal(phi_function(pair), phi_function(moved))
 
@@ -224,3 +234,124 @@ def test_random_polygon_cell_cover_scale_matches_corner_search(points):
 @pytest.mark.parametrize("pair", ALL_PAIRS)
 def test_cell_cover_scale_matches_corner_search(pair):
     assert cell_cover_scale(pair) == _corner_search_cover_scale(pair)
+
+
+def _translate_sets(pair):
+    """The engine's cell translates and the overlap-filtered box candidates
+    of the anchored base at its cover scale."""
+    P, r = anchored(pair.polytope), cell_cover_scale(pair)
+    return cell_translates(P, r), meeting_translates(P, r)
+
+
+@pytest.mark.parametrize("pair", ALL_PAIRS + [blowup2_anticanonical(),
+                                              blowup3_anticanonical()])
+def test_cell_translates_match_overlap_filter(pair):
+    got, expected = _translate_sets(pair)
+    assert got == expected
+
+
+@_RANDOM_SETTINGS
+@given(points=_POLYGON, maps=_UNIMODULAR, shift=_SHIFT)
+def test_random_polygon_cell_translates_match_overlap_filter(points, maps,
+                                                             shift):
+    pair = _polygon_pair(points)
+    for p in (pair, _image(pair, maps, shift)):
+        got, expected = _translate_sets(p)
+        assert got == expected
+
+
+# --- tiling against the Venkov-McMullen criterion -------------------------------
+
+def _cross(u, v):
+    return u[0] * v[1] - u[1] * v[0]
+
+
+def _ccw_edges(P):
+    """Edge vectors of a lattice polygon, counterclockwise."""
+    n = len(P.vertices)
+    cx = sum(v[0] for v in P.vertices) / n
+    cy = sum(v[1] for v in P.vertices) / n
+    ring = sorted(P.vertices, key=lambda v: math.atan2(v[1] - cy, v[0] - cx))
+    return [(int(b[0] - a[0]), int(b[1] - a[1]))
+            for a, b in zip(ring, ring[1:] + ring[:1])]
+
+
+def _venkov_mcmullen_tiler(P):
+    """Whether the integer lattice tiles the plane with translates of the
+    dilate t*P of area 1.  By Venkov-McMullen only centrally symmetric
+    parallelograms and hexagons tile by translation.  A parallelogram with
+    edges A, B tiles exactly with the lattices that have A or B as a basis
+    vector; a hexagon with consecutive edges A1, A2, A3 only with the
+    lattice of A1 + A2 and A2 + A3.  With A = t*a for integer edges a and
+    t^2 = 1/D, the integer lattice is one of them when D is gcd(a)^2 or
+    gcd(b)^2 for a parallelogram, and when D = s^2 with s dividing
+    a1 + a2 and a2 + a3 for a hexagon, where D = |det| of the two vectors.
+    """
+    e = _ccw_edges(P)
+    n = len(e)
+    if n not in (4, 6) or any(e[i] != (-e[i + n // 2][0], -e[i + n // 2][1])
+                              for i in range(n // 2)):
+        return False
+    if n == 4:
+        a, b = e[0], e[1]
+        return abs(_cross(a, b)) in (math.gcd(*a) ** 2, math.gcd(*b) ** 2)
+    u = (e[0][0] + e[1][0], e[0][1] + e[1][1])
+    v = (e[1][0] + e[2][0], e[1][1] + e[2][1])
+    s = math.isqrt(abs(_cross(u, v)))
+    return s * s == abs(_cross(u, v)) and math.gcd(*u, *v) % s == 0
+
+
+_BASIS = _UNIMODULAR.map(lambda maps: _mapped([(1, 0), (0, 1)], maps))
+
+
+@st.composite
+def _parallelograms(draw):
+    # edges s*U and t*V + k*U on a basis U, V: a tiler when s == t
+    (U, V), s, t, k = (draw(_BASIS), draw(st.integers(1, 4)),
+                       draw(st.integers(1, 3)), draw(st.integers(-2, 2)))
+    a = (s * U[0], s * U[1])
+    b = (t * V[0] + k * U[0], t * V[1] + k * U[1])
+    return [(0, 0), a, (a[0] + b[0], a[1] + b[1]), b]
+
+
+@st.composite
+def _hexagons(draw):
+    # edges p1, p2, p3, -p1, -p2, -p3 with p2 = x*U + y*V and p1 + p2 = s*U,
+    # p2 + p3 = s*V on a positive basis U, V: these turn left in order, a
+    # tiling hexagon, exactly when x, y >= 1 and x + y < s; a shift of p1
+    # by delta breaks the lattice of the tiling
+    U, V = draw(_BASIS)
+    if _cross(U, V) < 0:
+        U, V = V, U
+    s, x, y = (draw(st.integers(3, 4)), draw(st.integers(1, 3)),
+               draw(st.integers(1, 2)))
+    dx, dy = draw(st.sampled_from([(0, 0), (0, 0), (1, 0), (0, 1)]))
+    p2 = (x * U[0] + y * V[0], x * U[1] + y * V[1])
+    p1 = (s * U[0] - p2[0] + dx, s * U[1] - p2[1] + dy)
+    p3 = (s * V[0] - p2[0], s * V[1] - p2[1])
+    points = [(0, 0)]
+    for ex, ey in (p1, p2, p3, (-p1[0], -p1[1]), (-p2[0], -p2[1])):
+        points.append((points[-1][0] + ex, points[-1][1] + ey))
+    return points
+
+
+@pytest.mark.parametrize("points,tiles", [
+    ([(0, 0), (4, 0), (5, 1), (1, 1)], False),    # edges (4,0), (1,1)
+    ([(0, 0), (2, 0), (3, 2), (1, 2)], True),     # edges (2,0), (1,2)
+    ([(0, 0), (1, 0), (0, 1)], False),
+    ([(2, 1), (1, 2), (-1, 1), (-2, -1), (-1, -2), (1, -1)], True),
+    ([(1, 0), (0, 1), (-1, 1), (-1, 0), (0, -1), (1, -1)], False),
+])
+def test_venkov_mcmullen_reference_cases(points, tiles):
+    pair = ToricPair(lattice_hull(points))
+    assert _venkov_mcmullen_tiler(pair.polytope) is tiles
+    assert is_tiler(pair) is tiles
+
+
+@_RANDOM_SETTINGS
+@given(points=st.one_of(_parallelograms(), _hexagons(), _POLYGON),
+       maps=_UNIMODULAR, shift=_SHIFT)
+def test_is_tiler_matches_venkov_mcmullen(points, maps, shift):
+    pair = _polygon_pair(points)
+    for p in (pair, _image(pair, maps, shift)):
+        assert is_tiler(p) == _venkov_mcmullen_tiler(p.polytope)
