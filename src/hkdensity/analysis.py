@@ -16,6 +16,9 @@ that enters the density function is a lattice count.  This module assembles:
   max(0, 1 - Vol(P) * t^{d-1});
 * ``segre_phi`` -- the product rule (1 - phi_{XxY}) = (1 - phi_X)(1 - phi_Y).
 
+A base segment [0, n] (up to translation) is answered in closed form from
+n alone; only planar bases load the area engine in ``regions``.
+
 Everything is exact; the only float in sight is the reported gap B, whose
 fractional exponents force floating point for d >= 3 (its zero test is still
 decided exactly).
@@ -24,10 +27,9 @@ decided exactly).
 from __future__ import annotations
 
 from functools import lru_cache, reduce
-from math import factorial
+from math import factorial, prod
 
 from . import geometry as geo
-from . import regions
 from .errors import (BreakpointVerificationError, DegenerateError,
                      UnsupportedDimensionError)
 from .pairs import SegrePair, ToricPair, segre  # noqa: F401 (segre re-exported)
@@ -53,11 +55,10 @@ def e0(pair):
 def h0(pair) -> int:
     """Number of lattice points of the base polytope (section count)."""
     if isinstance(pair, SegrePair):
-        out = 1
-        for f in pair.factors:
-            out *= h0(f)
-        return out
-    return len(geo.lattice_points(pair.polytope))
+        return prod(h0(f) for f in pair.factors)
+    P = pair.polytope
+    fibers = geo.lattice_fibers(P.halfspaces, geo.fiber_box(P))
+    return sum(b - a + 1 for _, a, b in fibers)
 
 
 def _as_direct_pair(pair):
@@ -79,21 +80,22 @@ def _as_direct_pair(pair):
 @lru_cache(maxsize=256)
 def _hkd_cached(pair: ToricPair) -> PiecewisePoly:
     P = pair.polytope
-    dm1 = P.dim
     vol = geo.volume(P)
-    head = Poly(tuple([Rat(0)] * dm1 + [vol]))  # vol * z^{d-1}
+    if P.dim == 1:
+        # a segment is a translate of [0, n]: its n+1 lattice points carry
+        # disjoint translates of (z-1)*[0, n] until they fill z*[0, n]
+        return PiecewisePoly.build([0, 1, 1 + 1 / vol], [
+            Poly.of(0, vol), Poly.of(vol * (vol + 1), -vol * vol)])
+    from . import regions
     fam = regions.hk_family(P)
     tail = regions.family_volume_function(fam, 0, pair.l, vanish_monotone=True)
     if tail(0) != vol:
         raise BreakpointVerificationError(
             "density function discontinuous at level 1")
-    bps = [Rat(0), Rat(1)]
-    pieces = [head]
-    for i, piece in enumerate(tail.pieces):
-        # reparameterize the tail from t to z = 1 + t
-        bps.append(tail.breakpoints[i + 1] + 1)
-        pieces.append(piece.compose_affine(1, -1))
-    out = PiecewisePoly.build(bps, pieces)
+    # vol * z^2 on [0, 1], then the tail reparameterized from t to z = 1 + t
+    out = PiecewisePoly.build(
+        [0, 1] + [b + 1 for b in tail.breakpoints[1:]],
+        [Poly.of(0, 0, vol)] + [p.compose_affine(1, -1) for p in tail.pieces])
     if not out.is_continuous():
         raise BreakpointVerificationError(
             "density function fails exact continuity")
@@ -129,6 +131,11 @@ def cell_cover_scale(pair) -> int:
 @lru_cache(maxsize=256)
 def _phi_cached(pair: ToricPair) -> PiecewisePoly:
     P = pair.polytope
+    if P.dim == 1:
+        # the translates u + t*[0, n] leave 1 - n*t of the cell uncovered
+        vol = geo.volume(P)
+        return PiecewisePoly.build([0, 1 / vol], [Poly.of(1, -vol)])
+    from . import regions
     r = cell_cover_scale(pair)
     fam = regions.phi_family(P, Rat(r))
     phi = regions.family_volume_function(fam, 0, Rat(r), vanish_monotone=True)

@@ -53,7 +53,7 @@ class DimMismatchError(EngineError):
 
 
 class UnsupportedDimensionError(EngineError):
-    """Exact slicing engine only covers base polytopes of dimension 1 or 2."""
+    """The exact density covers base polytopes of dimension 1 or 2 only."""
 
     code = "unsupported_dimension"
 

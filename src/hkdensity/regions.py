@@ -12,9 +12,10 @@ integer area kernel gives each area sample.  The parameterized area function
 is recovered per interval by exact interpolation with a verification sample;
 a failed verification is a hard error.
 
-Base polytopes of dimension 1 are handled by interval sweeps, dimension 2 by
-boundary integration (Green's theorem over the surviving edges); higher
-dimensions are rejected here (products and the counting oracle cover them).
+The engine is planar: each area sample integrates the surviving boundary
+(Green's theorem over the surviving edges).  Every other base dimension is
+rejected here; ``analysis`` answers a segment in closed form, and products
+and the counting oracle cover higher dimensions.
 """
 
 from __future__ import annotations
@@ -30,29 +31,8 @@ from .rationals import Rat, Value, floor_rat
 
 
 # ---------------------------------------------------------------------------
-# integer area kernels: interval sweep (dimension 1) and Green's theorem over
-# the surviving boundary (dimension 2)
+# integer area kernel: Green's theorem over the surviving boundary
 # ---------------------------------------------------------------------------
-
-def _difference_intervals(a, b, subs):
-    """Sorted parts of [a, b] outside the open intervals ``subs``, all
-    given as pairs of numbers."""
-    covered = []
-    for lo, hi in subs:
-        lo, hi = max(lo, a), min(hi, b)
-        if lo < hi:
-            covered.append((lo, hi))
-    covered.sort()
-    out = []
-    cursor = a
-    for lo, hi in covered:
-        if lo > cursor:
-            out.append((cursor, lo))
-        cursor = max(cursor, hi)
-    if cursor < b:
-        out.append((cursor, b))
-    return out
-
 
 def _cross2(u, v):
     return u[0] * v[1] - u[1] * v[0]
@@ -194,8 +174,8 @@ class SliceFamily(Value):
 
     ``minuend`` and ``shape`` are triples (polytope, c0, c1) that stand for
     the dilate (c0 + c1*t)*polytope, with c0 + c1*t >= 0 on the parameter
-    range; ``translates`` are the vectors u_i.  The dimension is the
-    minuend polytope's.
+    range; ``translates`` are the vectors u_i.  The engine reads only
+    planar families.
     """
 
     __slots__ = ("minuend", "translates", "shape")
@@ -203,11 +183,9 @@ class SliceFamily(Value):
 
 def _ccw(poly):
     """Vertices of a full-dimensional polygon in counterclockwise order from
-    its lowest point, or a segment's two endpoints in increasing order;
-    points are padded to the plane with y = 0."""
-    pts = [tuple(v) + (Rat(0),) * (2 - poly.dim) for v in poly.vertices]
-    p0 = min(pts, key=lambda p: (p[1], p[0]))
-    rest = [p for p in pts if p != p0]
+    its lowest point."""
+    p0 = min(poly.vertices, key=lambda p: (p[1], p[0]))
+    rest = [p for p in poly.vertices if p != p0]
     rest.sort(key=cmp_to_key(
         lambda a, b: -_cross2(geo.vsub(a, p0), geo.vsub(b, p0))))
     return [p0] + rest
@@ -224,8 +202,7 @@ class _FamilyRecord:
     ``facets[k]``, each nx*X + ny*Y >= a + b*t in scaled coordinates, all
     integers.  Each body is a nonnegative dilate of one of two fixed
     polytopes, so its base order stays counterclockwise for every t in range
-    (at scale 0 the ring collapses to one point).  A base of dimension 1 is
-    padded to the plane with y = 0.
+    (at scale 0 the ring collapses to one point).
 
     For the scans a moving point is ((x0, y0) + t*(x1, y1))/den with
     den > 0, an event t = r/c with c > 0, and every test is a
@@ -234,13 +211,10 @@ class _FamilyRecord:
 
     def __init__(self, family, lo, hi):
         for poly, _, _ in (family.minuend, family.shape):
-            if poly.pdim not in (1, 2) or poly.pdim != poly.dim:
+            if poly.pdim != 2 or poly.dim != 2:
                 raise UnsupportedDimensionError(
-                    "exact slicing supports full-dimensional bases of "
-                    f"dimension 1 or 2, got dimension {poly.pdim} in "
-                    f"R^{poly.dim}; use products or the counting oracle")
-        self.dim = family.minuend[0].dim
-        pad = (0,) * (2 - self.dim)
+                    "exact slicing supports full-dimensional polygons only, "
+                    f"got dimension {poly.pdim} in R^{poly.dim}")
         # each dilate (c0 + c1*t)*poly in rational rows: (px, py, qx, qy) per
         # vertex, the integer normal and (a, b) per facet
         dilates = []
@@ -248,8 +222,8 @@ class _FamilyRecord:
             c0, c1 = Rat(c0), Rat(c1)
             dilates.append((
                 [tuple(c * x for c in (c0, c1) for x in v) for v in _ccw(poly)],
-                [(n + pad, (c0 * b, c1 * b)) for n, b in poly.halfspaces]))
-        shifts = [tuple(Rat(x) for x in u) + pad for u in family.translates]
+                [(n, (c0 * b, c1 * b)) for n, b in poly.halfspaces]))
+        shifts = [tuple(Rat(x) for x in u) for u in family.translates]
         rows = [row for ring, facets in dilates
                 for row in ring + [ab for _, ab in facets]] + shifts
         self.scale = lcm(*(int(x.denominator) for row in rows for x in row))
@@ -279,14 +253,9 @@ class _FamilyRecord:
                   for px, py, qx, qy in ring] for ring in self.rings]
         # a body at scale 0 is one point and bounds nothing
         rings = [rings[0]] + [ring for ring in rings[1:] if ring[0] != ring[1]]
-        den = s * self.scale
-        if self.dim == 1:
-            (a, _), (b, _) = rings[0]
-            spans = [(lo, hi) for (lo, _), (hi, _) in rings[1:]]
-            return Rat(sum(y - x for x, y in _difference_intervals(a, b, spans)),
-                       den)
         if rings[0][0] == rings[0][1]:
             return Rat(0)
+        den = s * self.scale
         return _boundary_area(rings) / (2 * den * den)
 
     def window(self, x0, y0, x1, y1, den):
@@ -372,11 +341,8 @@ def _triple_events(scan):
     candidate set complete: a combinatorial change of the arrangement
     restricted to the minuend is a concurrence of three moving lines (two of
     them from one body being the vertex case, coinciding lines being caught
-    by the vertex case as well).  In dimension 1 the pairwise events already
-    cover everything.
+    by the vertex case as well).
     """
-    if scan.dim == 1:
-        return set()
     lines = scan.lines
     events = set()
     for j1, (i1, n1x, n1y, a1, b1) in enumerate(lines):
@@ -410,12 +376,12 @@ def family_volume_function(family: SliceFamily, lo, hi, *,
     together with the triple-line concurrences of distinct bodies, both
     filtered to witnesses inside the closed minuend; this set is complete
     for the combinatorial changes an affine family can undergo.
-    Each candidate interval is then interpolated at dim+1 samples and
+    Each candidate interval is then interpolated at three samples and
     verified at one extra sample; a failure (which would indicate a missed
-    event) raises BreakpointVerificationError.  In dimension 2 each sample
-    evaluates the record's integer rings at t and integrates their surviving
-    boundary (``_boundary_area``); no rational vertex, hull or arrangement
-    of the slice is built.
+    event) raises BreakpointVerificationError.  Each sample evaluates the
+    record's integer rings at t and integrates their surviving boundary
+    (``_boundary_area``); no rational vertex, hull or arrangement of the
+    slice is built.
 
     With ``vanish_monotone=True`` (valid when an empty slice stays empty for
     all larger parameters, as holds for these cone families with anchored
@@ -450,13 +416,13 @@ def family_volume_function(family: SliceFamily, lo, hi, *,
                     "vanishing tail is not identically zero")
             cuts = cuts[:j + 1]
 
-    deg = record.dim  # area of an affine family has degree <= dim
     resolved = []
     for a, b in zip(cuts, cuts[1:]):
-        # dim+1 samples interpolated, one more checked
-        step = (b - a) / (deg + 2)
+        # the area of an affine family is at most quadratic: three samples
+        # interpolated, one more checked
+        step = (b - a) / 4
         poly = lagrange_interpolate([(a + j * step, area(a + j * step))
-                                     for j in range(1, deg + 2)])
+                                     for j in range(1, 4)])
         check = a + step / 2
         if poly(check) != area(check):
             raise BreakpointVerificationError(

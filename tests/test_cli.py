@@ -339,13 +339,23 @@ def test_cli_import_does_not_load_numpy():
     assert "hkdensity.regions" not in loaded
     assert "hkdensity.analysis" not in loaded
     assert "dataclasses" in bare or "dataclasses" not in loaded
+    # a planar base loads the area engine; a line is answered in closed form
+    # by every command and never loads it
     density_run, loaded = python(
         "import json, sys\n"
         "from hkdensity.cli import run_command\n"
-        f"run = run_command('density', {LINE2!r})\n"
+        f"run = run_command('density', {SIMPLEX!r})\n"
         f"print(json.dumps([run, {modules}]))\n")
     assert density_run[0] == 0 and "hkdensity.regions" in loaded
     assert "dataclasses" in bare or "dataclasses" not in loaded
+    line_runs, loaded = python(
+        "import json, sys\n"
+        "from hkdensity.cli import run_command\n"
+        f"runs = [run_command(c, {LINE2!r}) for c in ('density', 'phi', 'report')]\n"
+        f"print(json.dumps([runs, {modules}]))\n")
+    assert [run[0] for run in line_runs] == [0, 0, 0]
+    assert "hkdensity.analysis" in loaded
+    assert "hkdensity.regions" not in loaded
 
 
 @pytest.mark.parametrize("command", ["density", "phi"])
@@ -361,6 +371,40 @@ def test_run_command_reports_failed_certificate(command, monkeypatch):
     status, text, ext = run_command(command, SIMPLEX)
     assert (status, ext) == (1, "json")
     assert json.loads(text)["error"]["code"] == "breakpoint_verification_failed"
+
+
+def test_line_commands_never_run_the_engine(monkeypatch):
+    # every invariant of a line of degree n is a closed form in n, so a
+    # degree far beyond the engine's reach answers without it
+    from hkdensity import analysis, regions
+    from conftest import line_defect_form
+
+    def engine(*args, **kwargs):
+        raise AssertionError("the area engine ran on a line")
+
+    for name in ("family_volume_function", "hk_family", "phi_family"):
+        monkeypatch.setattr(regions, name, engine)
+    analysis._hkd_cached.cache_clear()
+    analysis._phi_cached.cache_clear()
+    n = 10 ** 6
+    spec = json.dumps({"vertices": [[0], [n]]})
+
+    def answer(command, *options):
+        status, text, _ = run_command(command, spec, list(options))
+        assert status == 0, text
+        return json.loads(text)
+
+    assert answer("ehk") == {"e_hk": "1000001/2"}
+    assert answer("ehk", "--k", "3") == {"k": 3, "e_hk_power": "9000003/2"}
+    assert pw_equal(pw_from_json(answer("density")), line_density_form(n))
+    assert pw_equal(pw_from_json(answer("phi")), line_defect_form(n))
+    assert answer("limit") == {"e0": "1000000", "phi_integral": "1/2000000",
+                               "limit_A": "1/2"}
+    assert answer("tiling") == {"is_tiler": True, "B": "0"}
+    report = answer("report")
+    assert report["h0"] == 1000001 and report["e_hk"] == "1000001/2"
+    assert report["tiling_gap_B"] == "0" and report["is_tiler"] is True
+    assert pw_equal(pw_from_json(report["hkd"]), line_density_form(n))
 
 
 def test_readme_examples():

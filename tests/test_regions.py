@@ -106,12 +106,35 @@ def test_family_rejects_higher_dimension():
         family_volume_function(phi_family(cube, 1), 0, 1)
 
 
-@pytest.mark.parametrize("n", [1, 2, 3])
+def test_family_rejects_segment():
+    # a segment is answered in closed form by analysis, never by the engine
+    segment = projective_line(2).polytope
+    with pytest.raises(UnsupportedDimensionError):
+        family_volume_function(hk_family(segment), 0, 2)
+    with pytest.raises(UnsupportedDimensionError):
+        family_volume_function(phi_family(segment, 1), 0, 1)
+
+
+@pytest.mark.parametrize("n", range(1, 13))
 def test_hk_family_line(n):
-    f = family_volume_function(
-        hk_family(projective_line(n).polytope), 0, 2 * n, vanish_monotone=True)
-    expected = PiecewisePoly.build([0, Rat(1, n)], [Poly.of(n, -n * n)])
-    assert pw_equal(f, expected)
+    # past z = 1 the density of a segment is the area function of its family
+    # (1+t)P minus u + tP; the reference slices a thickened segment
+    pair = projective_line(n)
+    f = hkd_function(pair)
+    tail = PiecewisePoly.build([0, Rat(1, n)], [Poly.of(n, -n * n)])
+    for k in range(4 * n + 9):
+        z = Rat(k, 4 * n)
+        expected = n * z if z <= 1 else tail(z - 1)
+        assert f(z) == expected == area(hk_slice(pair, z))
+
+
+@pytest.mark.parametrize("n", range(1, 13))
+def test_phi_family_line(n):
+    from hkdensity import phi_function
+    pair = projective_line(n)
+    phi = phi_function(pair)
+    for t in [Rat(k, 4 * n) for k in range(9)]:
+        assert phi(t) == max(0, 1 - n * t) == area(phi_slice(pair, t))
 
 
 def test_phi_family_square_side_two():
