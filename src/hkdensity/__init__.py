@@ -22,6 +22,7 @@ _EXPORTS = {
         "hkd_function", "is_tiler", "limit_A", "pair_volume", "phi_function",
         "phi_integral", "phi_scaled", "segre_phi", "tiling_gap_B",
     ),
+    "cli": ("pw_to_json",),
     "errors": (
         "BreakpointVerificationError", "DegenerateError", "DimMismatchError",
         "EmptyRegionError", "EngineError", "NegativeScaleError",
@@ -40,7 +41,6 @@ _EXPORTS = {
     "pairs": ("SegrePair", "ToricPair", "segre"),
     "piecewise": (
         "PiecewisePoly", "Poly", "pw_combine", "pw_equal", "pw_from_json",
-        "pw_to_json",
     ),
     "rationals": ("Rat", "parse_rat", "rat_str"),
     "regions": (

@@ -57,8 +57,9 @@ def h0(pair) -> int:
     if isinstance(pair, SegrePair):
         return prod(h0(f) for f in pair.factors)
     P = pair.polytope
-    fibers = geo.lattice_fibers(P.halfspaces, geo.fiber_box(P))
-    return sum(b - a + 1 for _, a, b in fibers)
+    lines = geo.lattice_lines(P.halfspaces, geo.fiber_box(P))
+    return sum(max(b - a + 1, 0) for *_, bottoms, tops in lines
+               for a, b in zip(bottoms, tops))
 
 
 def _as_direct_pair(pair):
@@ -121,7 +122,9 @@ def cell_cover_scale(pair) -> int:
     for r in range(1, 65):
         # v + [0,1]^n lies in r*P iff v meets each row at its worst corner
         eroded = [(n, r * off - sum(min(c, 0) for c in n)) for n, off in rows]
-        if any(geo.lattice_fibers(eroded, geo.fiber_box(P, r))):
+        lines = geo.lattice_lines(eroded, geo.fiber_box(P, r))
+        if any(a <= b for *_, bottoms, tops in lines
+               for a, b in zip(bottoms, tops)):
             return r
     raise DegenerateError(
         "no multiple r*P with r <= 64 contains a translate of the unit cell; "

@@ -26,7 +26,6 @@ from pathlib import Path
 
 from .errors import EngineError, SpecParseError
 from .pairs import SegrePair, ToricPair, segre
-from .piecewise import pw_to_json
 from .rationals import Rat, parse_rat, rat_str, ratio_str
 
 
@@ -95,6 +94,14 @@ def parse_spec(text: str):
 
 def _b_string(b: float) -> str:
     return "0" if b == 0 else repr(b)
+
+
+def pw_to_json(f) -> dict:
+    """JSON document of a ``piecewise.PiecewisePoly``."""
+    return {
+        "breakpoints": [rat_str(b) for b in f.breakpoints],
+        "pieces": [[rat_str(c) for c in p.coeffs] for p in f.pieces],
+    }
 
 
 def report_to_json(rep) -> dict:

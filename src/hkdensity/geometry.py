@@ -428,16 +428,17 @@ def fiber_box(poly: ConvexPolytope, k=1):
             for lo, hi in zip(los[:-1], his[:-1])]
 
 
-def lattice_fibers(rows, box):
-    """Integer points of {x : <normal, x> >= offset for each row} by fibers
-    along the last coordinate.
+def lattice_lines(rows, box):
+    """Integer points of {x : <normal, x> >= offset for each row} by lines
+    along coordinate n-1.
 
     ``rows`` are integer (normal, offset) pairs bounding the last coordinate
     from both sides, ``box`` an integer (lo, hi) range for each of the first
-    n-1 coordinates.  Yields (x', a, b) for each x' of the box, in
-    lexicographic order, whose last coordinate runs through a nonempty
-    interval [a, b].  The box is walked by lines along coordinate n-1; a
-    dummy first coordinate fixed at 0 gives n = 1 its line.
+    n-1 coordinates.  Yields (prefix, j0, bottoms, tops) for each line of
+    the box, in lexicographic order: (*prefix, j0 + i, t)[1:] is a point iff
+    bottoms[i] <= t <= tops[i] (fiber i of the line).  (*prefix, j) starts
+    with a dummy coordinate fixed at 0, which gives n = 1 its line: there
+    prefix is (), j0 is 0 and the line has one fiber.
     """
     rows = [((0, *n), off) for n, off in rows]
     *outer, (lo, hi) = [(0, 0), *box]
@@ -456,17 +457,17 @@ def lattice_fibers(rows, box):
             elif r > 0:
                 j1 = j0 - 1
         js = range(j0, j1 + 1)
-        tops = reduce(lambda u, v: map(min, u, v),
+        tops = reduce(lambda u, v: list(map(min, u, v)),
                       [[(r - d * j) // c for j in js] for d, c, r in upper])
-        bottoms = reduce(lambda u, v: map(max, u, v),
+        bottoms = reduce(lambda u, v: list(map(max, u, v)),
                          [[-((d * j - r) // c) for j in js]
                           for d, c, r in lower])
-        for j, a, b in zip(js, bottoms, tops):
-            if a <= b:
-                yield (*prefix, j)[1:], a, b
+        yield prefix, j0, bottoms, tops
 
 
 def lattice_points(poly: ConvexPolytope):
     """All integer points of the polytope, in lexicographic order."""
-    fibers = lattice_fibers(poly.halfspaces, fiber_box(poly))
-    return [(*x, t) for x, a, b in fibers for t in range(a, b + 1)]
+    lines = lattice_lines(poly.halfspaces, fiber_box(poly))
+    return [(*x, j, t)[1:] for x, j0, bottoms, tops in lines
+            for j, (a, b) in enumerate(zip(bottoms, tops), j0)
+            for t in range(a, b + 1)]

@@ -8,16 +8,14 @@ and w - q*u lies outside (m-q)*P for every lattice point u of P.  Counts
 are dimension-agnostic and q ranges over all positive integers; the
 normalized counts converge to the density function either way.
 
-Counts go by fibers along the last coordinate (``geometry.lattice_fibers``):
-each fiber of m*P counts its interval minus the union of the intervals of
-the translates q*u + (m-q)*P, read off one shifted fiber table of (m-q)*P.
-Memory is O(m^(n-1)) fibers (n = dim P), and everything runs on Python
-integers, so counts are exact at any size.
+Counts go by lines along the last two coordinates (``geometry.lattice_lines``):
+each line of a translate q*u + (m-q)*P lands whole on a line of m*P, and
+covers it in closed form where no other translate's line meets its range
+of fibers; only overlapping lines are united fiber by fiber.  Everything
+runs on Python integers, so counts are exact at any size.
 """
 
 from __future__ import annotations
-
-import operator
 
 from . import geometry as geo
 from .rationals import Rat, Value, floor_rat, rat_str
@@ -52,38 +50,73 @@ class ConvergenceReport(Value):
         return rows
 
 
-def _fibers(P, k):
-    """Fibers (x', a, b) of the lattice points of k*P."""
-    return geo.lattice_fibers([(n, off * k) for n, off in P.halfspaces],
-                              geo.fiber_box(P, k))
+def _lines(P, k):
+    """Lines (prefix, j0, bottoms, tops) of the lattice points of k*P."""
+    return geo.lattice_lines([(n, off * k) for n, off in P.halfspaces],
+                             geo.fiber_box(P, k))
 
 
 def _count(P, q: int, m: int) -> int:
     """#{w in m*P : w - q*u lies outside (m-q)*P for every lattice point u
     of P}, the constraint dropped for m < q."""
-    total = sum(b - a + 1 for _, a, b in _fibers(P, m))
+    total = sum(max(b - a + 1, 0) for *_, bottoms, tops in _lines(P, m)
+                for a, b in zip(bottoms, tops))
     if m < q:
         return total
-    # q*u + (m-q)*P lies in q*P + (m-q)*P = m*P, so each translate interval
-    # lies in its fiber of m*P; collect them per fiber and remove their union
-    inner = list(_fibers(P, m - q))
-    covers = {}
-    for u, lo, hi in _fibers(P, 1):
-        shift = [q * c for c in u]
-        for x, a, b in inner:
-            spans = covers.setdefault(tuple(map(operator.add, x, shift)), [])
-            if b - a + 1 >= q:  # translates along the fiber of u meet: one span
-                spans.append((a + q * lo, b + q * hi))
+    # q*u + (m-q)*P lies in q*P + (m-q)*P = m*P: a line of (m-q)*P shifted by
+    # q*u' for a fiber (u', lo, hi) of P lands on a line of m*P
+    inner = []  # (x, j0, j1, bottoms, tops, sum of sizes L, sum of min(L, q))
+    for x, j0, bottoms, tops in _lines(P, m - q):
+        sizes = [max(b - a + 1, 0) for a, b in zip(bottoms, tops)]
+        inner.append((x, j0, j0 + len(sizes) - 1, bottoms, tops, sum(sizes),
+                      sum(min(size, q) for size in sizes)))
+    targets = {}
+    for u, uj0, lows, highs in _lines(P, 1):
+        for uj, (lo, hi) in enumerate(zip(lows, highs), uj0):
+            if lo > hi:
+                continue
+            for k, (x, j0, j1, *_) in enumerate(inner):
+                key = tuple(a + q * c for a, c in zip(x, u))
+                targets.setdefault(key, []).append(
+                    (j0 + q * uj, j1 + q * uj, k, lo, hi))
+    for line in targets.values():
+        runs = []  # [reach, *shifted lines]: fiber ranges chained by overlap
+        for c in sorted(line):
+            if runs and c[0] <= runs[-1][0]:
+                runs[-1][0] = max(runs[-1][0], c[1])
+                runs[-1].append(c)
             else:
-                spans.extend((a + q * t, b + q * t) for t in range(lo, hi + 1))
+                runs.append([c[1], c])
+        total -= sum(_covered(q, inner, run) for _, *run in runs)
+    return total
+
+
+def _covered(q, inner, run):
+    """Points covered by a run of lines of ``inner`` shifted onto one line.
+    A fiber of size L shifted by q*t, t in lo..hi, covers L + (hi-lo)*min(L, q)
+    points, so a run of one line is a closed form in its sums; a longer run
+    unites the spans of each fiber."""
+    if len(run) == 1:
+        _, _, k, lo, hi = run[0]
+        *_, size, capped = inner[k]
+        return size + (hi - lo) * capped
+    covers, covered = {}, 0
+    for start, _, k, lo, hi in run:
+        _, _, _, bottoms, tops, *_ = inner[k]
+        for j, (a, b) in enumerate(zip(bottoms, tops), start):
+            if b - a + 1 >= q:  # translates along the fiber of u meet: one span
+                covers.setdefault(j, []).append((a + q * lo, b + q * hi))
+            elif a <= b:
+                covers.setdefault(j, []).extend(
+                    (a + q * t, b + q * t) for t in range(lo, hi + 1))
     for spans in covers.values():
         spans.sort()
         reach = spans[0][0] - 1
         for a, b in spans:
             if b > reach:
-                total -= b - max(a - 1, reach)
+                covered += b - max(a - 1, reach)
                 reach = b
-    return total
+    return covered
 
 
 def slice_count(pair, q: int, m: int) -> int:

@@ -11,7 +11,7 @@ from __future__ import annotations
 import bisect
 from math import lcm
 
-from .rationals import Rat, Value, parse_rat, rat_str
+from .rationals import Rat, Value, parse_rat
 
 
 # ---------------------------------------------------------------------------
@@ -270,13 +270,6 @@ def pw_equal(f: PiecewisePoly, g: PiecewisePoly) -> bool:
     """Exact equality as functions on all of R."""
     diff = pw_combine(f, g, "sub")
     return not diff.pieces
-
-
-def pw_to_json(f: PiecewisePoly) -> dict:
-    return {
-        "breakpoints": [rat_str(b) for b in f.breakpoints],
-        "pieces": [[rat_str(c) for c in p.coeffs] for p in f.pieces],
-    }
 
 
 def pw_from_json(data: dict) -> PiecewisePoly:

@@ -161,7 +161,9 @@ def cell_translates(poly, lam_max):
         rows.append((n, floor_rat(sum(min(c, 0) for c in n) - lam * top) + 1))
     # the unit rows bound coordinate i to [rows[2i] offset, -rows[2i+1] offset]
     box = [(rows[2 * i][1], -rows[2 * i + 1][1]) for i in range(dim - 1)]
-    return [(*x, c) for x, a, b in geo.lattice_fibers(rows, box)
+    lines = geo.lattice_lines(rows, box)
+    return [(*x, j, c)[1:] for x, j0, bottoms, tops in lines
+            for j, (a, b) in enumerate(zip(bottoms, tops), j0)
             for c in range(a, b + 1)]
 
 

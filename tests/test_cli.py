@@ -310,6 +310,8 @@ def test_cli_import_does_not_load_numpy():
     bare = set(python(f"import json, sys; print({modules})"))
     cli_loaded = python(f"import hkdensity.cli, json, sys; print({modules})")
     assert "numpy" not in cli_loaded
+    # emission reads piecewise values without importing their module
+    assert "hkdensity.piecewise" not in cli_loaded
     # csv is imported only when a command writes csv
     assert "csv" in bare or "csv" not in cli_loaded
     # with numpy unimportable, the counting commands still run; on a base
@@ -338,6 +340,7 @@ def test_cli_import_does_not_load_numpy():
     assert "hkdensity.oracle" in loaded
     assert "hkdensity.regions" not in loaded
     assert "hkdensity.analysis" not in loaded
+    assert "hkdensity.piecewise" not in loaded
     assert "dataclasses" in bare or "dataclasses" not in loaded
     # a planar base loads the area engine; a line is answered in closed form
     # by every command and never loads it

@@ -178,7 +178,7 @@ def test_translate_dim_mismatch():
 # --- canonical integer rows -------------------------------------------------
 
 def _assert_canonical_rows(poly):
-    """Each row is ints with no common factor (lattice_fibers runs range
+    """Each row is ints with no common factor (lattice_lines runs range
     and // on them), and the rows are those of the hull of the vertices."""
     for normal, offset in poly.halfspaces:
         row = (*normal, offset)

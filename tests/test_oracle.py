@@ -216,23 +216,23 @@ def test_convergence_exact_at_matching_denominator():
         assert sample.f_value - f(Rat(1, 2)) == Rat(q + 1, q * q)
 
 
-# --- fiber-interval kernel against a brute-force box scan ---------------------------
+# --- line kernel against a brute-force box scan -----------------------------------
 
 def _brute_count(P, q, m):
     """Points w of the box of m*P with w in m*P and, for m >= q, w - q*u
     outside (m-q)*P for every lattice point u of P; pure-Python integers."""
-    def inside(x, t):
-        return all(sum(n * c for n, c in zip(normal, x)) >= off * t
-                   for normal, off in P.halfspaces)
-
-    def box(t):
+    def points(t):
         lo, hi = P.bounding_box()
-        return itertools.product(*(range(math.ceil(a * t), math.floor(b * t) + 1)
-                                   for a, b in zip(lo, hi)))
+        box = itertools.product(*(range(math.ceil(a * t), math.floor(b * t) + 1)
+                                  for a, b in zip(lo, hi)))
+        return [x for x in box if all(
+            sum(n * c for n, c in zip(normal, x)) >= off * t
+            for normal, off in P.halfspaces)]
 
-    gens = [u for u in box(1) if inside(u, 1)]
-    return sum(1 for w in box(m) if inside(w, m) and (m < q or not any(
-        inside([c - q * e for c, e in zip(w, u)], m - q) for u in gens)))
+    gens = points(1)
+    inner = set(points(m - q)) if m >= q else set()
+    return sum(1 for w in points(m) if not any(
+        tuple(c - q * e for c, e in zip(w, u)) in inner for u in gens))
 
 
 _POLYGON = st.lists(st.tuples(st.integers(-3, 3), st.integers(-3, 3)),
@@ -264,6 +264,35 @@ def test_slice_count_matches_brute_force_on_segre_products(length, points, q,
     pair = segre(ToricPair.from_vertices([(0,), (length,)]),
                  _polygon_pair(points))
     m = data.draw(st.integers(0, 2 * q + 1), label="m")
+    assert slice_count(pair, q, m) == _brute_count(pair.polytope, q, m)
+
+
+# m in (q, 2q]: an inner line of (m-q)*P shifted by q*u either meets no other
+# shifted line on its target line of m*P (closed form) or overlaps one (union)
+_SMALL_POLYGON = st.lists(st.tuples(st.integers(0, 2), st.integers(0, 2)),
+                          min_size=3, max_size=6)
+
+
+@settings(max_examples=30, deadline=None, derandomize=True)
+@given(points=_SMALL_POLYGON, length=st.integers(0, 1), q=st.integers(3, 8),
+       data=st.data())
+def test_slice_count_matches_brute_force_past_q(points, length, q, data):
+    pair = _polygon_pair(points)
+    if length:
+        pair = segre(ToricPair.from_vertices([(0,), (length,)]), pair)
+    m = data.draw(st.integers(q + 1, 2 * q), label="m")
+    assert slice_count(pair, q, m) == _brute_count(pair.polytope, q, m)
+
+
+@pytest.mark.parametrize("factors,q,m", [
+    ([1, 1, 1], 3, 5), ([1, 1, 1], 3, 6), ([1, 1, 1], 4, 7),
+    ([1, 2, 1, 1], 3, 4), ([1, 2, 1, 1], 3, 5), ([1, 1, 2, 1], 3, 6),
+    ([3], 3, 5), ([5], 4, 8), ([2], 7, 9),
+], ids=["cube-5", "cube-6", "cube-7", "box4d-4", "box4d-5", "box4d-6",
+        "segment-5", "segment-8", "segment-9"])
+def test_slice_count_matches_brute_force_on_boxes(factors, q, m):
+    lines = [ToricPair.from_vertices([(0,), (a,)]) for a in factors]
+    pair = segre(*lines) if len(lines) > 1 else lines[0]
     assert slice_count(pair, q, m) == _brute_count(pair.polytope, q, m)
 
 
