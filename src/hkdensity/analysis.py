@@ -58,8 +58,7 @@ def h0(pair) -> int:
         return prod(h0(f) for f in pair.factors)
     P = pair.polytope
     lines = geo.lattice_lines(P.halfspaces, geo.fiber_box(P))
-    return sum(max(b - a + 1, 0) for *_, bottoms, tops in lines
-               for a, b in zip(bottoms, tops))
+    return geo.lattice_count(lines)
 
 
 def _as_direct_pair(pair):

@@ -14,15 +14,18 @@ engine failure exits nonzero with a machine-readable error JSON carrying a
 stable code.
 
 Only the layers a command runs are imported: spec parsing needs the pair
-types alone, and each handler loads ``analysis`` or ``oracle`` itself.
+types alone, and each handler loads ``analysis`` or ``oracle`` itself.  The
+command line is read in one pass against the command and flag tables
+(``_COMMANDS``, ``_FLAGS``), with argparse's exit statuses and messages but
+without importing it.
 """
 
 from __future__ import annotations
 
-import argparse
 import json
+import re
 import sys
-from pathlib import Path
+from types import SimpleNamespace
 
 from .errors import EngineError, SpecParseError
 from .pairs import SegrePair, ToricPair, segre
@@ -277,85 +280,210 @@ def _cmd_convergence(pair, args):
     return _csv_text(rep.csv_rows()), "csv"
 
 
-# name -> (handler, output formats, the other flags the handler reads)
+# name -> (handler, output formats, the other flags the handler reads, help)
 _COMMANDS = {
-    "density": (_cmd_density, ("json", "csv", "svg"), ("--samples",)),
-    "phi": (_cmd_phi, ("json", "csv", "svg"), ("--samples", "--k")),
-    "ehk": (_cmd_ehk, (), ("--k",)),
-    "limit": (_cmd_limit, (), ()),
-    "tiling": (_cmd_tiling, (), ()),
-    "report": (_cmd_report, (), ()),
-    "segre": (_cmd_segre, (), ()),
-    "oracle": (_cmd_oracle, (), ("--q", "--lambda")),
-    "convergence": (_cmd_convergence, ("json", "csv"), ("--q", "--lambda")),
-}
-
-_FLAGS = {
-    "--samples": {"dest": "samples", "type": int, "default": 512,
-                  "help": "sample count for csv/svg emission"},
-    "--q": {"dest": "q_raw", "default": None,
-            "help": "Frobenius level (oracle) or comma list (convergence)"},
-    "--lambda": {"dest": "lam_raw", "default": None,
-                 "help": "parameter as an exact rational 'p/q'"},
-    "--k": {"dest": "k", "type": int, "default": 1,
-            "help": "divisor multiple (phi scaling / ehk power)"},
+    "density": (_cmd_density, ("json", "csv", "svg"), ("--samples",),
+                "the density function"),
+    "phi": (_cmd_phi, ("json", "csv", "svg"), ("--samples", "--k"),
+            "the defect function, of the k-th multiple"),
+    "ehk": (_cmd_ehk, (), ("--k",), "e_HK, or its value for the k-th power"),
+    "limit": (_cmd_limit, (), (), "e0, the integral of phi and limit_A"),
+    "tiling": (_cmd_tiling, (), (), "the tiling test and its gap B"),
+    "report": (_cmd_report, (), (), "every invariant in one JSON document"),
+    "segre": (_cmd_segre, (), (), "report for a segre spec"),
+    "oracle": (_cmd_oracle, (), ("--q", "--lambda"), "one lattice count"),
+    "convergence": (_cmd_convergence, ("json", "csv"), ("--q", "--lambda"),
+                    "lattice counts against the exact value"),
 }
 
 
-def _build_parser():
-    parser = argparse.ArgumentParser(
-        prog="hkdensity",
-        description="Exact Hilbert-Kunz density functions, multiplicities and "
-                    "tiling tests for toric pairs.")
-    # a command that does not take a flag still reads its default
-    parser.set_defaults(**{f["dest"]: f["default"] for f in _FLAGS.values()})
-    sub = parser.add_subparsers(dest="command", required=True)
-    for name, (_, formats, flags) in _COMMANDS.items():
-        p = sub.add_parser(name)
-        p.add_argument("--input", default="-",
-                       help="pair spec JSON file ('-' for stdin)")
-        p.add_argument("--output", default=None,
-                       help="output directory (default: stdout)")
-        if formats:
-            p.add_argument("--format", choices=formats, default="json")
-        for flag in flags:
-            p.add_argument(flag, **_FLAGS[flag])
-    return parser
+def _choice(value, choices):
+    if value not in choices:
+        raise ValueError(f"invalid choice: {value!r} "
+                         f"(choose from {', '.join(map(repr, choices))})")
+    return value
 
 
-def _post_process_args(args):
+def _int(value, command):
+    try:
+        return int(value)
+    except ValueError:
+        raise ValueError(f"invalid int value: {value!r}") from None
+
+
+def _positive(flag, value, command):
+    if value < 1:
+        raise SpecParseError(f"{flag}: positive integer required")
+    return value
+
+
+def _levels(flag, text, command):
     # oracle takes one Frobenius level, convergence a comma list of them
-    args.q = None
-    if args.q_raw is not None:
-        many = args.command == "convergence"
-        parts = str(args.q_raw).split(",") if many else [args.q_raw]
+    many = command == "convergence"
+    try:
+        values = [int(p) for p in (text.split(",") if many else [text]) if p]
+    except ValueError as exc:
+        expected = "a comma list of integers" if many else "an integer"
+        raise SpecParseError(f"--q: expected {expected}, got {text!r}") from exc
+    if not values or any(v < 1 for v in values):
+        raise SpecParseError("--q: positive integers required")
+    return values if many else values[0]
+
+
+def _parameter(flag, text, command):
+    try:
+        lam = parse_rat(text)
+    except (ValueError, ZeroDivisionError) as exc:
+        raise SpecParseError(f"--lambda: expected 'p/q', got {text!r}") from exc
+    if lam < 0:
+        raise SpecParseError("--lambda: nonnegative rational required")
+    return lam
+
+
+# flag -> (dest, metavar, default, convert, check, help).  A value that
+# ``convert`` rejects (None: any text) is a usage error, like an unknown flag;
+# ``check`` reads the last value given, and what it rejects is a parse_error.
+_FLAGS = {
+    "--input": ("input", "FILE", "-", None, None,
+                "pair spec JSON file, '-' for stdin"),
+    "--output": ("output", "DIR", None, None, None,
+                 "output directory (default: stdout)"),
+    "--format": ("format", None, "json",
+                 lambda value, command: _choice(value, _COMMANDS[command][1]),
+                 None, "output format"),
+    "--samples": ("samples", "N", 512, _int, _positive,
+                  "sample count for csv/svg emission"),
+    "--k": ("k", "N", 1, _int, _positive, "divisor multiple"),
+    "--q": ("q", "Q", None, None, _levels,
+            "Frobenius level (convergence: a comma list)"),
+    "--lambda": ("lam", "P/Q", None, None, _parameter,
+                 "parameter, an exact rational"),
+}
+_HELP = ("-h", "--help")
+_NEGATIVE = re.compile(r"^-\d+$|^-\d*\.\d+$").match  # a value, not a flag
+
+
+class _UsageError(Exception):
+    """Exit status 2: args are (command or None for the top level, message)."""
+
+
+def _command_flags(command):
+    _, formats, flags, _ = _COMMANDS[command]
+    return ("--input", "--output") + ("--format",) * bool(formats) + flags
+
+
+def _spelled(flag, command):
+    metavar = _FLAGS[flag][1] or "{" + ",".join(_COMMANDS[command][1]) + "}"
+    return f"{flag} {metavar}"
+
+
+def _usage(command):
+    if command is None:
+        return f"usage: hkdensity [-h] {{{','.join(_COMMANDS)}}} ..."
+    return " ".join([f"usage: hkdensity {command} [-h]"] + [
+        f"[{_spelled(flag, command)}]" for flag in _command_flags(command)])
+
+
+def _help(command):
+    """Help text of the top level (command None) or of one command."""
+    options = [("-h, --help", "show this help message and exit")]
+    if command is None:
+        about = ("Exact Hilbert-Kunz density functions, multiplicities and "
+                 "tiling tests for toric pairs.")
+        sections = {"commands": [(name, entry[3])
+                                 for name, entry in _COMMANDS.items()]}
+    else:
+        about, sections = _COMMANDS[command][3], {}
+        for flag in _command_flags(command):
+            _, _, default, _, _, text = _FLAGS[flag]
+            options.append((_spelled(flag, command), text if default is None
+                            else f"{text} (default: {default})"))
+    sections["options"] = options
+    width = 2 + max(len(name) for rows in sections.values() for name, _ in rows)
+    lines = [_usage(command), "", about]
+    for title, rows in sections.items():
+        lines += ["", f"{title}:"] + [f"  {name:<{width}}{text}" for name, text in rows]
+    return "\n".join(lines) + "\n"
+
+
+def _option(arg, flags, command):
+    """Read ``arg`` as argparse does: None for a value or a positional, else
+    (flag, value attached with '=' or None), flag None for an unknown option.
+    A long flag may be shortened to a prefix that is unique among ``flags``."""
+    if arg[:1] != "-" or arg in ("-", "--"):
+        return None
+    name, eq, value = arg.partition("=")
+    value = value if eq else None
+    if name in flags:
+        return name, value
+    # only a long flag is shortened; -hx is unknown (argparse 3.13 reads -h)
+    matches = [f for f in flags if f.startswith(name)] if arg[1] == "-" else []
+    if len(matches) > 1:
+        raise _UsageError(command, f"ambiguous option: {arg} could match "
+                                   f"{', '.join(matches)}")
+    if matches:
+        return matches[0], value
+    return None if _NEGATIVE(arg) or " " in arg else (None, None)
+
+
+def _parse(argv):
+    """One pass over ``argv`` against the tables: the help text for -h or
+    --help, else a namespace of the command and every flag's checked value.
+    Raises _UsageError where argparse would exit 2 (the first failing
+    argument wins; unrecognized ones are reported last) and SpecParseError
+    for a value that its flag's check rejects."""
+    argv = list(argv)
+    command, end, given, extras = None, len(argv), {}, []
+    kinds = [_option(arg, _HELP, None) for arg in argv]
+    j = 0
+    while j < len(argv):
+        arg, kind, j = argv[j], kinds[j], j + 1
+        if kind is None and command is None:
+            try:
+                command = _choice(arg, _COMMANDS)
+            except ValueError as exc:
+                raise _UsageError(None, f"argument command: {exc}") from None
+            if "--" in argv[j:]:  # every argument after it is a positional
+                end = argv.index("--", j)
+            # read all before using any: an ambiguous prefix beats any error
+            flags = _HELP + _command_flags(command)
+            kinds[j:] = [_option(a, flags, command) if k < end else None
+                         for k, a in enumerate(argv[j:], j)]
+            continue
+        flag, value = kind or (None, None)
+        if flag is None:
+            extras.append(arg)
+            continue
+        if flag in _HELP:
+            if value is not None:
+                raise _UsageError(command, "argument -h/--help: ignored "
+                                           f"explicit argument {value!r}")
+            return _help(command)
+        if value is None:
+            if j >= end or kinds[j] is not None:
+                raise _UsageError(command, f"argument {flag}: expected one argument")
+            value, j = argv[j], j + 1
+        convert = _FLAGS[flag][3]
         try:
-            values = [int(p) for p in parts if p]
+            given[flag] = convert(value, command) if convert else value
         except ValueError as exc:
-            expected = "a comma list of integers" if many else "an integer"
-            raise SpecParseError(
-                f"--q: expected {expected}, got {args.q_raw!r}") from exc
-        if not values or any(v < 1 for v in values):
-            raise SpecParseError("--q: positive integers required")
-        args.q = values if many else values[0]
-    args.lam = None
-    if args.lam_raw is not None:
-        try:
-            args.lam = parse_rat(args.lam_raw)
-        except (ValueError, ZeroDivisionError) as exc:
-            raise SpecParseError(f"--lambda: expected 'p/q', got {args.lam_raw!r}") from exc
-        if args.lam < 0:
-            raise SpecParseError("--lambda: nonnegative rational required")
-    if args.samples < 1:
-        raise SpecParseError("--samples: positive integer required")
-    if args.k < 1:
-        raise SpecParseError("--k: positive integer required")
+            raise _UsageError(command, f"argument {flag}: {exc}") from None
+    if command is None:
+        raise _UsageError(None, "the following arguments are required: command")
+    if extras:
+        raise _UsageError(None, f"unrecognized arguments: {' '.join(extras)}")
+    args = SimpleNamespace(command=command)
+    for flag, (dest, _, default, _, check, _) in _FLAGS.items():
+        value = given.get(flag, default)
+        setattr(args, dest, check(flag, value, command)
+                if check and flag in given else value)
     return args
 
 
 def _read_input(name) -> str:
     if name == "-":
         return sys.stdin.read()
+    from pathlib import Path
     path = Path(name)
     if not path.exists():
         raise SpecParseError(f"input file not found: {path}")
@@ -365,19 +493,24 @@ def _read_input(name) -> str:
 def _execute(argv, spec_text=None):
     """Parse ``argv``, read the spec (``spec_text``, else ``--input``) and run
     the command: (args, exit_status, artifact_text, extension).  An engine or
-    argument error is status 1 with an error JSON as the artifact; a usage
-    error is argparse's status 2 with its message on stderr and no artifact
-    (args None)."""
+    argument error is status 1 with an error JSON as the artifact.  A usage
+    error is status 2 with a usage line and its message on stderr and no
+    artifact; -h/--help is status 0 with the help text as the artifact (args
+    None for both)."""
+    args = None
     try:
-        args = _build_parser().parse_args(argv)
-    except SystemExit as exc:  # argparse has written its usage or --help
-        return None, exc.code, "", None
-    try:
-        args = _post_process_args(args)
+        args = _parse(argv)
+        if isinstance(args, str):
+            return None, 0, args, None
         if spec_text is None:
             spec_text = _read_input(args.input)
         text, ext = _COMMANDS[args.command][0](parse_spec(spec_text), args)
         return args, 0, text, ext
+    except _UsageError as exc:
+        command, message = exc.args
+        prog = " ".join(filter(None, ("hkdensity", command)))
+        sys.stderr.write(f"{_usage(command)}\n{prog}: error: {message}\n")
+        return None, 2, "", None
     except EngineError as exc:
         code, message = exc.code, str(exc)
     except ValueError as exc:
@@ -394,10 +527,11 @@ def run_command(command, spec_text, options=None) -> tuple:
 
 
 def main(argv=None) -> int:
-    args, status, text, ext = _execute(argv)
+    args, status, text, ext = _execute(sys.argv[1:] if argv is None else argv)
     if args is None or status or args.output is None:
         sys.stdout.write(text)
     else:
+        from pathlib import Path
         out_dir = Path(args.output)
         out_dir.mkdir(parents=True, exist_ok=True)
         out_path = out_dir / f"{args.command}.{ext}"

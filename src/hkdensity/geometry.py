@@ -465,6 +465,19 @@ def lattice_lines(rows, box):
         yield prefix, j0, bottoms, tops
 
 
+def lattice_count(lines) -> int:
+    """Number of integer points on ``lines`` of ``lattice_lines``.  A line
+    whose fibers are all nonempty or just empty (top = bottom - 1) counts in
+    closed form; any other sums its nonempty fibers one by one."""
+    total = 0
+    for *_, bottoms, tops in lines:
+        if min(map(operator.sub, tops, bottoms), default=0) >= -1:
+            total += sum(tops) - sum(bottoms) + len(tops)
+        else:
+            total += sum(max(b - a + 1, 0) for a, b in zip(bottoms, tops))
+    return total
+
+
 def lattice_points(poly: ConvexPolytope):
     """All integer points of the polytope, in lexicographic order."""
     lines = lattice_lines(poly.halfspaces, fiber_box(poly))

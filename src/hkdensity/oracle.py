@@ -59,8 +59,7 @@ def _lines(P, k):
 def _count(P, q: int, m: int) -> int:
     """#{w in m*P : w - q*u lies outside (m-q)*P for every lattice point u
     of P}, the constraint dropped for m < q."""
-    total = sum(max(b - a + 1, 0) for *_, bottoms, tops in _lines(P, m)
-                for a, b in zip(bottoms, tops))
+    total = geo.lattice_count(_lines(P, m))
     if m < q:
         return total
     # q*u + (m-q)*P lies in q*P + (m-q)*P = m*P: a line of (m-q)*P shifted by

@@ -11,10 +11,16 @@ translates of a dilate overlap the unit cell, for ``cell_translates``.
 CSV rows and SVG plots of a piecewise polynomial sampled one point at a
 time, ``f(end*i/N)`` as a ``Fraction``, for the integer grid sampler of
 ``hkdensity.cli``.
+
+The command line as the README's command and flag tables document it,
+parsed by ``argparse``, for the table-driven parser of ``hkdensity.cli``.
 """
 
+import argparse
 import itertools
 import math
+import re
+from fractions import Fraction
 
 from hkdensity import (EmptyRegionError, Rat, lattice_hull, rat_str, scale,
                        translate, vrep_from_hrep)
@@ -187,3 +193,108 @@ def function_svg(f, samples, title):
         f'<text x="{margin}" y="{margin - 10}" font-size="13">{title}</text>'
         "</svg>"
     )
+
+
+class UsageError(Exception):
+    """A command line that ``argparse`` rejects (exit status 2)."""
+
+
+class _Parser(argparse.ArgumentParser):
+    def error(self, message):
+        raise UsageError(message)
+
+
+class _Choice(str):
+    """A choice that prints quoted: argparse up to 3.13.0 lists the choices
+    of an invalid choice by repr, later releases by str, and the CLI keeps
+    the repr on every version."""
+
+    def __str__(self):
+        return repr(self)
+
+
+def _table(lines, header):
+    """Cells of each row of the markdown table whose header starts with
+    ``header``."""
+    start = next(i for i, line in enumerate(lines) if line.startswith(header))
+    rows = []
+    for line in lines[start + 2:]:
+        if not line.startswith("|"):
+            return rows
+        rows.append([cell.strip() for cell in line.strip().strip("|").split("|")])
+
+
+def _ticked(cell):
+    return re.findall(r"`([^`]*)`", cell)
+
+
+def _rational(text):
+    num, _, den = text.partition("/")
+    return Fraction(int(num), int(den or 1))
+
+
+def _check(text):
+    """The value check a ``checked`` cell describes, raising ValueError."""
+    def at_least(value, low):
+        if value < low:
+            raise ValueError(value)
+        return value
+
+    if "comma list" in text:
+        return lambda v: [at_least(int(p), 1) for p in v.split(",")]
+    if "rational" in text:
+        return lambda v: at_least(_rational(v), 0)
+    if "integer" in text:
+        return lambda v: at_least(int(v), 1)
+    if "≥ 1" in text:
+        return lambda v: at_least(v, 1)
+    return None
+
+
+class ReadmeCommandLine:
+    """An ``argparse`` parser with one subparser per row of the README's
+    command table and, on each, the rows of its flag table that name the
+    command, in table order: ``value`` gives the type (integer, a list of
+    choices, else text), ``default`` the default (``required`` is checked
+    after parsing) and ``checked`` the check of a value given."""
+
+    def __init__(self, readme_text):
+        lines = readme_text.splitlines()
+        self.commands = [_ticked(row[0])[0] for row in _table(lines, "| command")]
+        self.flags = {command: [] for command in self.commands}
+        self.parser = _Parser(prog="hkdensity")
+        sub = self.parser.add_subparsers(dest="command", required=True)
+        parsers = {command: sub.add_parser(_Choice(command))
+                   for command in self.commands}
+        for flag, value, checked, default, commands in _table(lines, "| flag"):
+            flag = _ticked(flag)[0]
+            kind = int if value == "integer" else str
+            ticked = _ticked(default)
+            for command in _ticked(commands) or self.commands:
+                parsers[command].add_argument(
+                    flag, dest=flag, type=kind,
+                    choices=[_Choice(c) for c in _ticked(value)] or None,
+                    default=kind(ticked[0]) if ticked else None)
+                self.flags[command].append(
+                    (flag, _check(checked), default == "required"))
+
+    def parse(self, argv):
+        """(2, argparse's message) for a usage error, (0, None) for -h or
+        --help, (1, None) for a value that fails its check or a missing
+        required flag, else (0, {flag: checked value})."""
+        try:
+            namespace = vars(self.parser.parse_args(argv))
+        except UsageError as exc:
+            return 2, str(exc)
+        except SystemExit as exc:  # help was printed
+            return exc.code, None
+        values = {}
+        for flag, check, required in self.flags[namespace["command"]]:
+            value = namespace[flag]
+            if value is None and required:
+                return 1, None
+            try:
+                values[flag] = value if value is None or not check else check(value)
+            except (ValueError, ZeroDivisionError):
+                return 1, None
+        return 0, values

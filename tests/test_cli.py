@@ -1,10 +1,15 @@
+import io
 import json
+import sys
+from pathlib import Path
 
 import pytest
 
 from hkdensity import Rat, SegrePair, SpecParseError, ToricPair, pw_equal, pw_from_json
+from hkdensity import cli
 from hkdensity.cli import main, parse_spec, run_command
 
+import reference
 from conftest import line_density_form
 
 
@@ -17,8 +22,6 @@ CUBE = ('{"segre": [{"vertices": [[0],[1]]}, {"vertices": [[0],[1]]}, '
 
 
 def run(capsys, argv, stdin_text, monkeypatch):
-    import io
-    import sys
     monkeypatch.setattr(sys, "stdin", io.StringIO(stdin_text))
     status = main(argv)
     out = capsys.readouterr().out
@@ -301,8 +304,8 @@ def test_cli_import_does_not_load_numpy():
     import hkdensity
     env = dict(os.environ, PYTHONPATH=str(Path(hkdensity.__file__).parents[1]))
 
-    def python(script):
-        done = subprocess.run([sys.executable, "-c", script], env=env,
+    def python(script, *options):
+        done = subprocess.run([sys.executable, *options, "-c", script], env=env,
                               check=True, capture_output=True, text=True)
         return json.loads(done.stdout)
 
@@ -310,6 +313,12 @@ def test_cli_import_does_not_load_numpy():
     bare = set(python(f"import json, sys; print({modules})"))
     cli_loaded = python(f"import hkdensity.cli, json, sys; print({modules})")
     assert "numpy" not in cli_loaded
+    # the command line is parsed from the command table, without argparse;
+    # pathlib comes in only to read --input or write --output (without the
+    # site packages, whose .pth files may import it, nothing else loads it)
+    assert "argparse" not in cli_loaded
+    assert "pathlib" not in python(
+        f"import hkdensity.cli, json, sys; print({modules})", "-S")
     # emission reads piecewise values without importing their module
     assert "hkdensity.piecewise" not in cli_loaded
     # csv is imported only when a command writes csv
@@ -350,6 +359,7 @@ def test_cli_import_does_not_load_numpy():
         f"run = run_command('density', {SIMPLEX!r})\n"
         f"print(json.dumps([run, {modules}]))\n")
     assert density_run[0] == 0 and "hkdensity.regions" in loaded
+    assert "argparse" not in loaded
     assert "dataclasses" in bare or "dataclasses" not in loaded
     line_runs, loaded = python(
         "import json, sys\n"
@@ -431,3 +441,95 @@ def test_readme_examples():
             want.append(text + "\n")
         status, text, _ = run_command(argv[1], spec, argv[2:])
         assert (status, text) == (0, "".join(want))
+
+
+# --- the command line against an argparse reference --------------------------
+
+README = (Path(__file__).resolve().parents[1] / "README.md").read_text(
+    encoding="utf-8")
+REFERENCE = reference.ReadmeCommandLine(README)
+
+# per flag: values that parse and pass their check, then ones that fail
+# either; every flag is tried on every command, which rejects the flags it
+# does not take
+FLAG_VALUES = {
+    "--input": ["-", "pair.json"],
+    "--output": ["out"],
+    "--format": ["json", "csv", "svg", "xml", ""],
+    "--samples": ["3", "0", "-2", "x", ""],
+    "--k": ["2", "0", "-1", "x", "1.5"],
+    "--q": ["2", "2,4", "0", "x", "4,x", "-1"],
+    "--lambda": ["1", "3/2", "0", "-1", "x", "1/0"],
+}
+REQUIRED = {"oracle": ["--q", "2", "--lambda", "1"],
+            "convergence": ["--q", "2,4", "--lambda", "1"]}
+
+
+def _command_line_corpus(command):
+    """Command lines of one command (None: without a valid command)."""
+    if command is None:
+        return [[], ["-h"], ["--help"], ["--he"], ["-h=x"], ["--help=x"],
+                ["bogus"], ["Density"], ["--bogus"], ["--bogus", "ehk"],
+                ["-x", "-h"], ["--input", "-", "ehk"], ["-1", "ehk"],
+                ["--bogus", "ehk", "stray"]]
+    required = REQUIRED.get(command, [])
+    cases = [[command] + required]
+    for extra in (["-h"], ["--help"], ["--he"], ["-h=x"], ["--help=x"],
+                  ["stray"], ["-"], ["stray", "--bogus", "x"], ["--bogus"],
+                  ["--bogus=1"], ["-x"], ["--=x"], ["--="], ["-x", "-h"]):
+        cases += [[command] + extra + required, [command] + required + extra]
+    for flag, values in FLAG_VALUES.items():
+        # the required flags, less the one under test
+        rest = [a for f, v in zip(required[::2], required[1::2]) if f != flag
+                for a in (f, v)]
+        for value in values:
+            cases += [[command, flag, value] + rest,
+                      [command, f"{flag}={value}"] + rest,
+                      [command, flag[:3], value] + rest,
+                      [command, f"{flag[:3]}={value}"] + rest]
+        cases += [[command] + rest + [flag], [command, flag, "--input", "-"] + rest,
+                  [command, flag, values[-1], flag, values[0]] + rest,
+                  [command, flag, values[0], flag, values[-1]] + rest,
+                  [command, flag, values[0], "-h"] + rest,
+                  [command, flag, values[-1], "-h"] + rest]
+    return cases
+
+
+@pytest.mark.parametrize("command", [None, *REFERENCE.commands])
+def test_command_line_matches_argparse_reference(command, tmp_path, capsys,
+                                                 monkeypatch):
+    # exit status, the parsed values and the message after "error:" all
+    # match argparse's, and main() agrees with the programmatic path
+    assert REFERENCE.commands == list(cli._COMMANDS)
+    spec = CUBE if command == "segre" else LINE2
+    (tmp_path / "pair.json").write_text(spec)
+    monkeypatch.chdir(tmp_path)
+    for argv in _command_line_corpus(command):
+        want_status, want = REFERENCE.parse(argv)
+        capsys.readouterr()  # argparse's help text
+        args, status, text, ext = cli._execute(argv, spec)
+        err = capsys.readouterr().err
+        assert status == want_status, (argv, text, err)
+        if status == 2:
+            usage, error = err.splitlines()
+            prog, message = error.split(": error: ", 1)
+            assert usage.startswith("usage: hkdensity"), argv
+            assert prog.startswith("hkdensity") and message == want, argv
+            assert (args, text, ext) == (None, "", None), argv
+        elif want is None and status == 0:  # -h or --help
+            named = next((a for a in argv if a in cli._COMMANDS), None)
+            words = ([f for f, *_ in REFERENCE.flags[named]] if named
+                     else REFERENCE.commands)
+            assert text.startswith("usage: hkdensity") and err == "", argv
+            assert all(word in text.split() for word in words), (argv, text)
+        elif status == 1:
+            assert json.loads(text)["error"]["code"] == "parse_error", argv
+        else:
+            got = {flag: getattr(args, cli._FLAGS[flag][0]) for flag in want}
+            assert got == want, argv
+        monkeypatch.setattr(sys, "stdin", io.StringIO(spec))
+        assert main(argv) == status, argv
+        out, main_err = capsys.readouterr()
+        assert main_err == err, argv
+        if args is None or status or args.output is None:
+            assert out == text, argv

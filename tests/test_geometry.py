@@ -23,6 +23,8 @@ from hkdensity import (
     vrep_from_hrep,
 )
 
+from hkdensity.geometry import fiber_box, lattice_count, lattice_lines
+
 from reference import intersect
 
 
@@ -310,6 +312,18 @@ def _box_scan(P):
 def test_lattice_points_match_box_scan(points):
     P = hrep_from_vrep(points)
     assert lattice_points(P) == _box_scan(P)
+    lines = lattice_lines(P.halfspaces, fiber_box(P))
+    assert lattice_count(lines) == len(_box_scan(P))
+
+
+def test_lattice_count_reads_empty_fibers():
+    # (prefix, j0, bottoms, tops): a line whose one empty fiber has top =
+    # bottom - 1 counts in closed form, one with an emptier fiber fiber by
+    # fiber, and a line with no fibers counts nothing
+    lines = [((), 0, [0, 5], [2, 4]), ((), 0, [0, 5, 9], [2, 4, 1]),
+             ((), 0, [], [])]
+    assert lattice_count(lines) == 6
+    assert lattice_count(lines[1:2]) == 3
 
 
 @settings(max_examples=40, deadline=None, derandomize=True)
