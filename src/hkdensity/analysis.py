@@ -16,8 +16,9 @@ that enters the density function is a lattice count.  This module assembles:
   max(0, 1 - Vol(P) * t^{d-1});
 * ``segre_phi`` -- the product rule (1 - phi_{XxY}) = (1 - phi_X)(1 - phi_Y).
 
-A base segment [0, n] (up to translation) is answered in closed form from
-n alone; only planar bases load the area engine in ``regions``.
+Every invariant of a product folds over its factors, in any dimension.  A
+base segment [0, n] (up to translation) is answered in closed form from n
+alone; only planar bases load the area engine in ``regions``.
 
 Everything is exact; the only float in sight is the reported gap B, whose
 fractional exponents force floating point for d >= 3 (its zero test is still
@@ -40,10 +41,7 @@ from .rationals import Rat, Value
 def pair_volume(pair):
     """Base-polytope volume; multiplicative over products."""
     if isinstance(pair, SegrePair):
-        out = Rat(1)
-        for f in pair.factors:
-            out *= pair_volume(f)
-        return out
+        return prod(pair_volume(f) for f in pair.factors)
     return geo.volume(pair.polytope)
 
 
@@ -59,22 +57,6 @@ def h0(pair) -> int:
     P = pair.polytope
     lines = geo.lattice_lines(P.halfspaces, geo.fiber_box(P))
     return geo.lattice_count(lines)
-
-
-def _as_direct_pair(pair):
-    """Materialize a product as a direct pair when its base fits dim 1..2."""
-    if isinstance(pair, ToricPair):
-        if pair.polytope.dim > 2:
-            raise UnsupportedDimensionError(
-                "density function needs base dimension 1 or 2; "
-                "use a product form or the counting oracle")
-        return pair
-    P = pair.polytope
-    if P.dim > 2:
-        raise UnsupportedDimensionError(
-            "density function of a product with base dimension >= 3; "
-            "only phi/limit are available (via the product rule)")
-    return ToricPair(P, "segre")
 
 
 @lru_cache(maxsize=256)
@@ -102,9 +84,29 @@ def _hkd_cached(pair: ToricPair) -> PiecewisePoly:
     return out
 
 
+def _box(pair, end) -> PiecewisePoly:
+    """Vol(P) * z^dim(P) on [0, end]: the normalized count of z*P."""
+    return PiecewisePoly.build(
+        [0, end], [Poly.of(*[0] * (pair.d - 1), pair_volume(pair))])
+
+
 def hkd_function(pair) -> PiecewisePoly:
-    """Exact density function on [0, 1+l] (identically 0 afterwards)."""
-    return _hkd_cached(_as_direct_pair(pair))
+    """Exact density function on [0, 1+l] (identically 0 afterwards).
+
+    A product folds over its factors: the translates covering z*(P x Q) are
+    products of those covering z*P and z*Q, so the covered density
+    Vol * z^dim - HKd multiplies, as 1 - phi does."""
+    if isinstance(pair, ToricPair):
+        if pair.polytope.dim > 2:
+            raise UnsupportedDimensionError(
+                "density function needs base dimension 1 or 2; "
+                "use a product form or the counting oracle")
+        return _hkd_cached(pair)
+    hkds = [hkd_function(f) for f in pair.factors]
+    end = max(h.breakpoints[-1] for h in hkds)
+    covered = reduce(lambda f, g: pw_combine(f, g, "mul"), (
+        pw_combine(_box(f, end), h, "sub") for f, h in zip(pair.factors, hkds)))
+    return pw_combine(_box(pair, end), covered, "sub")
 
 
 def e_hk(pair):
@@ -115,7 +117,6 @@ def e_hk(pair):
 def cell_cover_scale(pair) -> int:
     """Least positive integer r such that r*P contains some integer
     translate of the unit cell; phi vanishes at and beyond r."""
-    pair = _as_direct_pair(pair)
     P = geo.anchored(pair.polytope)
     rows = P.halfspaces
     for r in range(1, 65):
@@ -216,15 +217,13 @@ def ehk_power(pair, k: int):
     ideal, via the multiple-divisor identity e_HK(R, m^k) = k * e_HK(X, kD)."""
     if int(k) != k or k < 1:
         raise ValueError("positive integer power required")
-    direct = _as_direct_pair(pair)
-    return Rat(int(k)) * e_hk(direct.scaled(int(k)))
+    return Rat(int(k)) * e_hk(pair.scaled(int(k)))
 
 
 class HKReport(Value):
     """All computed invariants of one pair: exact rationals, except the
     integers ``d``, ``l`` and ``h0``, the PiecewisePoly ``hkd`` and ``phi``,
-    the float ``tiling_gap_B`` and the bool ``is_tiler``.  ``hkd`` and
-    ``e_hk`` are None when the base dimension exceeds 2.
+    the float ``tiling_gap_B`` and the bool ``is_tiler``.
     """
 
     __slots__ = ("d", "l", "e0", "h0", "hkd", "e_hk", "phi", "phi_integral",
@@ -233,18 +232,14 @@ class HKReport(Value):
 
 def hk_report(pair) -> HKReport:
     phi = phi_function(pair)
-    try:
-        hkd = hkd_function(pair)
-        ehk = hkd.integral()
-    except UnsupportedDimensionError:
-        hkd, ehk = None, None
+    hkd = hkd_function(pair)
     return HKReport(
         d=pair.d,
         l=pair.l,
         e0=e0(pair),
         h0=h0(pair),
         hkd=hkd,
-        e_hk=ehk,
+        e_hk=hkd.integral(),
         phi=phi,
         phi_integral=phi.integral(),
         limit_A=limit_A(pair),

@@ -6,7 +6,8 @@ Input is a JSON pair spec in one of three forms:
     {"rays": [[1,0],[0,1],[-1,-1]], "coeffs": [1,1,1]}
     {"segre": [SPEC, SPEC, ...]}
 
-Any other key, at any nesting level, is a parse error.
+Any other key, or a key given twice, at any nesting level, is a parse
+error.
 
 Rationals serialize as strings "p/q" everywhere (JSON and CSV are
 bit-exact); SVG is the only lossy output and is presentation-only.  Every
@@ -64,7 +65,7 @@ def _pair_from_data(data, path="$"):
         if not isinstance(pts, list) or not pts:
             raise SpecParseError(f"{path}.vertices: expected a nonempty list")
         return ToricPair.from_vertices(
-            [_int_list(p, f"{path}.vertices") for p in pts])
+            [_int_list(p, f"{path}.vertices[{i}]") for i, p in enumerate(pts)])
     if form == "rays":
         rays = data.get("rays")
         coeffs = data.get("coeffs")
@@ -73,7 +74,7 @@ def _pair_from_data(data, path="$"):
         if not isinstance(coeffs, list) or len(coeffs) != len(rays):
             raise SpecParseError(f"{path}.coeffs: one integer per ray required")
         return ToricPair.from_fan(
-            [_int_list(r, f"{path}.rays") for r in rays],
+            [_int_list(r, f"{path}.rays[{i}]") for i, r in enumerate(rays)],
             _int_list(coeffs, f"{path}.coeffs"))
     subs = data["segre"]
     if not isinstance(subs, list) or len(subs) < 2:
@@ -82,10 +83,20 @@ def _pair_from_data(data, path="$"):
         _pair_from_data(s, f"{path}.segre[{i}]") for i, s in enumerate(subs)])
 
 
+def _object(pairs):
+    """A JSON object, refusing a key given twice (json would keep the last)."""
+    data = {}
+    for key, value in pairs:
+        if key in data:
+            raise SpecParseError(f"duplicate key {key!r}")
+        data[key] = value
+    return data
+
+
 def parse_spec(text: str):
     """Parse a JSON pair spec into a ToricPair or SegrePair."""
     try:
-        data = json.loads(text)
+        data = json.loads(text, object_pairs_hook=_object)
     except json.JSONDecodeError as exc:
         raise SpecParseError(f"invalid JSON: {exc}") from exc
     return _pair_from_data(data)
@@ -114,8 +125,8 @@ def report_to_json(rep) -> dict:
         "l": rep.l,
         "e0": rat_str(rep.e0),
         "h0": rep.h0,
-        "hkd": None if rep.hkd is None else pw_to_json(rep.hkd),
-        "e_hk": None if rep.e_hk is None else rat_str(rep.e_hk),
+        "hkd": pw_to_json(rep.hkd),
+        "e_hk": rat_str(rep.e_hk),
         "phi": pw_to_json(rep.phi),
         "phi_integral": rat_str(rep.phi_integral),
         "limit_A": rat_str(rep.limit_A),
@@ -180,12 +191,8 @@ def function_svg(f, samples: int, title: str) -> str:
 
 
 def _csv_text(rows) -> str:
-    import csv
-    import io
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerows(rows)
-    return buf.getvalue()
+    # no field holds a comma, a quote or a newline, so none needs quoting
+    return "".join(",".join(row) + "\n" for row in rows)
 
 
 # ---------------------------------------------------------------------------
@@ -484,10 +491,10 @@ def _read_input(name) -> str:
     if name == "-":
         return sys.stdin.read()
     from pathlib import Path
-    path = Path(name)
-    if not path.exists():
-        raise SpecParseError(f"input file not found: {path}")
-    return path.read_text(encoding="utf-8")
+    try:
+        return Path(name).read_text(encoding="utf-8")
+    except OSError as exc:  # missing, a directory, or not readable
+        raise SpecParseError(f"cannot read input file {name}: {exc.strerror}") from exc
 
 
 def _execute(argv, spec_text=None):

@@ -8,6 +8,7 @@ from the exact engine in ``analysis``.
 from __future__ import annotations
 
 from functools import reduce
+from math import prod
 
 from . import geometry as geo
 from .errors import DegenerateError, UnsupportedDimensionError
@@ -19,11 +20,9 @@ class ToricPair(Value):
 
     ``d`` is the dimension of the associated graded ring (base dimension
     plus one) and ``l`` the number of vertices of the base polytope.
-    ``provenance`` records how the pair was given.
     """
 
-    __slots__ = ("polytope", "provenance")
-    _defaults = {"provenance": "vertices"}
+    __slots__ = ("polytope",)
 
     def _validate(self):
         P = self.polytope
@@ -34,12 +33,12 @@ class ToricPair(Value):
                 f"base polytope dimension {P.dim} outside 1..4")
 
     @staticmethod
-    def from_vertices(points, provenance="vertices") -> "ToricPair":
-        return ToricPair(geo.lattice_hull(points), provenance)
+    def from_vertices(points) -> "ToricPair":
+        return ToricPair(geo.lattice_hull(points))
 
     @staticmethod
     def from_fan(rays, coeffs) -> "ToricPair":
-        return ToricPair(geo.polytope_from_divisor(rays, coeffs), "fan")
+        return ToricPair(geo.polytope_from_divisor(rays, coeffs))
 
     @property
     def d(self) -> int:
@@ -53,7 +52,7 @@ class ToricPair(Value):
         """The pair of the dilated polytope k*P (the k-th multiple divisor)."""
         if int(k) != k or k < 1:
             raise ValueError("positive integer multiple required")
-        return ToricPair(geo.scale(self.polytope, Rat(int(k))), self.provenance)
+        return ToricPair(geo.scale(self.polytope, Rat(int(k))))
 
 
 class SegrePair(Value):
@@ -67,8 +66,7 @@ class SegrePair(Value):
 
     @property
     def polytope(self):
-        polys = [f.polytope for f in self.factors]
-        return reduce(geo.product, polys)
+        return reduce(geo.product, [f.polytope for f in self.factors])
 
     @property
     def d(self) -> int:
@@ -76,10 +74,11 @@ class SegrePair(Value):
 
     @property
     def l(self) -> int:
-        out = 1
-        for f in self.factors:
-            out *= f.l
-        return out
+        return prod(f.l for f in self.factors)
+
+    def scaled(self, k: int) -> "SegrePair":
+        """The product of the factors' k-th multiples: k(P x Q) = kP x kQ."""
+        return SegrePair(tuple(f.scaled(k) for f in self.factors))
 
 
 def segre(*pairs) -> SegrePair:

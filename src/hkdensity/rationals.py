@@ -53,15 +53,13 @@ class Value:
     """Base of the package's immutable value types.
 
     A subclass names its fields, in constructor order, in ``__slots__`` (a
-    subclass adding none declares ``__slots__ = ()``) and may give defaults
-    in ``_defaults``.  Fields are set positionally or by keyword, then
-    ``_validate`` runs.  Values compare and hash by exact class and fields,
-    and refuse attribute assignment.
+    subclass adding none declares ``__slots__ = ()``).  Fields are set
+    positionally or by keyword, then ``_validate`` runs.  Values compare and
+    hash by exact class and fields, and refuse attribute assignment.
     """
 
     __slots__ = ()
     _fields = ()
-    _defaults = {}
 
     def __init_subclass__(cls, **kwargs):
         super().__init_subclass__(**kwargs)
@@ -79,9 +77,9 @@ class Value:
 
     @classmethod
     def _bind(cls, args, kwargs):
-        """Field values in order from positional, keyword and default ones."""
+        """Field values in order from positional and keyword ones."""
         fields = cls._fields
-        values = {**cls._defaults, **dict(zip(fields, args)), **kwargs}
+        values = dict(zip(fields, args), **kwargs)
         if (len(args) > len(fields) or values.keys() != set(fields)
                 or not kwargs.keys().isdisjoint(fields[:len(args)])):
             raise TypeError(f"{cls.__name__} takes the fields {', '.join(fields)}")

@@ -29,6 +29,7 @@ from hkdensity import (
     segre_phi,
     tiling_gap_B,
 )
+from hkdensity.cli import pw_to_json
 
 from conftest import (
     FANO_TABLE,
@@ -215,13 +216,26 @@ def test_segre_triple_cube():
     assert cube.d == 4 and cube.l == 8
     assert pair_volume(cube) == 1 and e0(cube) == 6 and h0(cube) == 8
     assert is_tiler(cube)
-    with pytest.raises(UnsupportedDimensionError):
-        hkd_function(cube)
+    f = hkd_function(cube)
+    assert f(Rat(5, 4)) == Rat(117, 64) and f(Rat(3, 2)) == Rat(19, 8)
+    assert e_hk(cube) == 2
 
 
 def test_segre_of_two_lines_materializes():
     pair = segre(projective_line(1), projective_line(1))
     assert e_hk(pair) == Rat(4, 3)
+
+
+@pytest.mark.parametrize("a,b", itertools.product(range(1, 5), repeat=2))
+def test_rectangle_density_obeys_product_rule(a, b):
+    # the fold over the factors against the planar engine on [0,a]x[0,b],
+    # as the CLI emits them
+    rectangle = ToricPair.from_vertices([(0, 0), (a, 0), (0, b), (a, b)])
+    product = segre(projective_line(a), projective_line(b))
+    assert pw_to_json(hkd_function(product)) == pw_to_json(
+        hkd_function(rectangle))
+    if a * b <= 4:  # the doubled rectangle is slow in the planar engine
+        assert ehk_power(product, 2) == ehk_power(rectangle, 2)
 
 
 def test_segre_quadruple_lines():

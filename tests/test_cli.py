@@ -90,6 +90,38 @@ def test_unknown_spec_keys_are_parse_errors(spec, capsys, monkeypatch):
     assert json.loads(out)["error"]["code"] == "parse_error"
 
 
+@pytest.mark.parametrize("spec,message", [
+    ('{"vertices": [[0,0],[1e3,0],[0,1]]}',
+     "$.vertices[1][0]: expected an integer, got 1000.0"),
+    ('{"rays": [[1,0],[0,1],[-1,true]], "coeffs": [1,1,1]}',
+     "$.rays[2][1]: expected an integer, got True"),
+    ('{"segre": [{"vertices": [[0],[1]]}, {"vertices": [[0],[1], 2]}]}',
+     "$.segre[1].vertices[2]: expected a list of integers, got 2"),
+])
+def test_spec_errors_name_the_bad_entry(spec, message):
+    with pytest.raises(SpecParseError) as info:
+        parse_spec(spec)
+    assert str(info.value) == message
+    status, text, _ = run_command("ehk", spec)
+    assert status == 1
+    assert json.loads(text)["error"] == {"code": "parse_error", "message": message}
+
+
+@pytest.mark.parametrize("spec", [
+    # json would keep the last value: the line of degree 3
+    '{"vertices": [[0],[1]], "vertices": [[0],[3]]}',
+    '{"rays": [[1],[-1]], "coeffs": [1,1], "coeffs": [0,2]}',
+    '{"segre": [{"vertices": [[0],[1]]}, {"vertices": [[0],[1]], '
+    '"vertices": [[0],[2]]}]}',
+])
+def test_duplicate_spec_keys_are_parse_errors(spec, capsys, monkeypatch):
+    with pytest.raises(SpecParseError, match="duplicate key"):
+        parse_spec(spec)
+    status, out = run(capsys, ["ehk"], spec, monkeypatch)
+    assert status == 1
+    assert json.loads(out)["error"]["code"] == "parse_error"
+
+
 # --- commands ---------------------------------------------------------------------
 
 def test_density_json_round_trip(capsys, monkeypatch):
@@ -174,7 +206,9 @@ def test_report_command(capsys, monkeypatch):
 def test_segre_command(capsys, monkeypatch):
     status, out = run(capsys, ["segre"], CUBE, monkeypatch)
     data = json.loads(out)
-    assert data["hkd"] is None and data["e_hk"] is None
+    # the density folds over the factors, so a product of any dimension has one
+    assert data["hkd"]["breakpoints"] == ["0", "1", "2"]
+    assert data["e_hk"] == "2"
     assert data["phi"] == {"breakpoints": ["0", "1"],
                            "pieces": [["1", "0", "0", "-1"]]}
     assert data["is_tiler"] is True
@@ -240,6 +274,15 @@ def test_missing_input_file(capsys):
     out = capsys.readouterr().out
     assert status == 1
     assert json.loads(out)["error"]["code"] == "parse_error"
+
+
+def test_input_directory_is_a_parse_error(tmp_path, capsys):
+    status = main(["ehk", "--input", str(tmp_path)])
+    out = capsys.readouterr().out
+    assert status == 1
+    assert json.loads(out)["error"]["code"] == "parse_error"
+    status, text, ext = run_command("ehk", None, ["--input", str(tmp_path)])
+    assert (status, text, ext) == (1, out, "json")
 
 
 def test_run_command_programmatic():
@@ -367,6 +410,27 @@ def test_cli_import_does_not_load_numpy():
         f"runs = [run_command(c, {LINE2!r}) for c in ('density', 'phi', 'report')]\n"
         f"print(json.dumps([runs, {modules}]))\n")
     assert [run[0] for run in line_runs] == [0, 0, 0]
+    assert "hkdensity.analysis" in loaded
+    assert "hkdensity.regions" not in loaded
+
+
+def test_products_of_lines_do_not_load_the_area_engine():
+    import os
+    import subprocess
+    from pathlib import Path
+
+    import hkdensity
+    env = dict(os.environ, PYTHONPATH=str(Path(hkdensity.__file__).parents[1]))
+    spec = '{"segre": [{"vertices": [[0],[1]]}, {"vertices": [[0],[2]]}]}'
+    script = (
+        "import json, sys\n"
+        "from hkdensity.cli import run_command\n"
+        f"runs = [run_command(c, {spec!r}) for c in ('segre', 'density')]\n"
+        "print(json.dumps([[run[0] for run in runs], sorted(sys.modules)]))\n")
+    done = subprocess.run([sys.executable, "-c", script], env=env, check=True,
+                          capture_output=True, text=True)
+    statuses, loaded = json.loads(done.stdout)
+    assert statuses == [0, 0]
     assert "hkdensity.analysis" in loaded
     assert "hkdensity.regions" not in loaded
 

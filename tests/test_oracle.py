@@ -185,6 +185,17 @@ def test_counts_confirm_ruled_surface_corrected_piece():
     assert f_n(pair, 48, lam).f_value > Rat(243, 144)
 
 
+def test_counts_converge_to_the_product_density_of_two_planes():
+    # P^2 x P^2 is out of reach of the planar engine; its density folds
+    # over the two triangles, and the counts close in on it
+    pair = segre(plane_degree_one(), plane_degree_one())
+    f = hkd_function(pair)
+    assert e_hk(pair) == Rat(39, 20)
+    lam = Rat(3, 2)
+    gaps = [abs(f_n(pair, q, lam).f_value - f(lam)) for q in (12, 24, 48)]
+    assert gaps[0] > gaps[1] > gaps[2]
+
+
 def test_convergence_report_without_exact_value():
     line = projective_line(1)
     cube = segre(line, line, line)
@@ -282,6 +293,24 @@ def test_slice_count_matches_brute_force_past_q(points, length, q, data):
         pair = segre(ToricPair.from_vertices([(0,), (length,)]), pair)
     m = data.draw(st.integers(q + 1, 2 * q), label="m")
     assert slice_count(pair, q, m) == _brute_count(pair.polytope, q, m)
+
+
+_FACTOR = st.one_of(
+    st.integers(1, 3).map(lambda n: ToricPair.from_vertices([(0,), (n,)])),
+    _SMALL_POLYGON.map(lattice_hull).filter(lambda P: P.pdim == 2).map(ToricPair))
+
+
+@settings(max_examples=30, deadline=None, derandomize=True)
+@given(first=_FACTOR, second=_FACTOR, q=st.sampled_from([2, 3, 5]),
+       data=st.data())
+def test_slice_count_obeys_the_product_rule(first, second, q, data):
+    # the translates covering m*(P x Q) are products of those covering m*P
+    # and m*Q, so the covered counts N - c multiply
+    m = data.draw(st.integers(0, 3 * q - 1), label="m")
+    n_p, n_q = (_dilate_count(f.polytope, m) for f in (first, second))
+    c_p, c_q = (slice_count(f, q, m) for f in (first, second))
+    assert slice_count(segre(first, second), q, m) == (
+        n_p * n_q - (n_p - c_p) * (n_q - c_q))
 
 
 @pytest.mark.parametrize("factors,q,m", [

@@ -1,7 +1,6 @@
 """Semantics of the package's immutable value types."""
 
 import copy
-import itertools
 import pickle
 
 import pytest
@@ -88,8 +87,6 @@ def test_value_types_validate_at_construction_and_exports_resolve():
         SegrePair((_line(1),))
     with pytest.raises(TypeError):
         Poly()
-    cube = list(itertools.product((0, 1), repeat=3))
-    assert ToricPair(lattice_hull(cube)).provenance == "vertices"
     for name in hkdensity.__all__:
         assert getattr(hkdensity, name) is not None
     with pytest.raises(AttributeError):
