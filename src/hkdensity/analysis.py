@@ -16,9 +16,11 @@ that enters the density function is a lattice count.  This module assembles:
   max(0, 1 - Vol(P) * t^{d-1});
 * ``segre_phi`` -- the product rule (1 - phi_{XxY}) = (1 - phi_X)(1 - phi_Y).
 
-Every invariant of a product folds over its factors, in any dimension.  A
-base segment [0, n] (up to translation) is answered in closed form from n
-alone; only planar bases load the area engine in ``regions``.
+Every invariant of a product folds over its factors, in any dimension, as
+does every invariant of a lattice box up to a unimodular map (the product of
+its edge segments).  A base segment [0, n] (up to translation) is answered
+in closed form from n alone; only planar bases that are not boxes load the
+area engine in ``regions``.
 
 Everything is exact; the only float in sight is the reported gap B, whose
 fractional exponents force floating point for d >= 3 (its zero test is still
@@ -40,6 +42,7 @@ from .rationals import Rat, Value
 
 def pair_volume(pair):
     """Base-polytope volume; multiplicative over products."""
+    pair = _folded(pair)
     if isinstance(pair, SegrePair):
         return prod(pair_volume(f) for f in pair.factors)
     return geo.volume(pair.polytope)
@@ -84,6 +87,26 @@ def _hkd_cached(pair: ToricPair) -> PiecewisePoly:
     return out
 
 
+def _folded(pair):
+    """The product of segments [0, hi_i - lo_i] when the base of ``pair`` is
+    a lattice box up to a unimodular map, else ``pair`` itself.
+
+    A box of dimension n >= 2 has exactly 2n facet rows in opposite pairs
+    <w_i, x> >= lo_i, <-w_i, x> >= -hi_i with |det(w_1..w_n)| = 1, so that
+    x -> (<w_i, x>) maps it onto the product of the [lo_i, hi_i]."""
+    if not isinstance(pair, ToricPair) or pair.polytope.dim < 2:
+        return pair
+    P = pair.polytope
+    rows = dict(P.halfspaces)
+    sides = {w: (lo, -rows[neg]) for w, lo in rows.items()
+             if (neg := tuple(-c for c in w)) in rows and w > neg}
+    if (len(rows) != 2 * P.dim or len(sides) != P.dim
+            or abs(geo.det(list(sides))) != 1):
+        return pair
+    return SegrePair(tuple(ToricPair.from_vertices([(0,), (hi - lo,)])
+                           for lo, hi in sides.values()))
+
+
 def _box(pair, end) -> PiecewisePoly:
     """Vol(P) * z^dim(P) on [0, end]: the normalized count of z*P."""
     return PiecewisePoly.build(
@@ -96,11 +119,12 @@ def hkd_function(pair) -> PiecewisePoly:
     A product folds over its factors: the translates covering z*(P x Q) are
     products of those covering z*P and z*Q, so the covered density
     Vol * z^dim - HKd multiplies, as 1 - phi does."""
+    pair = _folded(pair)
     if isinstance(pair, ToricPair):
         if pair.polytope.dim > 2:
             raise UnsupportedDimensionError(
-                "density function needs base dimension 1 or 2; "
-                "use a product form or the counting oracle")
+                "density function needs base dimension 1 or 2 or a lattice "
+                "box; use a product form or the counting oracle")
         return _hkd_cached(pair)
     hkds = [hkd_function(f) for f in pair.factors]
     end = max(h.breakpoints[-1] for h in hkds)
@@ -150,12 +174,13 @@ def _phi_cached(pair: ToricPair) -> PiecewisePoly:
 def phi_function(pair) -> PiecewisePoly:
     """Unit-cell defect function phi: compactly supported, continuous,
     with phi(0) = 1.  For products it is combined multiplicatively."""
+    pair = _folded(pair)
     if isinstance(pair, SegrePair):
         return reduce(segre_phi, (phi_function(f) for f in pair.factors))
     if pair.polytope.dim > 2:
         raise UnsupportedDimensionError(
-            "direct defect function needs base dimension 1 or 2; "
-            "express the pair as a product or use the counting oracle")
+            "direct defect function needs base dimension 1 or 2 or a "
+            "lattice box; use a product form or the counting oracle")
     return _phi_cached(pair)
 
 

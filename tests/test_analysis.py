@@ -29,11 +29,13 @@ from hkdensity import (
     segre_phi,
     tiling_gap_B,
 )
-from hkdensity.cli import pw_to_json
+from hkdensity.analysis import _folded, _hkd_cached, _phi_cached
+from hkdensity.cli import pw_to_json, report_to_json
 
 from conftest import (
     FANO_TABLE,
     blowup1_anticanonical,
+    blowup2_anticanonical,
     hirzebruch,
     hirzebruch_defect_form,
     hirzebruch_density_form,
@@ -196,11 +198,12 @@ def test_segre_phi_square():
 
 @pytest.mark.parametrize("a,b", itertools.product(range(1, 6), repeat=2))
 def test_rectangle_phi_obeys_product_rule(a, b):
-    # the 2D boundary kernel on [0,a]x[0,b] against the 1D interval sweep
+    # the planar engine on [0,a]x[0,b] against the closed forms of the lines
     rectangle = ToricPair.from_vertices([(0, 0), (a, 0), (0, b), (a, b)])
-    assert pw_equal(phi_function(rectangle),
-                    segre_phi(phi_function(projective_line(a)),
-                              phi_function(projective_line(b))))
+    expected = segre_phi(phi_function(projective_line(a)),
+                         phi_function(projective_line(b)))
+    assert pw_equal(_phi_cached(rectangle), expected)
+    assert pw_equal(phi_function(rectangle), expected)
 
 
 def test_segre_phi_with_zero_is_identity():
@@ -233,9 +236,61 @@ def test_rectangle_density_obeys_product_rule(a, b):
     rectangle = ToricPair.from_vertices([(0, 0), (a, 0), (0, b), (a, b)])
     product = segre(projective_line(a), projective_line(b))
     assert pw_to_json(hkd_function(product)) == pw_to_json(
-        hkd_function(rectangle))
+        _hkd_cached(rectangle)) == pw_to_json(hkd_function(rectangle))
     if a * b <= 4:  # the doubled rectangle is slow in the planar engine
-        assert ehk_power(product, 2) == ehk_power(rectangle, 2)
+        assert ehk_power(product, 2) == 2 * _hkd_cached(
+            rectangle.scaled(2)).integral() == ehk_power(rectangle, 2)
+
+
+# unimodular images of [0,a]x[0,b]: (a, b, vertices)
+BOX_IMAGES = [
+    (1, 1, [(0, 0), (2, 1), (1, 1), (3, 2)]),      # [[2,1],[1,1]]
+    (1, 2, [(0, 0), (1, 0), (2, 2), (3, 2)]),      # a shear
+    (2, 1, [(0, 0), (0, -2), (1, 0), (1, -2)]),     # a reflection
+]
+
+
+@pytest.mark.parametrize("a,b,vertices", BOX_IMAGES)
+def test_box_images_obey_product_rule(a, b, vertices):
+    # the planar engine on an image of a rectangle against the rule
+    image = ToricPair.from_vertices(vertices)
+    product = segre(projective_line(a), projective_line(b))
+    assert pw_equal(_hkd_cached(image), hkd_function(product))
+    assert pw_equal(hkd_function(image), hkd_function(product))
+    assert pw_equal(_phi_cached(image), phi_function(product))
+    assert pw_equal(phi_function(image), phi_function(product))
+
+
+@pytest.mark.parametrize("pair,sides", [
+    (ToricPair.from_vertices([(0, 0), (3, 0), (0, 1), (3, 1)]), [1, 3]),
+    (ToricPair.from_vertices([(2, -1), (2, 4), (5, -1), (5, 4)]), [3, 5]),
+    (quadric_anticanonical(), [2, 2]),
+    (ToricPair.from_vertices([(0, 0), (2, 1), (1, 1), (3, 2)]), [1, 1]),
+    # non-primitive edges 2*(2,1) and 3*(1,1): the image of [0,2]x[0,3]
+    (ToricPair.from_vertices([(0, 0), (4, 2), (3, 3), (7, 5)]), [2, 3]),
+], ids=["rectangle", "offset", "quadric", "image", "nonprimitive"])
+def test_box_recognized(pair, sides):
+    folded = _folded(pair)
+    assert isinstance(folded, SegrePair)
+    assert sorted(folded.factors, key=pair_volume) == [
+        projective_line(n) for n in sides]
+
+
+@pytest.mark.parametrize("pair", [
+    ToricPair.from_vertices([(0, 0), (1, 0), (1, 2), (2, 2)]),  # det 2
+    ToricPair.from_vertices([(0, 0), (2, 1), (1, 2), (3, 3)]),  # det 3
+    hirzebruch(1, 1, 2),
+    # one opposite pair, whose normal alone has determinant 1
+    ToricPair.from_vertices([(0, 0), (2, 0), (2, 1), (0, 3)]),
+    blowup2_anticanonical(),  # two opposite pairs of det 1 and a fifth row
+    plane_degree_one(),
+    symmetric_hexagon(),
+    projective_line(3),
+    segre(projective_line(1), projective_line(2)),
+], ids=["det2", "det3", "hirzebruch112", "trapezoid", "pentagon", "triangle",
+        "hexagon", "line", "product"])
+def test_non_box_kept(pair):
+    assert _folded(pair) is pair
 
 
 def test_segre_quadruple_lines():
@@ -279,11 +334,28 @@ def test_e0_and_h0():
 
 
 def test_direct_high_dimension_rejected():
-    cube = ToricPair(lattice_hull(list(itertools.product((0, 1), repeat=3))))
+    simplex = ToricPair.from_vertices(
+        [(0, 0, 0), (1, 0, 0), (0, 1, 0), (0, 0, 1)])
     with pytest.raises(UnsupportedDimensionError):
-        phi_function(cube)
+        phi_function(simplex)
     with pytest.raises(UnsupportedDimensionError):
-        hkd_function(cube)
+        hkd_function(simplex)
+
+
+@pytest.mark.parametrize("sides", [(1, 1, 1), (1, 2, 1), (1, 1, 1, 1)])
+def test_higher_dimensional_box_matches_its_product(sides):
+    box = ToricPair(lattice_hull(list(itertools.product(
+        *[(0, n) for n in sides]))))
+    product = segre(*[projective_line(n) for n in sides])
+    assert pw_equal(hkd_function(box), hkd_function(product))
+    assert pw_equal(phi_function(box), phi_function(product))
+    assert ehk_power(box, 2) == ehk_power(product, 2)
+    assert report_to_json(hk_report(box)) == report_to_json(
+        hk_report(product))
+    if sides == (1, 1, 1):
+        f = hkd_function(box)
+        assert e_hk(box) == 2
+        assert f(Rat(5, 4)) == Rat(117, 64) and f(Rat(3, 2)) == Rat(19, 8)
 
 
 def test_degenerate_base_rejected():

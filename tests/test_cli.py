@@ -435,6 +435,30 @@ def test_products_of_lines_do_not_load_the_area_engine():
     assert "hkdensity.regions" not in loaded
 
 
+def test_lattice_boxes_do_not_load_the_area_engine():
+    # a box up to a unimodular map folds over its edge segments
+    import os
+    import subprocess
+
+    import hkdensity
+    env = dict(os.environ, PYTHONPATH=str(Path(hkdensity.__file__).parents[1]))
+    square = '{"vertices": [[0,0],[1,0],[0,1],[1,1]]}'
+    quadric = '{"rays": [[1,0],[-1,0],[0,1],[0,-1]], "coeffs": [1,1,1,1]}'
+    script = (
+        "import json, sys\n"
+        "from hkdensity.cli import run_command\n"
+        f"runs = [run_command('ehk', {square!r}, ['--k', '2']),\n"
+        f"        run_command('tiling', {quadric!r})]\n"
+        "print(json.dumps([[run[:2] for run in runs], sorted(sys.modules)]))\n")
+    done = subprocess.run([sys.executable, "-c", script], env=env, check=True,
+                          capture_output=True, text=True)
+    runs, loaded = json.loads(done.stdout)
+    assert runs == [[0, '{"k": 2, "e_hk_power": "6"}\n'],
+                    [0, '{"is_tiler": true, "B": "0"}\n']]
+    assert "hkdensity.analysis" in loaded
+    assert "hkdensity.regions" not in loaded
+
+
 @pytest.mark.parametrize("command", ["density", "phi"])
 def test_run_command_reports_failed_certificate(command, monkeypatch):
     # a wrong area function must surface as a typed error, not a traceback
