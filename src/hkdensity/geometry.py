@@ -4,9 +4,12 @@ Points are plain tuples of Rat.  A polytope always carries both its
 rational vertices and an irredundant half-space representation as canonical
 integer facet rows (normal, offset), meaning <normal, x> >= offset with no
 common factor across the row: the form the exact kernels read.  The two are
-kept consistent by construction.  Vertex enumeration goes through all
-dim-subsets of bounding hyperplanes, which is entirely adequate at the facet
-counts this engine sees (a few dozen at most).
+kept consistent by construction.  Hull, vertex enumeration and volume run
+on integers: points and rows are scaled by their common denominator, facet
+normals are cofactors of edge vectors, rank comes from fraction-free
+elimination and vertices from Cramer's rule.  Each is one pass over the
+dim-subsets of points or rows, entirely adequate at the facet counts this
+engine sees (a few dozen at most).
 
 All values are immutable and every operation is a pure function, so the
 module is safe to use from concurrent callers without locking.
@@ -35,7 +38,7 @@ from .rationals import Rat, Value, as_integer, ceil_rat, floor_rat
 # ---------------------------------------------------------------------------
 
 def dot(u, v):
-    return sum((a * b for a, b in zip(u, v)), Rat(0))
+    return sum(map(operator.mul, u, v))
 
 
 def vadd(u, v):
@@ -50,83 +53,41 @@ def vscale(u, t):
     return tuple(a * t for a in u)
 
 
-def _rref(rows):
-    """Reduced row echelon form; returns (rows, pivot_columns)."""
-    rows = [list(r) for r in rows]
-    if not rows:
-        return [], []
-    ncols = len(rows[0])
-    pivots = []
-    r = 0
-    for c in range(ncols):
-        pivot = next((i for i in range(r, len(rows)) if rows[i][c] != 0), None)
-        if pivot is None:
-            continue
-        rows[r], rows[pivot] = rows[pivot], rows[r]
-        inv = Rat(1) / rows[r][c]
-        rows[r] = [x * inv for x in rows[r]]
-        for i in range(len(rows)):
-            if i != r and rows[i][c] != 0:
-                f = rows[i][c]
-                rows[i] = [a - f * b for a, b in zip(rows[i], rows[r])]
-        pivots.append(c)
-        r += 1
-        if r == len(rows):
-            break
-    return rows[:r], pivots
-
-
-def rank(vectors) -> int:
-    return len(_rref(vectors)[1])
-
-
-def solve_square(mat, rhs):
-    """Unique solution of the square system mat . x = rhs, or None if singular."""
-    n = len(mat)
-    aug = [list(mat[i]) + [rhs[i]] for i in range(n)]
-    rows, pivots = _rref(aug)
-    if len(pivots) != n or n in pivots:
-        return None
-    sol = [Rat(0)] * n
-    for row, c in zip(rows, pivots):
-        sol[c] = row[-1]
-    return tuple(sol)
-
-
-def nullspace(vectors, dim):
-    """Basis of the null space of the row span of ``vectors`` in R^dim."""
-    rows, pivots = _rref(vectors)
-    free = [c for c in range(dim) if c not in pivots]
-    basis = []
-    for f in free:
-        v = [Rat(0)] * dim
-        v[f] = Rat(1)
-        for row, c in zip(rows, pivots):
-            v[c] = -row[f]
-        basis.append(tuple(v))
-    return basis
-
-
 def det(mat):
-    """Exact determinant via fraction elimination (n <= 4 in practice)."""
-    n = len(mat)
-    a = [list(row) for row in mat]
-    result = Rat(1)
-    for c in range(n):
-        pivot = next((i for i in range(c, n) if a[i][c] != 0), None)
-        if pivot is None:
-            return Rat(0)
-        if pivot != c:
-            a[c], a[pivot] = a[pivot], a[c]
-            result = -result
-        result *= a[c][c]
-        inv = Rat(1) / a[c][c]
-        for i in range(c + 1, n):
-            if a[i][c] != 0:
-                f = a[i][c] * inv
-                for j in range(c, n):
-                    a[i][j] -= f * a[c][j]
-    return result
+    """Exact determinant by cofactor expansion along the first row (n <= 4
+    in practice); an int for integer entries."""
+    if len(mat) < 2:
+        return mat[0][0] if mat else 1
+    first, *rest = mat
+    return sum((-1) ** j * a * det([r[:j] + r[j + 1:] for r in rest])
+               for j, a in enumerate(first) if a)
+
+
+def _cross(vectors, dim):
+    """Generalized cross product of dim - 1 vectors in R^dim: orthogonal to
+    each of them, and zero iff they are linearly dependent."""
+    return tuple((-1) ** j * det([v[:j] + v[j + 1:] for v in vectors])
+                 for j in range(dim))
+
+
+def _echelon(rows):
+    """Fraction-free (Bareiss) echelon form of integer rows: the nonzero
+    echelon rows and their pivot columns, the columns independent of those
+    before them.  Every division is exact."""
+    rows = [list(r) for r in rows]
+    out, pivots, prev = [], [], 1
+    for c in range(len(rows[0]) if rows else 0):
+        p = next((i for i, r in enumerate(rows) if r[c]), None)
+        if p is None:
+            continue
+        top = rows.pop(p)
+        a = top[c]
+        rows = [[(a * x - r[c] * y) // prev for x, y in zip(r, top)]
+                for r in rows]
+        out.append(top)
+        pivots.append(c)
+        prev = a
+    return out, pivots
 
 
 # ---------------------------------------------------------------------------
@@ -134,19 +95,14 @@ def det(mat):
 # ---------------------------------------------------------------------------
 
 def _row(normal, offset):
-    """Canonical integer row (normal, offset) of {x : <normal, x> >= offset}:
-    the entries cleared of denominators and of their common factor, so each
-    half-space has exactly one row."""
-    entries = [Rat(c) for c in (*normal, offset)]
-    lcm = math.lcm(*(e.denominator for e in entries))
-    ints = [e.numerator * (lcm // e.denominator) for e in entries]
+    """Canonical integer row (normal, offset) of {x : <normal, x> >= offset}
+    for rational entries: cleared of denominators and of their common
+    factor, so each half-space has exactly one row."""
+    entries = (*normal, offset)
+    lcm = math.lcm(*(c.denominator for c in entries))
+    ints = [c.numerator * (lcm // c.denominator) for c in entries]
     g = math.gcd(*ints) or 1
     return tuple(v // g for v in ints[:-1]), ints[-1] // g
-
-
-def _slack(row, x):
-    normal, offset = row
-    return dot(normal, x) - offset
 
 
 class ConvexPolytope(Value):
@@ -173,7 +129,7 @@ class ConvexPolytope(Value):
             raise DimMismatchError(
                 f"point of dimension {len(x)} vs polytope in R^{self.dim}")
         x = tuple(Rat(c) for c in x)
-        return all(_slack(h, x) >= 0 for h in self.halfspaces)
+        return all(dot(n, x) >= off for n, off in self.halfspaces)
 
     def bounding_box(self):
         los = [min(v[i] for v in self.vertices) for i in range(self.dim)]
@@ -189,42 +145,41 @@ class ConvexPolytope(Value):
                 f"{len(self.vertices)} vertices, {len(self.halfspaces)} halfspaces)")
 
 
-def _as_points(points):
-    return [tuple(Rat(c) for c in p) for p in points]
+def _integer_points(pts):
+    """The rational points times the common denominator L of their
+    coordinates, as int tuples, and L."""
+    lcm = math.lcm(*(c.denominator for p in pts for c in p))
+    return [tuple(c.numerator * (lcm // c.denominator) for c in p)
+            for p in pts], lcm
 
 
-def _extreme_points(points, halfspaces, dim):
-    """Filter a closed point set down to the vertices of its hull."""
-    out = []
-    for p in points:
-        active = [h[0] for h in halfspaces if _slack(h, p) == 0]
-        if rank(active) == dim:
-            out.append(p)
-    return out
+def _primitive(normal, base):
+    """(normal / gcd, its value at base) for a nonzero integer normal."""
+    g = math.gcd(*normal)
+    normal = tuple(c // g for c in normal)
+    return normal, dot(normal, base)
 
 
-def _facets_fulldim(points, dim):
-    """Irredundant facets of a full-dimensional hull: a dict from each
-    canonical row to the indices of the points tight on it."""
-    n = len(points)
+def _facets(points, dim):
+    """Irredundant facets of a full-dimensional hull of integer points: a
+    dict from each primitive row (normal, offset) to the indices of the
+    points tight on it, in order of first appearance over the dim-subsets."""
     seen = {}
-    for subset in itertools.combinations(range(n), dim):
+    for subset in itertools.combinations(range(len(points)), dim):
         base = points[subset[0]]
-        diffs = [vsub(points[i], base) for i in subset[1:]]
-        if rank(diffs) != dim - 1:
+        normal = _cross([vsub(points[i], base) for i in subset[1:]], dim)
+        if not any(normal):
             continue
-        normal = nullspace(diffs, dim)
-        if len(normal) != 1:
-            continue
-        row = _row(normal[0], dot(normal[0], base))
-        vals = [_slack(row, p) for p in points]
-        if all(v <= 0 for v in vals):
-            row = (vscale(row[0], -1), -row[1])
+        normal, offset = _primitive(normal, base)
+        vals = [dot(normal, p) for p in points]
+        if max(vals) == offset:
+            normal, offset = vscale(normal, -1), -offset
             vals = [-v for v in vals]
-        elif not all(v >= 0 for v in vals):
+        elif min(vals) != offset:
             continue
-        if row not in seen:
-            seen[row] = tuple(i for i, v in enumerate(vals) if v == 0)
+        if (normal, offset) not in seen:
+            seen[normal, offset] = tuple(
+                i for i, v in enumerate(vals) if v == offset)
     return seen
 
 
@@ -235,55 +190,54 @@ def hrep_from_vrep(points) -> ConvexPolytope:
     equations (as paired opposite half-spaces) followed by the facet
     inequalities computed inside the hull.
     """
-    pts = _as_points(points)
+    pts = [tuple(Rat(c) for c in p) for p in points]
     if not pts:
         raise EmptyRegionError("no points given")
     dim = len(pts[0])
     if any(len(p) != dim for p in pts):
         raise DimMismatchError("points of mixed dimension")
     pts = sorted(set(pts))
-    base = pts[0]
-    diffs = [vsub(p, base) for p in pts[1:]]
-    _, pivots = _rref(diffs)
+    ipts, lcm = _integer_points(pts)
+    base = ipts[0]
+    span, pivots = _echelon([vsub(p, base) for p in ipts[1:]])
     pdim = len(pivots)
 
-    halfspaces = []
-    if pdim < dim:
-        for e in nullspace(diffs, dim) if diffs else nullspace([[Rat(0)] * dim], dim):
-            normal, offset = _row(e, dot(e, base))
-            halfspaces += [(normal, offset), (vscale(normal, -1), -offset)]
-    if pdim == 0:
-        return ConvexPolytope(dim, (base,), tuple(halfspaces), 0)
-
-    if pdim == dim:
-        halfspaces.extend(_facets_fulldim(pts, dim))
-    else:
+    # rows (normal, offset) of the scaled points, normals primitive; first
+    # for each non-pivot column f the affine-hull normal that is 0 at the
+    # other non-pivot columns, times w[f] to make it positive at f
+    rows = []
+    for f in [c for c in range(dim) if c not in pivots]:
+        cols = sorted([*pivots, f])
+        w = dict(zip(cols, _cross([[r[c] for c in cols] for r in span],
+                                  pdim + 1)))
+        normal, offset = _primitive(
+            [w.get(c, 0) * w[f] for c in range(dim)], base)
+        rows += [(normal, offset), (vscale(normal, -1), -offset)]
+    if pdim:
         # project to the pivot coordinates, where the hull is full-dimensional
-        proj = [tuple(p[c] for c in pivots) for p in pts]
-        for n, offset in _facets_fulldim(proj, pdim):
-            normal = [0] * dim
-            for j, c in enumerate(pivots):
-                normal[c] = n[j]
-            halfspaces.append((tuple(normal), offset))
+        proj = [tuple(p[c] for c in pivots) for p in ipts]
+        for n, offset in _facets(proj, pdim):
+            lift = dict(zip(pivots, n))
+            rows.append((tuple(lift.get(c, 0) for c in range(dim)), offset))
 
-    verts = _extreme_points(pts, halfspaces, dim)
-    return ConvexPolytope(dim, tuple(sorted(verts)), tuple(halfspaces), pdim)
+    # a vertex is tight on rows of rank dim
+    verts = tuple(p for p, ip in zip(pts, ipts) if len(_echelon(
+        [n for n, off in rows if dot(n, ip) == off])[1]) == dim)
+    halfspaces = tuple(_row(vscale(n, lcm), off) for n, off in rows)
+    return ConvexPolytope(dim, verts, halfspaces, pdim)
 
 
-def _recession_nontrivial(halfspaces, dim) -> bool:
-    normals = [h[0] for h in halfspaces]
-    if rank(normals) < dim:
+def _unbounded(normals, dim) -> bool:
+    """Whether some nonzero x has <n, x> >= 0 for every normal: they span
+    less than R^dim, or an edge direction of the cone (the null line of
+    dim - 1 independent normals) has one sign against all of them."""
+    if len(_echelon(normals)[1]) < dim:
         return True
-    for subset in itertools.combinations(range(len(normals)), dim - 1):
-        sel = [normals[i] for i in subset]
-        if rank(sel) != dim - 1:
-            continue
-        rays = nullspace(sel, dim)
-        if len(rays) != 1:
-            continue
-        ray = rays[0]
-        for r in (ray, vscale(ray, -1)):
-            if all(dot(n, r) >= 0 for n in normals):
+    for subset in itertools.combinations(normals, dim - 1):
+        ray = _cross(subset, dim)
+        if any(ray):
+            vals = [dot(n, ray) for n in normals]
+            if min(vals) >= 0 or max(vals) <= 0:
                 return True
     return False
 
@@ -297,29 +251,37 @@ def vrep_from_hrep(halfspaces, dim) -> ConvexPolytope:
     returned polytope carries a canonical irredundant H-rep rebuilt from the
     vertices.
     """
-    hs = list(halfspaces)
-    if _recession_nontrivial(hs, dim):
+    rows = [_row(n, off) for n, off in halfspaces]
+    for n, _ in rows:
+        if len(n) != dim:
+            raise DimMismatchError(
+                f"half-space normal of dimension {len(n)} vs R^{dim}")
+    if _unbounded([n for n, _ in rows], dim):
         raise UnboundedError("half-space intersection is unbounded")
     verts = set()
-    for subset in itertools.combinations(hs, dim):
-        x = solve_square([n for n, _ in subset], [off for _, off in subset])
-        if x is None:
+    for subset in itertools.combinations(rows, dim):
+        # Cramer's rule: (xs, d) is normal to each (n, -off), and x = xs / d
+        *xs, d = _cross([(*n, -off) for n, off in subset], dim + 1)
+        if not d:
             continue
-        if all(_slack(h, x) >= 0 for h in hs):
-            verts.add(x)
+        if d < 0:
+            d, xs = -d, [-x for x in xs]
+        if all(dot(n, xs) >= off * d for n, off in rows):
+            verts.add(tuple(Rat(x, d) for x in xs))
     if not verts:
         raise EmptyRegionError("half-space intersection is empty")
-    return hrep_from_vrep(sorted(verts))
+    return hrep_from_vrep(verts)
 
 
 def polytope_from_divisor(rays, coeffs) -> ConvexPolytope:
     """Lattice polytope {u : <u, ray_i> >= -coeff_i} of toric divisor data."""
-    rays = _as_points(rays)
     if not rays:
         raise DegenerateError("no rays given")
     dim = len(rays[0])
     if len(coeffs) != len(rays):
         raise DimMismatchError("one coefficient per ray required")
+    if any(len(r) != dim for r in rays):
+        raise DimMismatchError("rays of mixed dimension")
     poly = vrep_from_hrep([(r, -a) for r, a in zip(rays, coeffs)], dim)
     if poly.pdim < dim:
         raise DegenerateError(
@@ -383,8 +345,9 @@ def product(p: ConvexPolytope, q: ConvexPolytope) -> ConvexPolytope:
 # volume and lattice points
 # ---------------------------------------------------------------------------
 
-def _triangulate_fulldim(points, dim):
-    """Triangulation of a full-dimensional hull into index simplices.
+def _triangulate(points, dim, facets):
+    """Triangulation of the full-dimensional hull of integer points into
+    index simplices, given the indices of the points on each facet.
 
     Cones the first vertex over a recursive triangulation of the facets not
     containing it.
@@ -392,16 +355,14 @@ def _triangulate_fulldim(points, dim):
     if len(points) == dim + 1:
         return [tuple(range(dim + 1))]
     simplices = []
-    for tight in _facets_fulldim(points, dim).values():
+    for tight in facets:
         if 0 in tight:
             continue
         fpts = [points[i] for i in tight]
-        base = fpts[0]
-        diffs = [vsub(p, base) for p in fpts[1:]]
-        _, pivots = _rref(diffs)
+        _, pivots = _echelon([vsub(p, fpts[0]) for p in fpts[1:]])
         proj = [tuple(p[c] for c in pivots) for p in fpts]
-        for sub in _triangulate_fulldim(proj, dim - 1):
-            simplices.append((0,) + tuple(tight[i] for i in sub))
+        simplices += [(0, *(tight[i] for i in sub)) for sub in _triangulate(
+            proj, dim - 1, _facets(proj, dim - 1).values())]
     return simplices
 
 
@@ -409,16 +370,12 @@ def volume(poly: ConvexPolytope):
     """Exact Lebesgue volume; 0 for polytopes below full ambient dimension."""
     if poly.pdim < poly.dim:
         return Rat(0)
-    pts = list(poly.vertices)
-    total = Rat(0)
-    fact = 1
-    for k in range(2, poly.dim + 1):
-        fact *= k
-    for simplex in _triangulate_fulldim(pts, poly.dim):
-        base = pts[simplex[0]]
-        mat = [vsub(pts[i], base) for i in simplex[1:]]
-        total += abs(det(mat))
-    return total / fact
+    pts, lcm = _integer_points(poly.vertices)
+    facets = [[i for i, p in enumerate(pts) if dot(n, p) == off * lcm]
+              for n, off in poly.halfspaces]
+    total = sum(abs(det([vsub(pts[i], pts[s[0]]) for i in s[1:]]))
+                for s in _triangulate(pts, poly.dim, facets))
+    return Rat(total, math.factorial(poly.dim) * lcm ** poly.dim)
 
 
 def fiber_box(poly: ConvexPolytope, k=1):

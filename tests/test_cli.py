@@ -5,7 +5,8 @@ from pathlib import Path
 
 import pytest
 
-from hkdensity import Rat, SegrePair, SpecParseError, ToricPair, pw_equal, pw_from_json
+from hkdensity import (DimMismatchError, Rat, SegrePair, SpecParseError,
+                       ToricPair, pw_equal, pw_from_json)
 from hkdensity import cli
 from hkdensity.cli import main, parse_spec, run_command
 
@@ -120,6 +121,22 @@ def test_duplicate_spec_keys_are_parse_errors(spec, capsys, monkeypatch):
     status, out = run(capsys, ["ehk"], spec, monkeypatch)
     assert status == 1
     assert json.loads(out)["error"]["code"] == "parse_error"
+
+
+@pytest.mark.parametrize("spec", [
+    # a short ray, and a long one whose extra coordinate must not be dropped
+    '{"rays": [[1,0],[0]], "coeffs": [1,1]}',
+    '{"rays": [[1,0],[0,1],[-1,-1,0]], "coeffs": [1,1,1]}',
+])
+def test_rays_of_mixed_dimension_are_dim_mismatch(spec, capsys, monkeypatch):
+    with pytest.raises(DimMismatchError, match="rays of mixed dimension"):
+        parse_spec(spec)
+    error = {"error": {"code": "dim_mismatch",
+                       "message": "rays of mixed dimension"}}
+    status, text, ext = run_command("ehk", spec)
+    assert (status, ext, json.loads(text)) == (1, "json", error)
+    status, out = run(capsys, ["ehk"], spec, monkeypatch)
+    assert (status, json.loads(out)) == (1, error)
 
 
 # --- commands ---------------------------------------------------------------------

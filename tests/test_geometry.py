@@ -1,5 +1,6 @@
 import itertools
 import math
+import operator
 import random
 
 import pytest
@@ -25,7 +26,7 @@ from hkdensity import (
 
 from hkdensity.geometry import fiber_box, lattice_count, lattice_lines
 
-from reference import intersect
+from reference import _slack, intersect
 
 
 def _vertex_set(poly):
@@ -211,6 +212,96 @@ def test_divisor_with_non_primitive_ray_has_canonical_rows():
         _assert_canonical_rows(poly)
 
 
+def test_divisor_rays_of_mixed_dimension_rejected():
+    with pytest.raises(DimMismatchError, match="rays of mixed dimension"):
+        polytope_from_divisor([(1, 0), (0,)], [1, 1])
+    with pytest.raises(DimMismatchError, match="rays of mixed dimension"):
+        polytope_from_divisor([(1, 0), (0, 1), (-1, -1, 0)], [1, 1, 1])
+    with pytest.raises(DimMismatchError):
+        vrep_from_hrep([hs((1, 0), 0), hs((0, 1), 0), hs((-1,), -1)], 2)
+
+
+# --- pinned differential corpus ---------------------------------------------
+
+# (function, arguments, (vertices, rows, pdim) or (error class, message)),
+# recorded from a Fraction row-reduction hull over the same d-subsets, an
+# implementation separate from the integer kernel; the strings are
+# rationals.  Random hulls in dimensions 2-4, lower-dimensional and
+# rational sets, redundant, tangent and zero rays, and failing fans.
+PINNED = [
+    ('hrep_from_vrep', (((1, 2, 5, -1), (1, -2, 3, 4), (4, 3, -3, 5), (-4, 3, 2, -5), (2, 2, 4, -4), (-4, -2, 1, -2), (-3, -3, 5, 2)),),
+     (((-4, -2, 1, -2), (-4, 3, 2, -5), (-3, -3, 5, 2), (1, -2, 3, 4), (1, 2, 5, -1), (2, 2, 4, -4), (4, 3, -3, 5)), (((29, 89, -100, 115), -624), ((295, -133, 86, -193), -442), ((-60, 43, 142, 119), 58), ((-86, 174, -10, 75), -164), ((14, 18, 19, -18), -37), ((-262, 339, 178, 159), 230), ((7, 1, -26, 11), -132), ((235, -347, -154, -265), -964), ((-25, -215, -34, 3), -628), ((-43, 38, -61, 6), -278), ((38, -94, -77, -106), -429), ((-131, 5, -65, -22), -424)), 4)),
+    ('hrep_from_vrep', (((-2, 0, -2, 8), (2, 4, 2, 0), (0, 2, -6, 3), (-2, 6, -2, 5), (1, 0, -8, 2), (0, 8, -6, 0), (-5, 4, -2, 11), (0, 8, -6, 0)),),
+     (((-5, 4, -2, 11), (-2, 0, -2, 8), (-2, 6, -2, 5), (0, 8, -6, 0), (1, 0, -8, 2), (2, 4, 2, 0)), (((10, 3, -1, 6), 30), ((-10, -3, 1, -6), -30), ((4, 3, 2, 0), -12), ((4, 3, -7, 0), 6), ((4, -6, -1, 0), -42), ((4, -6, -7, 0), -30), ((20, -3, 22, 0), -156), ((-2, 3, -1, 0), 6), ((0, -2, -1, 0), -10), ((-6, -1, 1, 0), -14)), 3)),
+    ('hrep_from_vrep', (((3, 4, 9, -12), (7, 2, 9, -20), (1, -3, -1, 2), (3, 0, 4, -7), (3, 4, 9, -12)),),
+     (((1, -3, -1, 2), (3, 4, 9, -12), (7, 2, 9, -20)), (((-5, -10, 8, 0), 17), ((5, 10, -8, 0), -17), ((21, 10, 0, 8), 7), ((-21, -10, 0, -8), -7), ((7, -2, 0, 0), 13), ((-5, 6, 0, 0), -23), ((-1, -2, 0, 0), -11)), 2)),
+    ('hrep_from_vrep', (((-2, -3, '-5/3', '1/3'),),),
+     (((-2, -3, '-5/3', '1/3'),), (((1, 0, 0, 0), -2), ((-1, 0, 0, 0), 2), ((0, 1, 0, 0), -3), ((0, -1, 0, 0), 3), ((0, 0, 3, 0), -5), ((0, 0, -3, 0), 5), ((0, 0, 0, 3), 1), ((0, 0, 0, -3), -1)), 0)),
+    ('hrep_from_vrep', (((-4, 1, 2), (-4, 1, 2), (-4, 1, 2)),),
+     (((-4, 1, 2),), (((1, 0, 0), -4), ((-1, 0, 0), 4), ((0, 1, 0), 1), ((0, -1, 0), -1), ((0, 0, 1), 2), ((0, 0, -1), -2)), 0)),
+    ('hrep_from_vrep', ((('-5/2', 5), (5, -1), (-3, 2), (-3, 2), (-1, 5), ('-13/18', 2), (-4, 5), (2, -1), (1, -1), (-1, 2)),),
+     (((-4, 5), (-3, 2), (-1, 5), (1, -1), (5, -1)), (((3, 1), -7), ((0, -1), -5), ((3, 4), -1), ((-1, -1), -4), ((0, 1), -1)), 2)),
+    ('hrep_from_vrep', (((-3, 2, 5), (3, -4, 4), (-1, -4, -2), (-5, -1, -1), (2, 4, 0), (1, -5, -3), (-3, 2, 5), (2, 4, 0)),),
+     (((-5, -1, -1), (-3, 2, 5), (-1, -4, -2), (1, -5, -3), (2, 4, 0), (3, -4, 4)), (((27, -40, 11), -106), ((33, 38, -30), -173), ((1, 1, 1), -7), ((9, 14, -6), -53), ((3, -10, 29), -34), ((-32, -25, -42), -164), ((3, 8, -2), -31), ((-60, 1, 17), -116)), 3)),
+    ('hrep_from_vrep', (((0, 1, 0),),),
+     (((0, 1, 0),), (((1, 0, 0), 0), ((-1, 0, 0), 0), ((0, 1, 0), 1), ((0, -1, 0), -1), ((0, 0, 1), 0), ((0, 0, -1), 0)), 0)),
+    ('hrep_from_vrep', (((6, -1, 0, 1), (4, '-1/2', -3, 5), (6, '-3/2', -2, -1), (0, '1/2', -4, -1), (1, '-3/2', 0, 5)),),
+     (((0, '1/2', -4, -1), (1, '-3/2', 0, 5), (4, '-1/2', -3, 5), (6, '-3/2', -2, -1), (6, -1, 0, 1)), (((6, 36, 18, -1), -53), ((2, -300, -98, -35), 277), ((22, 28, -38, 31), 135), ((-30, -76, 14, 5), -99), ((-34, 108, 2, -29), -341)), 4)),
+    ('hrep_from_vrep', (((3, '-2/3', 0), (2, '-2/3', 0), ('3/2', '-2/3', 0)),),
+     ((('3/2', '-2/3', 0), (3, '-2/3', 0)), (((0, 3, 0), -2), ((0, -3, 0), 2), ((0, 0, 1), 0), ((0, 0, -1), 0), ((2, 0, 0), 3), ((-1, 0, 0), -3)), 1)),
+    ('hrep_from_vrep', ((('2/9', '1/6', '2/15'), ('8/9', '3/2', '2/15'), ('14/9', '5/6', '2/15')),),
+     ((('2/9', '1/6', '2/15'), ('8/9', '3/2', '2/15'), ('14/9', '5/6', '2/15')), (((0, 0, 15), 2), ((0, 0, -15), -2), ((36, -18, 0), 5), ((-9, 18, 0), 1), ((-18, -18, 0), -43)), 2)),
+    ('hrep_from_vrep', (((0, 0, 0), (0, 0, '5/6'), (0, '5/6', 0), (0, '5/6', '5/6'), ('5/6', 0, 0), ('5/6', 0, '5/6'), ('5/6', '5/6', 0), ('5/6', '5/6', '5/6')),),
+     (((0, 0, 0), (0, 0, '5/6'), (0, '5/6', 0), (0, '5/6', '5/6'), ('5/6', 0, 0), ('5/6', 0, '5/6'), ('5/6', '5/6', 0), ('5/6', '5/6', '5/6')), (((1, 0, 0), 0), ((0, 1, 0), 0), ((0, 0, 1), 0), ((0, 0, -6), -5), ((0, -6, 0), -5), ((-6, 0, 0), -5)), 3)),
+    ('polytope_from_divisor', (((1, 0), (0, 1), (-1, -1), (1, 1), (-1, 0)), (1, 1, 1, 5, 3)),
+     (((-1, -1), (-1, 2), (2, -1)), (((1, 0), -1), ((0, 1), -1), ((-1, -1), -1)), 2)),
+    ('polytope_from_divisor', (((2, 0), (1, 0), (0, 1), (-1, -1)), (2, 1, 1, 1)),
+     (((-1, -1), (-1, 2), (2, -1)), (((1, 0), -1), ((0, 1), -1), ((-1, -1), -1)), 2)),
+    ('polytope_from_divisor', (((1, 0), (0, 1), (-1, -1), (1, 1)), (1, 1, 1, 2)),
+     (((-1, -1), (-1, 2), (2, -1)), (((1, 0), -1), ((0, 1), -1), ((-1, -1), -1)), 2)),
+    ('polytope_from_divisor', (((1, 0), (0, 1), (-1, -1), (0, 0)), (1, 1, 1, 2)),
+     (((-1, -1), (-1, 2), (2, -1)), (((1, 0), -1), ((0, 1), -1), ((-1, -1), -1)), 2)),
+    ('polytope_from_divisor', (((1, 0), (0, 1), (-1, -1), (0, 0)), (1, 1, 1, -1)),
+     ('EmptyRegionError', 'half-space intersection is empty')),
+    ('polytope_from_divisor', (((1, 0, 0), (0, 1, 0), (0, 0, 1), (-1, -1, 0)), (1, 1, 1, 1)),
+     ('UnboundedError', 'half-space intersection is unbounded')),
+    ('polytope_from_divisor', (((1, 0), (-1, 0), (0, 1), (0, -1)), (-2, 1, 1, 1)),
+     ('EmptyRegionError', 'half-space intersection is empty')),
+    ('polytope_from_divisor', (((2, 1), (-1, 0), (0, -1), (1, -2)), (1, 1, 1, 1)),
+     ('NonIntegralVertexError', 'divisor polytope has non-integral vertices')),
+    ('polytope_from_divisor', (((1, 0), (-1, 0), (0, 1), (0, -1)), (0, 0, 1, 1)),
+     ('DegenerateError', 'divisor polytope has dimension 1 < 2')),
+    ('polytope_from_divisor', (((1, 0, 0, 0), (-1, 0, 0, 0), (0, 1, 0, 0), (0, -1, 0, 0), (0, 0, 1, 0), (0, 0, -1, 0), (0, 0, 0, 1), (0, 0, 0, -1)), (0, 1, 0, 1, 0, 1, 0, 1)),
+     (((0, 0, 0, 0), (0, 0, 0, 1), (0, 0, 1, 0), (0, 0, 1, 1), (0, 1, 0, 0), (0, 1, 0, 1), (0, 1, 1, 0), (0, 1, 1, 1), (1, 0, 0, 0), (1, 0, 0, 1), (1, 0, 1, 0), (1, 0, 1, 1), (1, 1, 0, 0), (1, 1, 0, 1), (1, 1, 1, 0), (1, 1, 1, 1)), (((1, 0, 0, 0), 0), ((0, 1, 0, 0), 0), ((0, 0, 1, 0), 0), ((0, 0, 0, 1), 0), ((0, 0, 0, -1), -1), ((0, 0, -1, 0), -1), ((0, -1, 0, 0), -1), ((-1, 0, 0, 0), -1)), 4)),
+    ('vrep_from_hrep', ((((1, 0), '1/2'), ((0, '1/3'), 0), ((-1, -1), -2)), 2),
+     ((('1/2', 0), ('1/2', '3/2'), (2, 0)), (((2, 0), 1), ((0, 1), 0), ((-1, -1), -2)), 2)),
+    ('vrep_from_hrep', ((((2, '3/2', 1), -2), ((0, '1/3', 0), 0), (('-1/3', -3, '1/3'), '1/5'), ((1, -1, '1/2'), 1), (('-1/3', 0, -1), '-3/5')), 3),
+     ('EmptyRegionError', 'half-space intersection is empty')),
+]
+
+
+def _rats(x):
+    if isinstance(x, str):
+        return Rat(x)
+    return tuple(map(_rats, x)) if isinstance(x, (list, tuple)) else x
+
+
+@pytest.mark.parametrize("call,args,expected", PINNED,
+                         ids=[f"{c}{i}" for i, (c, *_) in enumerate(PINNED)])
+def test_pinned_corpus(call, args, expected):
+    fn = {"hrep_from_vrep": hrep_from_vrep, "vrep_from_hrep": vrep_from_hrep,
+          "polytope_from_divisor": polytope_from_divisor}[call]
+    if isinstance(expected[0], str):
+        with pytest.raises(Exception) as err:
+            fn(*_rats(args))
+        assert (type(err.value).__name__, str(err.value)) == expected
+        return
+    P = fn(*_rats(args))
+    assert (P.vertices, P.halfspaces, P.pdim) == _rats(expected)
+    assert all(type(c) is Rat for v in P.vertices for c in v)
+    _assert_canonical_rows(P)
+
+
 # --- intersect --------------------------------------------------------------
 
 def test_intersect_disjoint_is_none():
@@ -361,6 +452,16 @@ FIXTURE_POLYTOPES = [
     lattice_hull([(-1, -1), (2, -1), (-1, 2)]),
     lattice_hull([(2, 1), (1, 2), (-1, 1), (-2, -1), (-1, -2), (1, -1)]),
     lattice_hull(list(itertools.product((0, 1), repeat=3))),
+    # dimensions 1, 3 and 4, and sets of lower dimension
+    lattice_hull([(-2,), (1,), (5,)]),
+    lattice_hull([(0, 0, 0), (2, 0, 0), (0, 3, 0), (0, 0, 2), (1, 1, 1)]),
+    lattice_hull(list(itertools.product((0, 1), repeat=4))),
+    lattice_hull([(x, y, z, w) for x, y in ((0, 0), (2, 1), (1, 3))
+                  for z in (0, 1) for w in (0, 2)]),
+    lattice_hull([(1, 2)]),
+    lattice_hull([(0, 0, 0), (2, 1, 0), (1, 2, 0), (1, 1, 0)]),
+    lattice_hull([(0, 1, 0, 0), (1, 3, 0, 1), (2, 5, 0, 2)]),
+    lattice_hull([(0, 0, 0, 0), (1, 0, 0, 1), (0, 1, 1, 0), (1, 1, 1, 1)]),
 ]
 
 
@@ -403,3 +504,62 @@ def test_contains_vertices_and_centroid(poly):
     centroid = tuple(sum(v[i] for v in poly.vertices) / Rat(n)
                      for i in range(poly.dim))
     assert poly.contains(centroid)
+
+
+def _rank(vectors):
+    """Rank by plain Fraction elimination, independent of the module."""
+    rows, rank = [[Rat(c) for c in v] for v in vectors], 0
+    for c in range(len(rows[0]) if rows else 0):
+        pivot = next((r for r in rows[rank:] if r[c]), None)
+        if pivot is None:
+            continue
+        rows.remove(pivot)
+        rows.insert(rank, pivot)
+        for r in rows[rank + 1:]:
+            f = r[c] / pivot[c]
+            r[:] = [a - f * b for a, b in zip(r, pivot)]
+        rank += 1
+    return rank
+
+
+@st.composite
+def _point_sets(draw, dim):
+    """Integer point sets in R^dim, a third of them flattened onto a
+    hyperplane x_n = <a, x'> + b so that lower dimensions come up."""
+    coord = st.integers(-3, 3)
+    pts = draw(st.lists(st.tuples(*[coord] * dim), min_size=1, max_size=7))
+    if draw(st.integers(0, 2)) == 0:
+        a = draw(st.tuples(*[st.integers(-2, 2)] * dim))
+        pts = [(*p[:-1], sum(map(operator.mul, a, p[:-1])) + a[-1])
+               for p in pts]
+    return pts
+
+
+@pytest.mark.parametrize("dim", [1, 2, 3, 4])
+@settings(max_examples=15, deadline=None, derandomize=True)
+@given(data=st.data(),
+       t=st.fractions(min_value=0, max_value=4, max_denominator=6),
+       shift=st.lists(_SHIFT, min_size=4, max_size=4),
+       perm=st.permutations(range(4)),
+       signs=st.lists(st.sampled_from((1, -1)), min_size=4, max_size=4),
+       move=st.lists(st.integers(-5, 5), min_size=4, max_size=4))
+def test_random_polytope_rows_vertices_and_volume(dim, data, t, shift, perm,
+                                                  signs, move):
+    points = data.draw(_point_sets(dim))
+    P = hrep_from_vrep(points)
+    for poly in (P, scale(P, t), translate(P, shift[:dim])):
+        _assert_canonical_rows(poly)
+    # every input point satisfies every row, and exactly the vertices are
+    # tight on rows of rank dim
+    for p in set(points):
+        assert all(_slack(h, p) >= 0 for h in P.halfspaces)
+        tight = [n for n, off in P.halfspaces if _slack((n, off), p) == 0]
+        assert (_rank(tight) == dim) == (p in P.vertices)
+    assert set(P.vertices) <= set(points)
+    back = vrep_from_hrep(P.halfspaces, dim)
+    assert (back.vertices, back.halfspaces, back.pdim) == (
+        P.vertices, P.halfspaces, P.pdim)
+    # volume is invariant under a signed permutation plus an integer shift
+    order = [i for i in perm if i < dim]
+    image = [tuple(signs[i] * p[i] + move[i] for i in order) for p in points]
+    assert volume(hrep_from_vrep(image)) == volume(P)
