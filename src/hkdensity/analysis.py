@@ -73,7 +73,7 @@ def _hkd_cached(pair: ToricPair) -> PiecewisePoly:
             Poly.of(0, vol), Poly.of(vol * (vol + 1), -vol * vol)])
     from . import regions
     fam = regions.hk_family(P)
-    tail = regions.family_volume_function(fam, 0, pair.l, vanish_monotone=True)
+    tail = regions.family_volume_function(fam, 0, pair.l)
     if tail(0) != vol:
         raise BreakpointVerificationError(
             "density function discontinuous at level 1")
@@ -165,7 +165,7 @@ def _phi_cached(pair: ToricPair) -> PiecewisePoly:
     from . import regions
     r = cell_cover_scale(pair)
     fam = regions.phi_family(P, Rat(r))
-    phi = regions.family_volume_function(fam, 0, Rat(r), vanish_monotone=True)
+    phi = regions.family_volume_function(fam, 0, Rat(r))
     if phi(0) != 1:
         raise BreakpointVerificationError("defect function must start at 1")
     return phi

@@ -60,8 +60,8 @@ class UnsupportedDimensionError(EngineError):
 
 class BreakpointVerificationError(EngineError):
     """An exact self-check of a computed function failed: an interpolated
-    piece missed its verification sample, a vanishing tail was not zero, or
-    the assembled function broke continuity or a known value."""
+    piece missed its verification sample, or the assembled function broke
+    continuity or a known value."""
 
     code = "breakpoint_verification_failed"
 

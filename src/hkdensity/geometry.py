@@ -326,8 +326,7 @@ def anchored(poly):
     """Translate so the lexicographically smallest vertex sits at the origin.
 
     Every invariant of a pair is translation-invariant; anchoring makes the
-    dilates of the base polytope nested, which the support bounds and the
-    vanishing-tail trim of the area engine rely on.
+    dilates of the base polytope nested, which the support bounds rely on.
     """
     v0 = min(poly.vertices)
     return translate(poly, vscale(v0, -1))

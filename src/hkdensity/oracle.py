@@ -58,7 +58,10 @@ def _lines(P, k):
 
 def _count(P, q: int, m: int) -> int:
     """#{w in m*P : w - q*u lies outside (m-q)*P for every lattice point u
-    of P}, the constraint dropped for m < q."""
+    of P}, the constraint dropped for m < q.  The count is 0 from
+    m = (n+1)*q on, n = dim P (``oracle_ehk``)."""
+    if m >= (P.dim + 1) * q:
+        return 0
     total = geo.lattice_count(_lines(P, m))
     if m < q:
         return total
@@ -149,6 +152,8 @@ def oracle_ehk(pair, q: int):
     n+1 vertices v_i with coefficients lambda_i >= 0 summing to m, so for
     m >= (n+1)*q some lambda_i >= q and w - q*v_i lies in (m-q)*P.
     """
+    if q < 1 or int(q) != q:
+        raise ValueError("need an integer q >= 1")
     P = geo.anchored(pair.polytope)
     q = int(q)
     total = sum(_count(P, q, m) for m in range((P.dim + 1) * q))

@@ -1,7 +1,7 @@
 """Exact rational arithmetic.
 
 All core computations run on exact rationals (``fractions.Fraction``); no
-floating point enters any invariant.  The hot loops (event scans, area
+floating point enters any invariant.  The hot loops (the event scan, area
 samples and lattice counts) run on Python integers.  ``Value`` is the
 base of the package's immutable value types.
 """

@@ -7,10 +7,11 @@ translates of a dilate.  Both are instances of one parametric family: a
 minuend and translates of one shape, each a nonnegative dilate
 (c0 + c1*t)*polytope of a fixed polytope.  A family is converted once into
 one integer record (rings and facets with a common denominator), from which
-an integer scan of incidence events gives the candidate breakpoints and an
-integer area kernel gives each area sample.  The parameterized area function
-is recovered per interval by exact interpolation with a verification sample;
-a failed verification is a hard error.
+one integer scan of the concurrences of three moving facet lines gives the
+candidate breakpoints and an integer area kernel gives each area sample.
+The parameterized area function is recovered on every candidate interval,
+a vanishing tail included, by exact interpolation with a verification
+sample; a failed verification is a hard error.
 
 The engine is planar: each area sample integrates the surviving boundary
 (Green's theorem over the surviving edges).  Every other base dimension is
@@ -26,7 +27,7 @@ from math import lcm
 
 from . import geometry as geo
 from .errors import BreakpointVerificationError, UnsupportedDimensionError
-from .piecewise import PiecewisePoly, Poly, lagrange_interpolate
+from .piecewise import PiecewisePoly, lagrange_interpolate
 from .rationals import Rat, Value, floor_rat
 
 
@@ -195,7 +196,7 @@ def _ccw(poly):
 
 class _FamilyRecord:
     """Integer record of a family's bodies, built once per call and read by
-    both the event scans and the area samples.
+    both the event scan and the area samples.
 
     Body 0 is the minuend, body i the subtrahend u_i + shape.  Coordinates
     are scaled by one common ``scale``, the lcm of every vertex, facet-offset
@@ -206,7 +207,7 @@ class _FamilyRecord:
     polytopes, so its base order stays counterclockwise for every t in range
     (at scale 0 the ring collapses to one point).
 
-    For the scans a moving point is ((x0, y0) + t*(x1, y1))/den with
+    For the scan a moving point is ((x0, y0) + t*(x1, y1))/den with
     den > 0, an event t = r/c with c > 0, and every test is a
     cross-multiplied sign comparison.
     """
@@ -289,136 +290,102 @@ class _FamilyRecord:
                 return False
         return True
 
-    def crossings(self, point, window, lines, on, skip, events):
-        """Add to ``events`` each t = r/c at which the moving point meets one
-        of ``lines`` inside its window and strictly inside (lo, hi), with the
-        witness in the closed line owner and bodies ``on``, and not in the
-        open interior of a subtrahend outside ``skip`` and the line owner.
 
-        An incidence with a facet line matters for the area function only
-        when the witness sits on the owner's actual boundary: away from the
-        closed body the line carries no boundary of the union."""
-        x0, y0, x1, y1, den = point
-        wn, wd, vn, vd = window
-        (lo_n, lo_d), (hi_n, hi_d) = self.lo, self.hi
-        for i3, n3x, n3y, a3, b3 in lines:
-            c = n3x * x1 + n3y * y1 - den * b3
-            if c == 0:
-                continue
-            r = den * a3 - n3x * x0 - n3y * y0
-            if c < 0:
-                c, r = -c, -r
-            if not (wn * c <= r * wd and r * vd <= vn * c
-                    and lo_n * c < r * lo_d and r * hi_d < hi_n * c):
-                continue
-            wx = x0 * c + x1 * r
-            wy = y0 * c + y1 * r
-            if not all(self.on_body(k, wx, wy, den, c, r) for k in on + (i3,)):
-                continue
-            if not any(self.on_body(k, wx, wy, den, c, r, strict=True)
-                       for k in range(1, len(self.facets))
-                       if k != i3 and k not in skip):
-                events.add(Rat(r, c))
+def _events(scan):
+    """Parameters t = r/c strictly inside (lo, hi) where three facet lines
+    meet at a witness inside the closed minuend and the closed bodies of the
+    three lines, and outside the open interior of every other subtrahend.
+    An incidence with a facet line matters for the area function only when
+    the witness sits on the owner's actual boundary: away from the closed
+    body the line carries no boundary of the union.
 
-
-def _pair_events(scan):
-    """Parameters where a vertex of one body crosses a facet line of another,
-    witnessed inside the (closed) minuend."""
-    events = set()
-    for ai, ring in enumerate(scan.rings):
-        others = [line for line in scan.lines if line[0] != ai]
-        for px, py, qx, qy in ring:
-            point = (px, py, qx, qy, 1)
-            window = scan.window(*point)
-            if window is not None:
-                scan.crossings(point, window, others, (), (ai,), events)
-    return events
-
-
-def _triple_events(scan):
-    """Concurrency of facet lines from three distinct bodies, witnessed
-    inside the closed minuend and not smothered by an uninvolved body.
-
-    Together with the pairwise vertex-on-line events this makes the
-    candidate set complete: a combinatorial change of the arrangement
-    restricted to the minuend is a concurrence of three moving lines (two of
-    them from one body being the vertex case, coinciding lines being caught
-    by the vertex case as well).
+    Each triple j1 < j2 < j3 of ``scan.lines`` is met once, from the moving
+    intersection of j1 and j2.  A body's lines are contiguous, so two lines
+    of one body in a triple are j1, j2 (its vertex on a later body's line)
+    or j2, j3 (its vertex on an earlier body's line); two that are not
+    adjacent meet outside the body and are skipped.  When j1 is parallel to
+    j2 of a later body, that body's vertex j2, j3 reaches j1 as the two
+    lines coincide, so the triple is met from j1 and j3.  A triple of three
+    bodies with two parallel lines is such a coincidence too, caught by a
+    vertex on the line.
     """
-    lines = scan.lines
+    lines, facets = scan.lines, scan.facets
+    (lo_n, lo_d), (hi_n, hi_d) = scan.lo, scan.hi
+    # subtrahend i's lines start at first[i] and carry the shape's normals
+    # and rates
+    first = list(itertools.accumulate(map(len, facets), initial=0))
     events = set()
     for j1, (i1, n1x, n1y, a1, b1) in enumerate(lines):
+        # the shape's facets parallel to j1 at another rate, which coincide
+        # with it once
+        parallel = [m for m, (nx, ny, _, b) in enumerate(facets[-1])
+                    if nx * n1y == ny * n1x
+                    and (nx * b1 != b * n1x or ny * b1 != b * n1y)]
         for j2 in range(j1 + 1, len(lines)):
             i2, n2x, n2y, a2, b2 = lines[j2]
             den = n1x * n2y - n1y * n2x
-            if i1 == i2 or den == 0:
+            if den == 0:
                 continue
             # moving intersection ((x0, y0) + t*(x1, y1))/den of the lines
-            point = (a1 * n2y - a2 * n1y, a2 * n1x - a1 * n2x,
-                     b1 * n2y - b2 * n1y, b2 * n1x - b1 * n2x, den)
+            x0, y0 = a1 * n2y - a2 * n1y, a2 * n1x - a1 * n2x
+            x1, y1 = b1 * n2y - b2 * n1y, b2 * n1x - b1 * n2x
             if den < 0:
-                point = tuple(-v for v in point)
-            window = scan.window(*point)
+                x0, y0, x1, y1, den = -x0, -y0, -x1, -y1, -den
+            # two lines of one body meet on it only at a vertex
+            if i1 == i2 and not scan.on_body(
+                    i1, x0 * hi_d + x1 * hi_n, y0 * hi_d + y1 * hi_n, den,
+                    hi_d, hi_n):
+                continue
+            window = scan.window(x0, y0, x1, y1, den)
             if window is None:
                 continue
-            # each unordered triple once; parallel pairs are coincidence
-            # events, already witnessed by vertices landing on the line
-            third = [line for line in lines[j2 + 1:] if line[0] not in (i1, i2)]
-            scan.crossings(point, window, third, (i1, i2), (i1, i2), events)
+            wn, wd, vn, vd = window
+            third = [line for line in lines[j2 + 1:] if line[0] != i1]
+            if i2 != i1:
+                third += [lines[first[i2] + m] for m in parallel
+                          if first[i2] + m < j2]
+            for i3, n3x, n3y, a3, b3 in third:
+                c = n3x * x1 + n3y * y1 - den * b3
+                if c == 0:
+                    continue
+                r = den * a3 - n3x * x0 - n3y * y0
+                if c < 0:
+                    c, r = -c, -r
+                if not (wn * c <= r * wd and r * vd <= vn * c
+                        and lo_n * c < r * lo_d and r * hi_d < hi_n * c):
+                    continue
+                wx, wy = x0 * c + x1 * r, y0 * c + y1 * r
+                if not all(scan.on_body(k, wx, wy, den, c, r)
+                           for k in (i1, i2, i3)):
+                    continue
+                if not any(scan.on_body(k, wx, wy, den, c, r, strict=True)
+                           for k in range(1, len(facets))
+                           if k not in (i1, i2, i3)):
+                    events.add(Rat(r, c))
     return events
 
 
-def family_volume_function(family: SliceFamily, lo, hi, *,
-                           vanish_monotone=False) -> PiecewisePoly:
+def family_volume_function(family: SliceFamily, lo, hi) -> PiecewisePoly:
     """Exact t -> area(M(t) minus union of translates of S(t)) on [lo, hi].
 
     The family is turned once into an integer record (``_FamilyRecord``)
-    that both the event scans and the area samples read.  Candidate
-    breakpoints are the vertex-on-facet-line incidences over all body pairs
-    together with the triple-line concurrences of distinct bodies, both
-    filtered to witnesses inside the closed minuend; this set is complete
-    for the combinatorial changes an affine family can undergo.
-    Each candidate interval is then interpolated at three samples and
-    verified at one extra sample; a failure (which would indicate a missed
-    event) raises BreakpointVerificationError.  Each sample evaluates the
-    record's integer rings at t and integrates their surviving boundary
+    that the event scan and the area samples read.  The candidate
+    breakpoints (``_events``) are complete for the combinatorial changes an
+    affine family can undergo.  Every candidate interval, a vanishing tail
+    included, is interpolated at three samples and verified at a fourth; a
+    failure (a missed event) raises BreakpointVerificationError, and
+    ``PiecewisePoly.build`` trims the zero ends.  Each sample integrates the
+    surviving boundary of the record's integer rings at t
     (``_boundary_area``); no rational vertex, hull or arrangement of the
     slice is built.
-
-    With ``vanish_monotone=True`` (valid when an empty slice stays empty for
-    all larger parameters, as holds for these cone families with anchored
-    base polytope) the identically-zero tail is located by bisection over the
-    candidates and skipped.
     """
     lo, hi = Rat(lo), Rat(hi)
     if lo >= hi:
         raise ValueError("empty parameter interval")
     record = _FamilyRecord(family, lo, hi)
     area = record.area
-    cuts = sorted(_pair_events(record) | _triple_events(record) | {lo, hi})
-
-    tail_from = None
-    if vanish_monotone:
-        if area(lo) == 0:
-            return PiecewisePoly.zero(lo)
-        if area(hi) == 0:
-            # first candidate with vanished area, by bisection
-            i, j = 0, len(cuts) - 1
-            while j - i > 1:
-                m = (i + j) // 2
-                if area(cuts[m]) == 0:
-                    j = m
-                else:
-                    i = m
-            tail_from = j
-            # the zero tail is certified at its midpoint as well
-            mid = (cuts[j] + hi) / 2
-            if area(mid) != 0:
-                raise BreakpointVerificationError(
-                    "vanishing tail is not identically zero")
-            cuts = cuts[:j + 1]
-
-    resolved = []
+    cuts = sorted(_events(record) | {lo, hi})
+    pieces = []
     for a, b in zip(cuts, cuts[1:]):
         # the area of an affine family is at most quadratic: three samples
         # interpolated, one more checked
@@ -429,12 +396,8 @@ def family_volume_function(family: SliceFamily, lo, hi, *,
         if poly(check) != area(check):
             raise BreakpointVerificationError(
                 f"could not certify a polynomial piece on [{a}, {b}]")
-        resolved.append((a, b, poly))
-    if tail_from is not None and cuts[-1] < hi:
-        resolved.append((cuts[-1], hi, Poly(())))
-
-    bps = [resolved[0][0]] + [t[1] for t in resolved]
-    out = PiecewisePoly.build(bps, [t[2] for t in resolved])
+        pieces.append(poly)
+    out = PiecewisePoly.build(cuts, pieces)
     if not out.is_continuous():
         raise BreakpointVerificationError(
             "assembled area function fails exact continuity")

@@ -1,5 +1,6 @@
 import itertools
 import math
+import time
 
 import pytest
 from hypothesis import assume, given, settings
@@ -154,6 +155,31 @@ def test_oracle_ehk_drops_only_vanishing_degrees(pair, q):
     counts = [slice_count(pair, q, m) for m in range(q * (1 + l) + 1)]
     assert not any(counts[(n + 1) * q:])
     assert oracle_ehk(pair, q) == Rat(sum(counts), q ** (n + 1))
+
+
+@pytest.mark.parametrize("pair", [
+    plane_degree_one(),
+    segre(projective_line(1), projective_line(1), projective_line(1)),
+    ToricPair.from_vertices([(0, 0, 0), (1, 0, 0), (0, 1, 0), (1, 1, 5)]),
+], ids=["simplex", "cube", "reeve"])
+def test_brute_counts_vanish_from_the_caratheodory_bound(pair):
+    # slice_count answers 0 from m = (n+1)*q on without a scan
+    n = pair.polytope.dim
+    assert _brute_count(pair.polytope, 4, (n + 1) * 4) == 0
+
+
+def test_counts_past_the_caratheodory_bound_take_no_scan():
+    # m = 4*10^6 is far past (n+1)*q = 12; a scan of m*P costs time and
+    # memory linear in m
+    start = time.perf_counter()
+    assert f_n(plane_degree_one(), 4, 10 ** 6).count == 0
+    assert time.perf_counter() - start < 0.5
+
+
+@pytest.mark.parametrize("q", [0, -1, 2.5, Rat(5, 2)])
+def test_oracle_ehk_needs_a_positive_integer_level(q):
+    with pytest.raises(ValueError, match="integer q >= 1"):
+        oracle_ehk(plane_degree_one(), q)
 
 
 # --- convergence reports ----------------------------------------------------------------

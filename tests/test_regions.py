@@ -13,6 +13,7 @@ from hkdensity import (
     Poly,
     Rat,
     SliceFamily,
+    ToricPair,
     UnsupportedDimensionError,
     family_volume_function,
     hk_family,
@@ -139,8 +140,7 @@ def test_phi_family_line(n):
 
 def test_phi_family_square_side_two():
     f = family_volume_function(
-        phi_family(lattice_hull([(0, 0), (2, 0), (0, 2), (2, 2)]), 1),
-        0, 1, vanish_monotone=True)
+        phi_family(lattice_hull([(0, 0), (2, 0), (0, 2), (2, 2)]), 1), 0, 1)
     assert pw_equal(f, PiecewisePoly.build([0, Rat(1, 2)], [Poly.of(1, 0, -4)]))
 
 
@@ -155,12 +155,23 @@ def test_constant_family():
 def test_missed_events_fail_certificate(monkeypatch):
     # without its events the plane's density tail is one candidate interval,
     # on which no single quadratic passes the verification sample
-    monkeypatch.setattr(regions, "_pair_events", lambda scan: set())
-    monkeypatch.setattr(regions, "_triple_events", lambda scan: set())
+    monkeypatch.setattr(regions, "_events", lambda scan: set())
     pair = plane_anticanonical()
     with pytest.raises(BreakpointVerificationError, match="polynomial piece"):
-        family_volume_function(hk_family(pair.polytope), 0, pair.l,
-                               vanish_monotone=True)
+        family_volume_function(hk_family(pair.polytope), 0, pair.l)
+
+
+def test_edge_landing_inside_a_parallel_edge_is_an_event():
+    # anchored, the base P has the edge x = 0 of length 1 on its lowest
+    # facet line and the edge x = 4 of length 3.  At t = 1/4 the left edge
+    # of (1, 0) + tP lands strictly inside the right edge of tP: the
+    # parallel pair gives no moving point, so the scan meets the triple
+    # from the left edge's neighbours
+    pair = ToricPair(lattice_hull([(-3, -1), (-3, 0), (0, -2), (1, -2), (1, 1)]))
+    f = hkd_function(pair)
+    assert Rat(5, 4) in f.breakpoints
+    for z in (Rat(9, 8), Rat(5, 4), Rat(21, 16)):
+        assert f(z) == area(hk_slice(pair, z))
 
 
 @pytest.mark.parametrize("pair_factory", [
