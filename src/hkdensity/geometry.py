@@ -5,11 +5,10 @@ rational vertices and an irredundant half-space representation as canonical
 integer facet rows (normal, offset), meaning <normal, x> >= offset with no
 common factor across the row: the form the exact kernels read.  The two are
 kept consistent by construction.  Hull, vertex enumeration and volume run
-on integers: points and rows are scaled by their common denominator, facet
-normals are cofactors of edge vectors, rank comes from fraction-free
-elimination and vertices from Cramer's rule.  Each is one pass over the
-dim-subsets of points or rows, entirely adequate at the facet counts this
-engine sees (a few dozen at most).
+on integers: points and rows are scaled by their common denominator, rank
+comes from fraction-free elimination, and both conversions, points to facets
+and rows to vertices, read the extreme rays of a cone from one
+double-description kernel, whose cost follows the output size.
 
 All values are immutable and every operation is a pure function, so the
 module is safe to use from concurrent callers without locking.
@@ -153,34 +152,53 @@ def _integer_points(pts):
             for p in pts], lcm
 
 
-def _primitive(normal, base):
-    """(normal / gcd, its value at base) for a nonzero integer normal."""
-    g = math.gcd(*normal)
-    normal = tuple(c // g for c in normal)
-    return normal, dot(normal, base)
+def _primitive(v):
+    """The nonzero integer vector v divided by the gcd of its entries."""
+    g = math.gcd(*v)
+    return tuple(c // g for c in v)
+
+
+def _extreme_rays(rows):
+    """Extreme rays of the pointed cone {y : <a, y> >= 0 for each row a},
+    for integer rows that span R^d, as (primitive ray, sorted indices of the
+    rows tight on it) pairs.  Double description (Motzkin-Raiffa-Thompson-
+    Thrall 1953; Fukuda-Prodon 1996): the simplicial cone of the first
+    independent rows meets each other row in turn.  Rays on its nonnegative
+    side stay, and each adjacent pair on opposite sides (no third ray is
+    tight on every row tight on both) is joined on its hyperplane."""
+    # the pivot columns of the transpose are the first independent rows
+    d, basis = len(rows[0]), _echelon(list(zip(*rows)))[1]
+    rays = []  # tight sets are bitmasks of row indices
+    for k in basis:  # on every basis row but k, signed by its value on k
+        ray = _cross([rows[j] for j in basis if j != k], d)
+        rays.append((_primitive(vscale(ray, dot(rows[k], ray))),
+                     sum(1 << j for j in basis if j != k)))
+    for i in [i for i in range(len(rows)) if i not in basis]:
+        vals = [dot(rows[i], ray) for ray, _ in rays]
+        new = [(ray, tight | (1 << i) if v == 0 else tight)
+               for (ray, tight), v in zip(rays, vals) if v >= 0]
+        for (p, tp), vp in zip(rays, vals):
+            for (n, tn), vn in zip(rays, vals):
+                common = tp & tn
+                if vp > 0 > vn and sum(
+                        common & t == common for _, t in rays) == 2:
+                    ray = vsub(vscale(n, vp), vscale(p, vn))
+                    new.append((_primitive(ray), common | (1 << i)))
+        rays = new
+    return [(ray, tuple(j for j in range(len(rows)) if tight >> j & 1))
+            for ray, tight in rays]
 
 
 def _facets(points, dim):
     """Irredundant facets of a full-dimensional hull of integer points: a
     dict from each primitive row (normal, offset) to the indices of the
-    points tight on it, in order of first appearance over the dim-subsets."""
-    seen = {}
-    for subset in itertools.combinations(range(len(points)), dim):
-        base = points[subset[0]]
-        normal = _cross([vsub(points[i], base) for i in subset[1:]], dim)
-        if not any(normal):
-            continue
-        normal, offset = _primitive(normal, base)
-        vals = [dot(normal, p) for p in points]
-        if max(vals) == offset:
-            normal, offset = vscale(normal, -1), -offset
-            vals = [-v for v in vals]
-        elif min(vals) != offset:
-            continue
-        if (normal, offset) not in seen:
-            seen[normal, offset] = tuple(
-                i for i, v in enumerate(vals) if v == offset)
-    return seen
+    points tight on it.  A ray (a0, a) of the cone over the rows (1, p) is
+    the facet <a, x> >= -a0.  Sorted by tight indices, the facets come in
+    the order of their lexicographically first spanning dim-subsets: two
+    facets share only their common face, and the first index where their
+    tight sets differ is the first point their greedy bases take off it."""
+    return {(ray[1:], -ray[0]): tight for ray, tight in sorted(
+        _extreme_rays([(1, *p) for p in points]), key=lambda r: r[1])}
 
 
 def hrep_from_vrep(points) -> ConvexPolytope:
@@ -210,8 +228,8 @@ def hrep_from_vrep(points) -> ConvexPolytope:
         cols = sorted([*pivots, f])
         w = dict(zip(cols, _cross([[r[c] for c in cols] for r in span],
                                   pdim + 1)))
-        normal, offset = _primitive(
-            [w.get(c, 0) * w[f] for c in range(dim)], base)
+        normal = _primitive([w.get(c, 0) * w[f] for c in range(dim)])
+        offset = dot(normal, base)
         rows += [(normal, offset), (vscale(normal, -1), -offset)]
     if pdim:
         # project to the pivot coordinates, where the hull is full-dimensional
@@ -225,21 +243,6 @@ def hrep_from_vrep(points) -> ConvexPolytope:
         [n for n, off in rows if dot(n, ip) == off])[1]) == dim)
     halfspaces = tuple(_row(vscale(n, lcm), off) for n, off in rows)
     return ConvexPolytope(dim, verts, halfspaces, pdim)
-
-
-def _unbounded(normals, dim) -> bool:
-    """Whether some nonzero x has <n, x> >= 0 for every normal: they span
-    less than R^dim, or an edge direction of the cone (the null line of
-    dim - 1 independent normals) has one sign against all of them."""
-    if len(_echelon(normals)[1]) < dim:
-        return True
-    for subset in itertools.combinations(normals, dim - 1):
-        ray = _cross(subset, dim)
-        if any(ray):
-            vals = [dot(n, ray) for n in normals]
-            if min(vals) >= 0 or max(vals) <= 0:
-                return True
-    return False
 
 
 def vrep_from_hrep(halfspaces, dim) -> ConvexPolytope:
@@ -256,20 +259,16 @@ def vrep_from_hrep(halfspaces, dim) -> ConvexPolytope:
         if len(n) != dim:
             raise DimMismatchError(
                 f"half-space normal of dimension {len(n)} vs R^{dim}")
-    if _unbounded([n for n, _ in rows], dim):
+    # rays of {<n, x> >= off*x0, x0 >= 0}: vertices x/x0, or recession at 0
+    if len(_echelon([n for n, _ in rows])[1]) < dim:
         raise UnboundedError("half-space intersection is unbounded")
-    verts = set()
-    for subset in itertools.combinations(rows, dim):
-        # Cramer's rule: (xs, d) is normal to each (n, -off), and x = xs / d
-        *xs, d = _cross([(*n, -off) for n, off in subset], dim + 1)
-        if not d:
-            continue
-        if d < 0:
-            d, xs = -d, [-x for x in xs]
-        if all(dot(n, xs) >= off * d for n, off in rows):
-            verts.add(tuple(Rat(x, d) for x in xs))
-    if not verts:
+    rays = [ray for ray, _ in _extreme_rays(
+        [(1, *[0] * dim), *((-off, *n) for n, off in rows)])]
+    if any(x0 == 0 for x0, *_ in rays):
+        raise UnboundedError("half-space intersection is unbounded")
+    if not rays:
         raise EmptyRegionError("half-space intersection is empty")
+    verts = {tuple(Rat(x, x0) for x in xs) for x0, *xs in rays}
     return hrep_from_vrep(verts)
 
 

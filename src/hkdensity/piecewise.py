@@ -89,23 +89,6 @@ class Poly(Value):
 ZERO_POLY = Poly(())
 
 
-def lagrange_interpolate(points) -> Poly:
-    """Exact interpolating polynomial through (x_i, y_i) with distinct x_i."""
-    result = Poly(())
-    for i, (xi, yi) in enumerate(points):
-        xi, yi = Rat(xi), Rat(yi)
-        if yi == 0:
-            continue
-        term = Poly.const(yi)
-        for j, (xj, _) in enumerate(points):
-            if j == i:
-                continue
-            xj = Rat(xj)
-            term = term * Poly.of(-xj / (xi - xj), Rat(1) / (xi - xj))
-        result = result + term
-    return result
-
-
 # ---------------------------------------------------------------------------
 # piecewise polynomials
 # ---------------------------------------------------------------------------

@@ -10,8 +10,9 @@ one integer record (rings and facets with a common denominator), from which
 one integer scan of the concurrences of three moving facet lines gives the
 candidate breakpoints and an integer area kernel gives each area sample.
 The parameterized area function is recovered on every candidate interval,
-a vanishing tail included, by exact interpolation with a verification
-sample; a failed verification is a hard error.
+a vanishing tail included, by exact interpolation through both ends and
+the midpoint with a verification sample in the last quarter; a failed
+verification is a hard error.
 
 The engine is planar: each area sample integrates the surviving boundary
 (Green's theorem over the surviving edges).  Every other base dimension is
@@ -27,7 +28,7 @@ from math import lcm
 
 from . import geometry as geo
 from .errors import BreakpointVerificationError, UnsupportedDimensionError
-from .piecewise import PiecewisePoly, lagrange_interpolate
+from .piecewise import PiecewisePoly, Poly
 from .rationals import Rat, Value, floor_rat
 
 
@@ -371,13 +372,15 @@ def family_volume_function(family: SliceFamily, lo, hi) -> PiecewisePoly:
     The family is turned once into an integer record (``_FamilyRecord``)
     that the event scan and the area samples read.  The candidate
     breakpoints (``_events``) are complete for the combinatorial changes an
-    affine family can undergo.  Every candidate interval, a vanishing tail
-    included, is interpolated at three samples and verified at a fourth; a
-    failure (a missed event) raises BreakpointVerificationError, and
-    ``PiecewisePoly.build`` trims the zero ends.  Each sample integrates the
-    surviving boundary of the record's integer rings at t
-    (``_boundary_area``); no rational vertex, hull or arrangement of the
-    slice is built.
+    affine family can undergo.  The area is sampled once at every cut, and
+    each candidate interval, a vanishing tail included, is fitted through
+    its two ends and its midpoint and verified in its last quarter; a
+    failure (a missed event) raises BreakpointVerificationError.  Adjacent
+    pieces share their end sample, so the result is continuous by
+    construction, and ``PiecewisePoly.build`` trims the zero ends.  Each
+    sample integrates the surviving boundary of the record's integer rings
+    at t (``_boundary_area``); no rational vertex, hull or arrangement of
+    the slice is built.
     """
     lo, hi = Rat(lo), Rat(hi)
     if lo >= hi:
@@ -385,23 +388,21 @@ def family_volume_function(family: SliceFamily, lo, hi) -> PiecewisePoly:
     record = _FamilyRecord(family, lo, hi)
     area = record.area
     cuts = sorted(_events(record) | {lo, hi})
+    ends = [area(c) for c in cuts]
     pieces = []
-    for a, b in zip(cuts, cuts[1:]):
-        # the area of an affine family is at most quadratic: three samples
-        # interpolated, one more checked
-        step = (b - a) / 4
-        poly = lagrange_interpolate([(a + j * step, area(a + j * step))
-                                     for j in range(1, 4)])
-        check = a + step / 2
+    for a, b, fa, fb in zip(cuts, cuts[1:], ends, ends[1:]):
+        # the area of an affine family is at most quadratic: Newton's form
+        # through both ends and the midpoint m, checked at (a + 3b)/4
+        m = (a + b) / 2
+        d1 = (area(m) - fa) / (m - a)
+        d2 = ((fb - fa) / (b - a) - d1) / (b - m)
+        poly = Poly.of(fa - a * (d1 - d2 * m), d1 - d2 * (a + m), d2)
+        check = (a + 3 * b) / 4
         if poly(check) != area(check):
             raise BreakpointVerificationError(
                 f"could not certify a polynomial piece on [{a}, {b}]")
         pieces.append(poly)
-    out = PiecewisePoly.build(cuts, pieces)
-    if not out.is_continuous():
-        raise BreakpointVerificationError(
-            "assembled area function fails exact continuity")
-    return out
+    return PiecewisePoly.build(cuts, pieces)
 
 
 def hk_family(poly) -> SliceFamily:

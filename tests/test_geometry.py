@@ -99,6 +99,20 @@ def test_vrep_unbounded_slab():
         vrep_from_hrep([hs((1, 0), 0), hs((-1, 0), -1)], 2)
 
 
+def test_vrep_24_cell():
+    # the 24 rows <+-e_i +-e_j, x> >= -2 of R^4, each a facet through six
+    # of the 24 vertices +-2e_i and (+-1, +-1, +-1, +-1)
+    rows = [hs([s * (k == i) + t * (k == j) for k in range(4)], -2)
+            for i, j in itertools.combinations(range(4), 2)
+            for s in (1, -1) for t in (1, -1)]
+    P = vrep_from_hrep(rows, 4)
+    axes = {tuple(2 * s * (k == i) for k in range(4))
+            for i in range(4) for s in (1, -1)}
+    assert _vertex_set(P) == axes | set(itertools.product((1, -1), repeat=4))
+    assert _facet_set(P) == set(rows)
+    assert volume(P) == 32
+
+
 # --- hrep_from_vrep ---------------------------------------------------------
 
 def test_hrep_triangle():
@@ -122,6 +136,17 @@ def test_hrep_square():
         ((Rat(1), Rat(0)), Rat(-1)), ((Rat(-1), Rat(0)), Rat(-1)),
         ((Rat(0), Rat(1)), Rat(-1)), ((Rat(0), Rat(-1)), Rat(-1)),
     }
+
+
+@pytest.mark.parametrize("side, dim", [(16, 2), (2, 4)])
+def test_lattice_hull_of_every_box_point_is_the_hull_of_its_corners(side, dim):
+    # 289 and 81 input points, 4 and 16 of them vertices
+    points = list(itertools.product(range(side + 1), repeat=dim))
+    box = lattice_hull(points)
+    corners = lattice_hull(list(itertools.product((0, side), repeat=dim)))
+    assert _vertex_set(box) == _vertex_set(corners)
+    assert _facet_set(box) == _facet_set(corners)
+    assert box.pdim == dim and volume(box) == side ** dim
 
 
 def test_hrep_drops_non_extreme_points():

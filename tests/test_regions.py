@@ -161,6 +161,18 @@ def test_missed_events_fail_certificate(monkeypatch):
         family_volume_function(hk_family(pair.polytope), 0, pair.l)
 
 
+def test_missed_event_on_the_last_interval_fails_certificate(monkeypatch):
+    # hirzebruch(1, 1, 2)'s hk family has events 1/3, 1/2, 2/3 and 1, and its
+    # area vanishes from t = 1.  Without the event 1 the last interval
+    # [2/3, 10/9] spans that kink, and no later piece checks its right end
+    events = regions._events
+    monkeypatch.setattr(regions, "_events",
+                        lambda record: events(record) - {Rat(1)})
+    family = hk_family(hirzebruch(1, 1, 2).polytope)
+    with pytest.raises(BreakpointVerificationError, match="polynomial piece"):
+        family_volume_function(family, 0, Rat(10, 9))
+
+
 def test_edge_landing_inside_a_parallel_edge_is_an_event():
     # anchored, the base P has the edge x = 0 of length 1 on its lowest
     # facet line and the edge x = 4 of length 3.  At t = 1/4 the left edge
