@@ -33,8 +33,7 @@ from functools import lru_cache, reduce
 from math import factorial, prod
 
 from . import geometry as geo
-from .errors import (BreakpointVerificationError, DegenerateError,
-                     UnsupportedDimensionError)
+from .errors import BreakpointVerificationError, UnsupportedDimensionError
 from .pairs import SegrePair, ToricPair, segre  # noqa: F401 (segre re-exported)
 from .piecewise import PiecewisePoly, Poly, pw_combine, pw_equal
 from .rationals import Rat, Value
@@ -139,24 +138,23 @@ def e_hk(pair):
 
 
 def cell_cover_scale(pair) -> int:
-    """Least positive integer r such that r*P contains some integer
-    translate of the unit cell; phi vanishes at and beyond r."""
-    P = geo.anchored(pair.polytope)
-    rows = P.halfspaces
-    for r in range(1, 65):
-        # v + [0,1]^n lies in r*P iff v meets each row at its worst corner
-        eroded = [(n, r * off - sum(min(c, 0) for c in n)) for n, off in rows]
-        lines = geo.lattice_lines(eroded, geo.fiber_box(P, r))
-        if any(a <= b for *_, bottoms, tops in lines
-               for a, b in zip(bottoms, tops)):
-            return r
-    raise DegenerateError(
-        "no multiple r*P with r <= 64 contains a translate of the unit cell; "
-        "the base polytope is too thin")
+    """1 if P contains an integer translate of the unit cell, else 2.  phi
+    vanishes there: a lattice polygon contains a unimodular triangle T (an
+    empty lattice triangle has area 1/2 by Pick's theorem), and 2T contains
+    the parallelogram on T's edges at a vertex, a fundamental domain of Z^2,
+    so the integer translates of 2P cover the plane."""
+    P = pair.polytope
+    # v + [0,1]^n lies in P iff v meets each row at its worst corner
+    eroded = [(n, off - sum(min(c, 0) for c in n)) for n, off in P.halfspaces]
+    lines = geo.lattice_lines(eroded, geo.fiber_box(P))
+    return 1 if any(a <= b for *_, bottoms, tops in lines
+                    for a, b in zip(bottoms, tops)) else 2
 
 
 @lru_cache(maxsize=256)
 def _phi_cached(pair: ToricPair) -> PiecewisePoly:
+    """phi of a segment in closed form, else the defect family's area on
+    [0, r], r = ``cell_cover_scale``, certified to be 1 at 0 and 0 at r."""
     P = pair.polytope
     if P.dim == 1:
         # the translates u + t*[0, n] leave 1 - n*t of the cell uncovered
@@ -166,8 +164,9 @@ def _phi_cached(pair: ToricPair) -> PiecewisePoly:
     r = cell_cover_scale(pair)
     fam = regions.phi_family(P, Rat(r))
     phi = regions.family_volume_function(fam, 0, Rat(r))
-    if phi(0) != 1:
-        raise BreakpointVerificationError("defect function must start at 1")
+    if phi(0) != 1 or phi(r) != 0:
+        raise BreakpointVerificationError(
+            "defect function must start at 1 and vanish at the cover scale")
     return phi
 
 

@@ -343,25 +343,23 @@ def product(p: ConvexPolytope, q: ConvexPolytope) -> ConvexPolytope:
 # volume and lattice points
 # ---------------------------------------------------------------------------
 
-def _triangulate(points, dim, facets):
-    """Triangulation of the full-dimensional hull of integer points into
-    index simplices, given the indices of the points on each facet.
-
-    Cones the first vertex over a recursive triangulation of the facets not
-    containing it.
-    """
-    if len(points) == dim + 1:
-        return [tuple(range(dim + 1))]
-    simplices = []
-    for tight in facets:
-        if 0 in tight:
-            continue
-        fpts = [points[i] for i in tight]
-        _, pivots = _echelon([vsub(p, fpts[0]) for p in fpts[1:]])
-        proj = [tuple(p[c] for c in pivots) for p in fpts]
-        simplices += [(0, *(tight[i] for i in sub)) for sub in _triangulate(
-            proj, dim - 1, _facets(proj, dim - 1).values())]
-    return simplices
+def _pyramid_volume(points, rows):
+    """Volume of the full-dimensional hull of integer points, given its
+    facet rows: the sum of the pyramids from the first point over each
+    facet F, (<n, p0> - off) / (dim * |n_c|) * vol(pi_c F), with pi_c
+    dropping a coordinate c where n_c != 0.  A segment's is its length."""
+    dim = len(points[0])
+    if dim == 1:
+        return Rat(max(points)[0] - min(points)[0])
+    p0, total = points[0], Rat(0)
+    for n, off in rows:
+        if dot(n, p0) == off:
+            continue  # a facet through p0 spans no pyramid
+        c = next(i for i, a in enumerate(n) if a)
+        face = [p[:c] + p[c + 1:] for p in points if dot(n, p) == off]
+        total += Rat(dot(n, p0) - off, dim * abs(n[c])) * _pyramid_volume(
+            face, _facets(face, dim - 1) if dim > 2 else ())
+    return total
 
 
 def volume(poly: ConvexPolytope):
@@ -369,11 +367,8 @@ def volume(poly: ConvexPolytope):
     if poly.pdim < poly.dim:
         return Rat(0)
     pts, lcm = _integer_points(poly.vertices)
-    facets = [[i for i, p in enumerate(pts) if dot(n, p) == off * lcm]
-              for n, off in poly.halfspaces]
-    total = sum(abs(det([vsub(pts[i], pts[s[0]]) for i in s[1:]]))
-                for s in _triangulate(pts, poly.dim, facets))
-    return Rat(total, math.factorial(poly.dim) * lcm ** poly.dim)
+    rows = [(n, off * lcm) for n, off in poly.halfspaces]
+    return _pyramid_volume(pts, rows) / lcm ** poly.dim
 
 
 def fiber_box(poly: ConvexPolytope, k=1):

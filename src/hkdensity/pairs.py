@@ -11,7 +11,8 @@ from functools import reduce
 from math import prod
 
 from . import geometry as geo
-from .errors import DegenerateError, UnsupportedDimensionError
+from .errors import (DegenerateError, NonIntegralVertexError,
+                     UnsupportedDimensionError)
 from .rationals import Rat, Value
 
 
@@ -31,6 +32,9 @@ class ToricPair(Value):
         if P.dim < 1 or P.dim > 4:
             raise UnsupportedDimensionError(
                 f"base polytope dimension {P.dim} outside 1..4")
+        if not P.is_lattice:
+            raise NonIntegralVertexError(
+                "base polytope vertices are not all integral", polytope=P)
 
     @staticmethod
     def from_vertices(points) -> "ToricPair":

@@ -418,7 +418,7 @@ def hk_family(poly) -> SliceFamily:
 
 def phi_family(poly, lam_max) -> SliceFamily:
     """Family for the unit-cell defect: cell minus u + tP over the integer
-    translates that can meet the cell for t <= lam_max."""
+    translates that can meet the cell for t <= lam_max (the cover scale)."""
     P = geo.anchored(poly)
     cell = geo.lattice_hull(list(itertools.product((0, 1), repeat=P.dim)))
     return SliceFamily(

@@ -108,6 +108,23 @@ def test_spec_errors_name_the_bad_entry(spec, message):
     assert json.loads(text)["error"] == {"code": "parse_error", "message": message}
 
 
+@pytest.mark.parametrize("argv,spec,message", [
+    (["convergence"], '{"vertices": [[0],[1]]}',
+     "'convergence' requires --q (comma list) and --lambda"),
+    (["convergence", "--q", "2"], '{"vertices": [[0],[1]]}',
+     "'convergence' requires --q (comma list) and --lambda"),
+    (["convergence", "--lambda", "1"], '{"vertices": [[0],[1]]}',
+     "'convergence' requires --q (comma list) and --lambda"),
+    (["ehk"], "[]", "$: expected an object"),
+    (["ehk"], '{"vertices": []}', "$.vertices: expected a nonempty list"),
+    (["ehk"], '{"rays": [], "coeffs": []}', "$.rays: expected a nonempty list"),
+])
+def test_parse_errors_carry_their_message(argv, spec, message):
+    status, text, ext = run_command(argv[0], spec, argv[1:])
+    assert (status, ext) == (1, "json")
+    assert json.loads(text)["error"] == {"code": "parse_error", "message": message}
+
+
 @pytest.mark.parametrize("spec", [
     # json would keep the last value: the line of degree 3
     '{"vertices": [[0],[1]], "vertices": [[0],[3]]}',
@@ -546,6 +563,13 @@ def test_readme_examples():
             want.append(text + "\n")
         status, text, _ = run_command(argv[1], spec, argv[2:])
         assert (status, text) == (0, "".join(want))
+
+
+def test_readme_python_api_block():
+    block = README.split("## Python API", 1)[1].split("```python\n", 1)[1]
+    scope = {}
+    exec(block.split("```", 1)[0], scope)
+    assert scope["f"].integral() == scope["report"].e_hk == Rat(10, 3)
 
 
 # --- the command line against an argparse reference --------------------------

@@ -471,26 +471,33 @@ def test_lattice_polytope_rejects_rational_vertices():
 
 # --- invariants -------------------------------------------------------------
 
-FIXTURE_POLYTOPES = [
-    lattice_hull([(0,), (3,)]),
-    lattice_hull([(0, 0), (1, 0), (0, 1)]),
-    lattice_hull([(-1, -1), (2, -1), (-1, 2)]),
-    lattice_hull([(2, 1), (1, 2), (-1, 1), (-2, -1), (-1, -2), (1, -1)]),
-    lattice_hull(list(itertools.product((0, 1), repeat=3))),
+# point sets whose hulls the fixture ``poly`` builds test by test, so a slow
+# hull fails its own tests instead of hanging collection
+FIXTURE_POINTS = [
+    [(0,), (3,)],
+    [(0, 0), (1, 0), (0, 1)],
+    [(-1, -1), (2, -1), (-1, 2)],
+    [(2, 1), (1, 2), (-1, 1), (-2, -1), (-1, -2), (1, -1)],
+    list(itertools.product((0, 1), repeat=3)),
     # dimensions 1, 3 and 4, and sets of lower dimension
-    lattice_hull([(-2,), (1,), (5,)]),
-    lattice_hull([(0, 0, 0), (2, 0, 0), (0, 3, 0), (0, 0, 2), (1, 1, 1)]),
-    lattice_hull(list(itertools.product((0, 1), repeat=4))),
-    lattice_hull([(x, y, z, w) for x, y in ((0, 0), (2, 1), (1, 3))
-                  for z in (0, 1) for w in (0, 2)]),
-    lattice_hull([(1, 2)]),
-    lattice_hull([(0, 0, 0), (2, 1, 0), (1, 2, 0), (1, 1, 0)]),
-    lattice_hull([(0, 1, 0, 0), (1, 3, 0, 1), (2, 5, 0, 2)]),
-    lattice_hull([(0, 0, 0, 0), (1, 0, 0, 1), (0, 1, 1, 0), (1, 1, 1, 1)]),
+    [(-2,), (1,), (5,)],
+    [(0, 0, 0), (2, 0, 0), (0, 3, 0), (0, 0, 2), (1, 1, 1)],
+    list(itertools.product((0, 1), repeat=4)),
+    [(x, y, z, w) for x, y in ((0, 0), (2, 1), (1, 3))
+     for z in (0, 1) for w in (0, 2)],
+    [(1, 2)],
+    [(0, 0, 0), (2, 1, 0), (1, 2, 0), (1, 1, 0)],
+    [(0, 1, 0, 0), (1, 3, 0, 1), (2, 5, 0, 2)],
+    [(0, 0, 0, 0), (1, 0, 0, 1), (0, 1, 1, 0), (1, 1, 1, 1)],
 ]
 
 
-@pytest.mark.parametrize("poly", FIXTURE_POLYTOPES)
+@pytest.fixture
+def poly(request):
+    return lattice_hull(request.param)
+
+
+@pytest.mark.parametrize("poly", FIXTURE_POINTS, indirect=True)
 def test_volume_scales_by_power_of_dimension(poly):
     rng = random.Random(20240811)
     base = volume(poly)
@@ -499,7 +506,7 @@ def test_volume_scales_by_power_of_dimension(poly):
         assert volume(scale(poly, t)) == t ** poly.dim * base
 
 
-@pytest.mark.parametrize("poly", FIXTURE_POLYTOPES)
+@pytest.mark.parametrize("poly", FIXTURE_POINTS, indirect=True)
 def test_hrep_vrep_round_trip(poly):
     back = vrep_from_hrep(poly.halfspaces, poly.dim)
     assert _vertex_set(back) == _vertex_set(poly)
@@ -509,7 +516,7 @@ def test_hrep_vrep_round_trip(poly):
     assert _facet_set(again) == _facet_set(poly)
 
 
-@pytest.mark.parametrize("poly", FIXTURE_POLYTOPES)
+@pytest.mark.parametrize("poly", FIXTURE_POINTS, indirect=True)
 def test_dilation_counts_have_volume_leading_term(poly):
     # leading Ehrhart coefficient via exact finite differences of the counts
     counts = [Rat(len(lattice_points(scale(poly, n)))) for n in range(7)]
@@ -521,7 +528,7 @@ def test_dilation_counts_have_volume_leading_term(poly):
     assert counts[0] / fact == volume(poly)
 
 
-@pytest.mark.parametrize("poly", FIXTURE_POLYTOPES)
+@pytest.mark.parametrize("poly", FIXTURE_POINTS, indirect=True)
 def test_contains_vertices_and_centroid(poly):
     for v in poly.vertices:
         assert poly.contains(v)

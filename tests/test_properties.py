@@ -1,5 +1,6 @@
 """Cross-cutting invariants, exercised over the whole fixture catalog."""
 
+import functools
 import itertools
 import math
 import random
@@ -9,6 +10,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from hkdensity import (
+    Poly,
     Rat,
     ToricPair,
     e0,
@@ -17,16 +19,18 @@ from hkdensity import (
     hkd_function,
     is_tiler,
     lattice_hull,
+    limit_A,
     pair_volume,
     phi_function,
     pw_equal,
     scale,
+    segre,
     tiling_gap_B,
     translate,
 )
 from math import factorial
 
-from hkdensity.analysis import cell_cover_scale
+from hkdensity.analysis import cell_cover_scale, ehk_power
 from hkdensity.geometry import anchored
 from hkdensity.regions import cell_translates
 
@@ -224,16 +228,54 @@ _COVER_POLYGON = st.lists(st.tuples(st.integers(-4, 4), st.integers(-4, 4)),
                           min_size=3, max_size=5)
 
 
+# the engine stops at 2, where the translates of 2P cover the plane
 @settings(max_examples=40, deadline=None, derandomize=True)
 @given(points=_COVER_POLYGON)
 def test_random_polygon_cell_cover_scale_matches_corner_search(points):
     pair = _polygon_pair(points)
-    assert cell_cover_scale(pair) == _corner_search_cover_scale(pair)
+    assert cell_cover_scale(pair) == min(_corner_search_cover_scale(pair), 2)
 
 
 @pytest.mark.parametrize("pair", ALL_PAIRS)
 def test_cell_cover_scale_matches_corner_search(pair):
-    assert cell_cover_scale(pair) == _corner_search_cover_scale(pair)
+    assert cell_cover_scale(pair) == min(_corner_search_cover_scale(pair), 2)
+
+
+def test_cell_cover_scale_of_a_sheared_unit_triangle():
+    # a unimodular image of the unit triangle whose r*P holds no axis-aligned
+    # unit cell for any r <= 64
+    pair = ToricPair(lattice_hull([(0, 0), (1, 0), (64, 1)]))
+    assert cell_cover_scale(pair) == 2
+
+
+def test_sheared_unit_triangle_has_the_unit_triangle_phi():
+    sheared = ToricPair(lattice_hull([(0, 0), (1, 0), (5, 1)]))
+    unit = ToricPair(lattice_hull([(0, 0), (1, 0), (0, 1)]))
+    assert pw_equal(phi_function(sheared), phi_function(unit))
+
+
+@functools.lru_cache(maxsize=None)
+def _thin_polygons(count):
+    """The first ``count`` seeded polygons on the grid of _COVER_POLYGON
+    whose multiples r*P hold an integer translate of the unit cell only
+    from r = 3 on."""
+    rng, found = random.Random(2024), []
+    while len(found) < count:
+        P = lattice_hull([(rng.randint(-4, 4), rng.randint(-4, 4))
+                          for _ in range(rng.randint(3, 5))])
+        if P.pdim == 2 and _corner_search_cover_scale(ToricPair(P)) >= 3:
+            found.append(ToricPair(P))
+    return found
+
+
+@pytest.mark.parametrize("index", range(4))
+def test_thin_polygon_phi_vanishes_at_two_and_matches_slices(index):
+    pair = _thin_polygons(4)[index]
+    assert cell_cover_scale(pair) == 2
+    phi = phi_function(pair)
+    assert phi.breakpoints[-1] <= 2 and area(phi_slice(pair, 2)) == 0
+    for lam in phi.breakpoints:
+        assert area(phi_slice(pair, lam)) == phi(lam)
 
 
 def _translate_sets(pair):
@@ -258,6 +300,63 @@ def test_random_polygon_cell_translates_match_overlap_filter(points, maps,
     for p in (pair, _image(pair, maps, shift)):
         got, expected = _translate_sets(p)
         assert got == expected
+
+
+# --- the k-law of e_HK(R, m^k) ------------------------------------------------
+# e_HK(R, m^k) is the hk family of kP, limit_A the phi family of P; on every
+# pair tried e_HK(R, m^k) is a polynomial in k of degree d with no constant
+# term, leading coefficient e0/d! and k^(d-1) coefficient limit_A
+
+def _linear_coefficient(pair, k):
+    """c_k = (e_HK(R, m^k) - e0*k^3/6 - A*k^2)/k of a planar base."""
+    return (ehk_power(pair, k) - e0(pair) * k ** 3 / 6
+            - limit_A(pair) * k ** 2) / k
+
+
+@pytest.mark.parametrize("pair", [
+    plane_anticanonical(), hirzebruch(1, 2, 1), plane_degree_one(),
+    quadric_anticanonical(),
+    ToricPair.from_vertices([(0, 0), (2, 1), (-1, 2), (1, -1)])])
+def test_k_law_linear_coefficient_is_constant(pair):
+    assert _linear_coefficient(pair, 1) == _linear_coefficient(pair, 2)
+
+
+@pytest.mark.parametrize("seed", range(2))
+def test_random_polygon_k_law_linear_coefficient_is_constant(seed):
+    rng = random.Random(seed)
+    P = lattice_hull([(0, 0), (1, 0), (0, 1)] + [
+        (rng.randint(-2, 2), rng.randint(-2, 2)) for _ in range(3)])
+    pair = ToricPair(P)
+    assert _linear_coefficient(pair, 1) == _linear_coefficient(pair, 2)
+
+
+def _interpolate(values):
+    """The polynomial of degree len(values) - 1 through (k, values[k])."""
+    total = Poly.of(0)
+    for j, y in enumerate(values):
+        term = Poly.of(y)
+        for m in range(len(values)):
+            if m != j:
+                term = term * Poly.of(Rat(-m, j - m), Rat(1, j - m))
+        total = total + term
+    return total
+
+
+@pytest.mark.parametrize("factors", [
+    (plane_degree_one(), projective_line(1)),
+    (plane_degree_one(), projective_line(2)),
+    (plane_degree_one(), plane_degree_one()),
+    (plane_degree_one(), projective_line(1), projective_line(1)),
+    (projective_line(1), projective_line(2), projective_line(3)),
+], ids=["simplex-line1", "simplex-line2", "simplex-simplex",
+        "simplex-line1-line1", "line1-line2-line3"])
+def test_product_k_law_fits_limit_A(factors):
+    # through e_HK(R, m^0) = 0 and k = 1..d: d + 1 values fix degree d
+    pair = segre(*factors)
+    d = pair.d
+    law = _interpolate([0] + [ehk_power(pair, k) for k in range(1, d + 1)])
+    assert law.coeffs[d] == e0(pair) / factorial(d)
+    assert law.coeffs[d - 1] == limit_A(pair)
 
 
 # --- tiling against the Venkov-McMullen criterion -------------------------------

@@ -11,9 +11,11 @@ from hkdensity import (
     ConvexPolytope,
     DegenerateError,
     HKReport,
+    NonIntegralVertexError,
     OracleSample,
     PiecewisePoly,
     Poly,
+    Rat,
     SegrePair,
     SliceFamily,
     ToricPair,
@@ -83,6 +85,10 @@ def test_value_types_validate_at_construction_and_exports_resolve():
     simplex5 = [tuple(int(i == j) for j in range(5)) for i in range(6)]
     with pytest.raises(UnsupportedDimensionError):
         ToricPair(lattice_hull(simplex5))
+    half = hrep_from_vrep([(0, 0), (Rat(3, 2), 0), (0, 1)])
+    with pytest.raises(NonIntegralVertexError) as err:
+        ToricPair(half)
+    assert err.value.polytope == half
     with pytest.raises(ValueError):
         SegrePair((_line(1),))
     with pytest.raises(TypeError):
