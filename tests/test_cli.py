@@ -275,6 +275,7 @@ def test_missing_oracle_flags(capsys, monkeypatch):
 @pytest.mark.parametrize("command,q", [
     ("oracle", "2,4"), ("oracle", "0"), ("oracle", "x"),
     ("convergence", "0"), ("convergence", "x"), ("convergence", "4,x"),
+    ("convergence", "4,,8"), ("convergence", "4,"),
 ])
 def test_bad_q_is_a_parse_error(command, q, capsys, monkeypatch):
     # oracle counts at one Frobenius level; only convergence takes a list
@@ -572,6 +573,74 @@ def test_readme_python_api_block():
     assert scope["f"].integral() == scope["report"].e_hk == Rat(10, 3)
 
 
+# --- the process entry ------------------------------------------------------------
+
+def _process(*args, stdin=""):
+    """``python *args`` with the package on its path and stdout buffered, as
+    the console script runs it: (exit status, stdout bytes, stderr text)."""
+    import os
+    import subprocess
+
+    import hkdensity
+    env = dict(os.environ, PYTHONPATH=str(Path(hkdensity.__file__).parents[1]))
+    env.pop("PYTHONUNBUFFERED", None)
+    done = subprocess.run([sys.executable, *args], env=env, input=stdin.encode(),
+                          capture_output=True, timeout=60)
+    return done.returncode, done.stdout, done.stderr.decode()
+
+
+def test_process_entry_writes_a_large_artifact_whole():
+    # far past a 64 KiB pipe buffer, and byte for byte what run_command gives
+    argv = ["density", "--format", "csv", "--samples", "20000"]
+    status, out, err = _process("-m", "hkdensity.cli", *argv, stdin=PLANE)
+    assert (status, len(out), err) == (0, 515236, "")
+    assert out == run_command("density", PLANE, argv[1:])[1].encode()
+
+
+def test_process_entry_engine_error():
+    spec = '{"vertices": [[0,0],[0,1]]}'
+    status, out, err = _process("-m", "hkdensity.cli", "ehk", stdin=spec)
+    assert (status, out, err) == (1, run_command("ehk", spec)[1].encode(), "")
+    assert json.loads(out)["error"]["code"] == "degenerate"
+
+
+def test_process_entry_usage_error():
+    status, out, err = _process("-m", "hkdensity.cli", "density", "--format", "xml")
+    usage, error = err.splitlines()
+    assert (status, out) == (2, b"")
+    assert usage.startswith("usage: hkdensity density [-h]")
+    assert error == ("hkdensity density: error: argument --format: invalid "
+                     "choice: 'xml' (choose from 'json', 'csv', 'svg')")
+
+
+def test_process_entry_output_directory(tmp_path):
+    status, out, err = _process("-m", "hkdensity.cli", "density", "--output",
+                                str(tmp_path), stdin=LINE2)
+    written = tmp_path / "density.json"
+    assert (status, out, err) == (0, f"{written}\n".encode(), "")
+    assert written.read_text() == run_command("density", LINE2)[1]
+
+
+def test_process_entry_exits_normally_under_a_profiler():
+    # with a profile function set, the process exits normally, so the
+    # profiler prints its table after the artifact
+    status, out, _ = _process("-m", "cProfile", "-m", "hkdensity.cli", "ehk",
+                              stdin=LINE2)
+    artifact, table = out.decode().split("\n", 1)
+    assert (status, artifact) == (0, '{"e_hk": "3/2"}')
+    assert "function calls" in table and "Ordered by" in table
+
+
+def test_process_entry_runs_exit_callbacks():
+    script = ("import atexit, runpy, sys\n"
+              "atexit.register(print, 'bye', file=sys.stderr)\n"
+              "sys.argv = ['hkdensity', 'ehk']\n"
+              "runpy.run_module('hkdensity.cli', run_name='__main__')\n")
+    status, out, err = _process("-c", script, stdin=LINE2)
+    assert (status, out) == (0, b'{"e_hk": "3/2"}\n')
+    assert err.endswith("bye\n")
+
+
 # --- the command line against an argparse reference --------------------------
 
 README = (Path(__file__).resolve().parents[1] / "README.md").read_text(
@@ -587,7 +656,7 @@ FLAG_VALUES = {
     "--format": ["json", "csv", "svg", "xml", ""],
     "--samples": ["3", "0", "-2", "x", ""],
     "--k": ["2", "0", "-1", "x", "1.5"],
-    "--q": ["2", "2,4", "0", "x", "4,x", "-1"],
+    "--q": ["2", "2,4", "0", "x", "4,x", "4,,8", "4,", "-1"],
     "--lambda": ["1", "3/2", "0", "-1", "x", "1/0"],
 }
 REQUIRED = {"oracle": ["--q", "2", "--lambda", "1"],
