@@ -553,13 +553,17 @@ def run():
     and ``os._exit``.  Once the artifact is written, a normal exit only frees
     every module and value one by one, about a tenth of a short command's
     time; ``os._exit`` skips that teardown.  Under a trace or profile function
-    (``python -m cProfile``, ``coverage run``) the process exits normally so
-    that the tool reports, and so it does when a flush fails (stdout a closed
-    pipe), which keeps that case's status and message."""
+    or a ``sys.monitoring`` tool (``python -m cProfile``, which registers as
+    such a tool from Python 3.12, ``coverage run``) the process exits normally
+    so that the tool reports, and so it does when a flush fails (stdout a
+    closed pipe), which keeps that case's status and message."""
     import atexit
     import os
     status = main()
-    if sys.gettrace() is None and sys.getprofile() is None:
+    monitoring = getattr(sys, "monitoring", None)
+    tools = monitoring is not None and any(
+        monitoring.get_tool(i) is not None for i in range(6))
+    if sys.gettrace() is None and sys.getprofile() is None and not tools:
         atexit._run_exitfuncs()
         try:
             sys.stdout.flush()

@@ -275,7 +275,8 @@ def test_missing_oracle_flags(capsys, monkeypatch):
 @pytest.mark.parametrize("command,q", [
     ("oracle", "2,4"), ("oracle", "0"), ("oracle", "x"),
     ("convergence", "0"), ("convergence", "x"), ("convergence", "4,x"),
-    ("convergence", "4,,8"), ("convergence", "4,"),
+    ("convergence", "4,,8"), ("convergence", "4,"), ("oracle", ""),
+    ("convergence", ""),
 ])
 def test_bad_q_is_a_parse_error(command, q, capsys, monkeypatch):
     # oracle counts at one Frobenius level; only convergence takes a list
@@ -631,6 +632,47 @@ def test_process_entry_exits_normally_under_a_profiler():
     assert "function calls" in table and "Ordered by" in table
 
 
+class _Monitoring:
+    """A stand-in for ``sys.monitoring`` (Python 3.12+) with the given tool
+    ids in use."""
+
+    def __init__(self, *ids):
+        self.ids = ids
+
+    def get_tool(self, tool_id):
+        return "tool" if tool_id in self.ids else None
+
+
+@pytest.mark.parametrize("ids,exits_normally", [((), False), ((2,), True),
+                                                ((5,), True)])
+def test_process_entry_exits_normally_under_a_monitoring_tool(
+        ids, exits_normally, monkeypatch):
+    # from 3.12 cProfile registers a sys.monitoring tool and sets no profile
+    # function, so a tool in use alone keeps the normal exit
+    import atexit
+    import os
+
+    from hkdensity import cli
+
+    def hard_exit(status):
+        raise AssertionError(f"os._exit({status})")
+
+    monkeypatch.setattr(sys, "monitoring", _Monitoring(*ids), raising=False)
+    monkeypatch.setattr(sys, "gettrace", lambda: None)
+    monkeypatch.setattr(sys, "getprofile", lambda: None)
+    monkeypatch.setattr(cli, "main", lambda: 3)
+    monkeypatch.setattr(os, "_exit", hard_exit)
+    # this session's own exit callbacks must not run here
+    monkeypatch.setattr(atexit, "_run_exitfuncs", lambda: None)
+    if exits_normally:
+        with pytest.raises(SystemExit) as exc:
+            cli.run()
+        assert exc.value.code == 3
+    else:
+        with pytest.raises(AssertionError, match=r"os\._exit\(3\)"):
+            cli.run()
+
+
 def test_process_entry_runs_exit_callbacks():
     script = ("import atexit, runpy, sys\n"
               "atexit.register(print, 'bye', file=sys.stderr)\n"
@@ -656,7 +698,7 @@ FLAG_VALUES = {
     "--format": ["json", "csv", "svg", "xml", ""],
     "--samples": ["3", "0", "-2", "x", ""],
     "--k": ["2", "0", "-1", "x", "1.5"],
-    "--q": ["2", "2,4", "0", "x", "4,x", "4,,8", "4,", "-1"],
+    "--q": ["2", "2,4", "0", "x", "4,x", "4,,8", "4,", "", "-1"],
     "--lambda": ["1", "3/2", "0", "-1", "x", "1/0"],
 }
 REQUIRED = {"oracle": ["--q", "2", "--lambda", "1"],
