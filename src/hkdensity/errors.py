@@ -53,7 +53,9 @@ class DimMismatchError(EngineError):
 
 
 class UnsupportedDimensionError(EngineError):
-    """The exact density covers base polytopes of dimension 1 or 2 only."""
+    """A base the exact functions do not cover: they answer segments,
+    polygons, and products and lattice boxes of any dimension folded over
+    their factors; every other base of dimension 3 or more is refused."""
 
     code = "unsupported_dimension"
 

@@ -123,13 +123,6 @@ class ConvexPolytope(Value):
         if any(len(v) != self.dim for v in self.vertices):
             raise DimMismatchError("vertex of wrong dimension")
 
-    def contains(self, x) -> bool:
-        if len(x) != self.dim:
-            raise DimMismatchError(
-                f"point of dimension {len(x)} vs polytope in R^{self.dim}")
-        x = tuple(Rat(c) for c in x)
-        return all(dot(n, x) >= off for n, off in self.halfspaces)
-
     def bounding_box(self):
         los = [min(v[i] for v in self.vertices) for i in range(self.dim)]
         his = [max(v[i] for v in self.vertices) for i in range(self.dim)]
@@ -332,7 +325,8 @@ def anchored(poly):
 
 
 def product(p: ConvexPolytope, q: ConvexPolytope) -> ConvexPolytope:
-    """Cartesian product P x Q (used for products of toric pairs)."""
+    """Cartesian product P x Q: the base of a Segre product
+    (``SegrePair.polytope``), whose lattice points the oracle counts."""
     verts = tuple(vp + vq for vp in p.vertices for vq in q.vertices)
     hs = tuple((n + (0,) * q.dim, off) for n, off in p.halfspaces)
     hs += tuple(((0,) * p.dim + n, off) for n, off in q.halfspaces)

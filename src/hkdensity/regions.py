@@ -7,8 +7,11 @@ translates of a dilate.  Both are instances of one parametric family: a
 minuend and translates of one shape, each a nonnegative dilate
 (c0 + c1*t)*polytope of a fixed polytope.  A family is converted once into
 one integer record (rings and facets with a common denominator), from which
-one integer scan of the concurrences of three moving facet lines gives the
-candidate breakpoints and an integer area kernel gives each area sample.
+one integer scan of the concurrences of three distinct moving facet lines
+gives the candidate breakpoints and an integer area kernel gives each area
+sample.  The translates u + tP whose u share <n, u> carry one line for the
+facet normal n, so the hk family of a surface has a few dozen lines and a
+dozen or so distinct ones.
 The parameterized area function is recovered on every candidate interval,
 a vanishing tail included, by exact interpolation through both ends and
 the midpoint with a verification sample in the last quarter; a failed
@@ -208,9 +211,10 @@ class _FamilyRecord:
     polytopes, so its base order stays counterclockwise for every t in range
     (at scale 0 the ring collapses to one point).
 
-    For the scan a moving point is ((x0, y0) + t*(x1, y1))/den with
-    den > 0, an event t = r/c with c > 0, and every test is a
-    cross-multiplied sign comparison.
+    ``lines`` maps each distinct moving facet line (nx, ny, a, b) to the
+    bodies it bounds.  For the scan a moving point is
+    ((x0, y0) + t*(x1, y1))/den with den > 0, an event t = r/c with c > 0,
+    and every test is a cross-multiplied sign comparison.
     """
 
     def __init__(self, family, lo, hi):
@@ -244,8 +248,10 @@ class _FamilyRecord:
                                for px, py, qx, qy in shape_ring])
             self.facets.append([(nx, ny, a + nx * ux + ny * uy, b)
                                 for nx, ny, a, b in shape_facets])
-        self.lines = [(i,) + f for i, row in enumerate(self.facets)
-                      for f in row]
+        self.lines = {}
+        for k, row in enumerate(self.facets):
+            for f in row:
+                self.lines.setdefault(f, []).append(k)
         self.lo = (int(lo.numerator), int(lo.denominator))
         self.hi = (int(hi.numerator), int(hi.denominator))
 
@@ -293,37 +299,28 @@ class _FamilyRecord:
 
 
 def _events(scan):
-    """Parameters t = r/c strictly inside (lo, hi) where three facet lines
-    meet at a witness inside the closed minuend and the closed bodies of the
-    three lines, and outside the open interior of every other subtrahend.
-    An incidence with a facet line matters for the area function only when
-    the witness sits on the owner's actual boundary: away from the closed
-    body the line carries no boundary of the union.
+    """Parameters t = r/c strictly inside (lo, hi) where three distinct
+    moving facet lines meet at a witness inside the closed minuend, inside
+    the closed body of some owner of each of the three lines, and outside
+    the open interior of every subtrahend.  An incidence with a facet line
+    matters for the area function only when the witness sits on an owner's
+    actual boundary: away from the closed body the line carries no boundary
+    of the union.  A witness on an owner's line inside its closed body is
+    on its boundary, so no owner holds it in its open interior.
 
-    Each triple j1 < j2 < j3 of ``scan.lines`` is met once, from the moving
-    intersection of j1 and j2.  A body's lines are contiguous, so two lines
-    of one body in a triple are j1, j2 (its vertex on a later body's line)
-    or j2, j3 (its vertex on an earlier body's line); two that are not
-    adjacent meet outside the body and are skipped.  When j1 is parallel to
-    j2 of a later body, that body's vertex j2, j3 reaches j1 as the two
-    lines coincide, so the triple is met from j1 and j3.  A triple of three
-    bodies with two parallel lines is such a coincidence too, caught by a
-    vertex on the line.
+    Each nonparallel pair j1 < j2 of the distinct lines ``scan.lines``
+    meets every line after j2 as third line.  A triple whose first two lines
+    are parallel is met from its first and last instead, with the middle
+    one among the third lines: a line parallel to j1 passes through the
+    pair's moving intersection only where the two coincide.
     """
-    lines, facets = scan.lines, scan.facets
+    lines = list(scan.lines.items())
     (lo_n, lo_d), (hi_n, hi_d) = scan.lo, scan.hi
-    # subtrahend i's lines start at first[i] and carry the shape's normals
-    # and rates
-    first = list(itertools.accumulate(map(len, facets), initial=0))
+    subtrahends = range(1, len(scan.facets))
     events = set()
-    for j1, (i1, n1x, n1y, a1, b1) in enumerate(lines):
-        # the shape's facets parallel to j1 at another rate, which coincide
-        # with it once
-        parallel = [m for m, (nx, ny, _, b) in enumerate(facets[-1])
-                    if nx * n1y == ny * n1x
-                    and (nx * b1 != b * n1x or ny * b1 != b * n1y)]
+    for j1, ((n1x, n1y, a1, b1), own1) in enumerate(lines):
         for j2 in range(j1 + 1, len(lines)):
-            i2, n2x, n2y, a2, b2 = lines[j2]
+            (n2x, n2y, a2, b2), own2 = lines[j2]
             den = n1x * n2y - n1y * n2x
             if den == 0:
                 continue
@@ -332,20 +329,14 @@ def _events(scan):
             x1, y1 = b1 * n2y - b2 * n1y, b2 * n1x - b1 * n2x
             if den < 0:
                 x0, y0, x1, y1, den = -x0, -y0, -x1, -y1, -den
-            # two lines of one body meet on it only at a vertex
-            if i1 == i2 and not scan.on_body(
-                    i1, x0 * hi_d + x1 * hi_n, y0 * hi_d + y1 * hi_n, den,
-                    hi_d, hi_n):
-                continue
             window = scan.window(x0, y0, x1, y1, den)
             if window is None:
                 continue
             wn, wd, vn, vd = window
-            third = [line for line in lines[j2 + 1:] if line[0] != i1]
-            if i2 != i1:
-                third += [lines[first[i2] + m] for m in parallel
-                          if first[i2] + m < j2]
-            for i3, n3x, n3y, a3, b3 in third:
+            third = lines[j2 + 1:] + [
+                line for line in lines[j1 + 1:j2]
+                if line[0][0] * n1y == line[0][1] * n1x]
+            for (n3x, n3y, a3, b3), own3 in third:
                 c = n3x * x1 + n3y * y1 - den * b3
                 if c == 0:
                     continue
@@ -356,12 +347,12 @@ def _events(scan):
                         and lo_n * c < r * lo_d and r * hi_d < hi_n * c):
                     continue
                 wx, wy = x0 * c + x1 * r, y0 * c + y1 * r
-                if not all(scan.on_body(k, wx, wy, den, c, r)
-                           for k in (i1, i2, i3)):
+                if not all(any(scan.on_body(k, wx, wy, den, c, r)
+                               for k in owners)
+                           for owners in (own1, own2, own3)):
                     continue
                 if not any(scan.on_body(k, wx, wy, den, c, r, strict=True)
-                           for k in range(1, len(facets))
-                           if k not in (i1, i2, i3)):
+                           for k in subtrahends):
                     events.add(Rat(r, c))
     return events
 

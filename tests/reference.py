@@ -8,6 +8,10 @@ thickened to [a, b] x [0, 1], so its slices go through the same clipper and
 their areas are lengths.  The same clipping decides which integer
 translates of a dilate overlap the unit cell, for ``cell_translates``.
 
+The events of a family record by brute force: every triple of its facet
+lines, solved for the point and the parameter where they meet by Cramer's
+rule, for the distinct-line scan ``regions._events``.
+
 CSV rows and SVG plots of a piecewise polynomial sampled one point at a
 time, ``f(end*i/N)`` as a ``Fraction``, for the integer grid sampler of
 ``hkdensity.cli``.
@@ -22,8 +26,8 @@ import math
 import re
 from fractions import Fraction
 
-from hkdensity import (EmptyRegionError, Rat, lattice_hull, rat_str, scale,
-                       translate, vrep_from_hrep)
+from hkdensity import (DimMismatchError, EmptyRegionError, Rat, lattice_hull,
+                       rat_str, scale, translate, vrep_from_hrep)
 
 
 def intersect(p, q):
@@ -38,6 +42,14 @@ def _slack(row, x):
     """<normal, x> - offset of a facet row (normal, offset), as a Rat."""
     normal, offset = row
     return sum((a * b for a, b in zip(normal, x)), Rat(-offset))
+
+
+def contains(P, x):
+    """Whether the closed polytope P holds the point x."""
+    if len(x) != P.dim:
+        raise DimMismatchError(
+            f"point of dimension {len(x)} vs polytope in R^{P.dim}")
+    return all(_slack(row, x) >= 0 for row in P.halfspaces)
 
 
 def _clip(ring, vals):
@@ -103,7 +115,7 @@ def hk_slice(pair, z):
     if z <= 1:
         return _difference_rings(scale(P, z), [])
     small = scale(P, z - 1)
-    points = [u for u in _box_points(*P.bounding_box()) if P.contains(u)]
+    points = [u for u in _box_points(*P.bounding_box()) if contains(P, u)]
     return _difference_rings(scale(P, z),
                              [translate(small, u) for u in points])
 
@@ -138,6 +150,44 @@ def meeting_translates(P, lam):
     cell, small = _unit_cell(P.dim), scale(P, Rat(lam))
     return [u for u in _cell_candidates(small)
             if area(_difference_rings(cell, [translate(small, u)])) < 1]
+
+
+def _det3(m):
+    (a, b, c), (d, e, f), (g, h, i) = m
+    return a * (e * i - f * h) - b * (d * i - f * g) + c * (d * h - e * g)
+
+
+def brute_events(record):
+    """Parameters t in the open (lo, hi) of a ``regions._FamilyRecord``
+    where three facet lines nx*X + ny*Y = a + b*t meet at one point (X, Y)
+    that lies in the closed minuend, in the closed bodies of the three
+    lines, and in the open interior of no subtrahend."""
+    facets = record.facets
+    lines = [(k, f) for k, row in enumerate(facets) for f in row]
+    lo, hi = Fraction(*record.lo), Fraction(*record.hi)
+    events = set()
+    for triple in itertools.combinations(lines, 3):
+        # Cramer's rule on nx*X + ny*Y - b*t = a: (X, Y, t) = (x, y, s)/det
+        rows = [(nx, ny, -b, a) for _, (nx, ny, a, b) in triple]
+        det = _det3([row[:3] for row in rows])
+        if det == 0:
+            continue
+        x, y, s = (_det3([row[:j] + row[3:] + row[j + 1:3] for row in rows])
+                   for j in range(3))
+        if det < 0:
+            det, x, y, s = -det, -x, -y, -s
+        t = Fraction(s, det)
+
+        def slacks(k):
+            return [nx * x + ny * y - a * det - b * s
+                    for nx, ny, a, b in facets[k]]
+
+        owners = {0} | {k for k, _ in triple}
+        if (lo < t < hi and all(min(slacks(k)) >= 0 for k in owners)
+                and not any(min(slacks(k)) > 0
+                            for k in range(1, len(facets)))):
+            events.add(t)
+    return events
 
 
 def ring_difference_area(rings):

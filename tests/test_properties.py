@@ -47,7 +47,8 @@ from conftest import (
     symmetric_hexagon,
     unit_square,
 )
-from reference import area, hk_slice, meeting_translates, phi_slice
+from reference import (area, contains, hk_slice, meeting_translates,
+                       phi_slice)
 
 ALL_PAIRS = [
     projective_line(1), projective_line(3),
@@ -217,7 +218,7 @@ def _corner_search_cover_scale(pair):
         lo, hi = big.bounding_box()
         box = [range(math.ceil(a), math.floor(b) + 1) for a, b in zip(lo, hi)]
         for v in itertools.product(*box):
-            if all(big.contains([x + c for x, c in zip(v, corner)])
+            if all(contains(big, [x + c for x, c in zip(v, corner)])
                    for corner in corners):
                 return r
     return None
@@ -319,6 +320,15 @@ def _linear_coefficient(pair, k):
     ToricPair.from_vertices([(0, 0), (2, 1), (-1, 2), (1, -1)])])
 def test_k_law_linear_coefficient_is_constant(pair):
     assert _linear_coefficient(pair, 1) == _linear_coefficient(pair, 2)
+
+
+def test_plane_k_law_is_the_veronese_count():
+    # R is the degree-3 Veronese of S = k[x, y, z], an extension of rank 3,
+    # so e_HK(R, m^k) = length(S/(x, y, z)^(3k))/3 = C(3k + 2, 3)/3
+    # (Watanabe-Yoshida)
+    got = [ehk_power(plane_anticanonical(), k) for k in (1, 2, 3)]
+    assert got == [Rat(math.comb(3 * k + 2, 3), 3) for k in (1, 2, 3)]
+    assert got == [Rat(10, 3), Rat(56, 3), 55]
 
 
 @pytest.mark.parametrize("seed", range(2))

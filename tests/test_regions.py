@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hkdensity import regions
+from hkdensity.analysis import cell_cover_scale
 from hkdensity import (
     BreakpointVerificationError,
     PiecewisePoly,
@@ -27,12 +28,14 @@ from conftest import (
     blowup3_anticanonical,
     hirzebruch,
     plane_anticanonical,
+    plane_degree_one,
     projective_line,
     quadric_anticanonical,
     symmetric_hexagon,
     unit_square,
 )
-from reference import area, hk_slice, intersect, phi_slice, ring_difference_area
+from reference import (area, brute_events, hk_slice, intersect, phi_slice,
+                       ring_difference_area)
 
 
 # --- slices -------------------------------------------------------------------
@@ -184,6 +187,46 @@ def test_edge_landing_inside_a_parallel_edge_is_an_event():
     assert Rat(5, 4) in f.breakpoints
     for z in (Rat(9, 8), Rat(5, 4), Rat(21, 16)):
         assert f(z) == area(hk_slice(pair, z))
+
+
+def _parallel_landing_family():
+    # the minuend [0, 10 + t]^2 and the translate (20, 3) + t*[0, 1]^2: at
+    # t = 10 the translate's left edge lands strictly inside the minuend's
+    # right edge, two parallel lines that coincide once
+    cell = lattice_hull([(0, 0), (1, 0), (0, 1), (1, 1)])
+    return SliceFamily(minuend=(cell, 10, 1), translates=((20, 3),),
+                       shape=(cell, 0, 1))
+
+
+def test_edge_landing_inside_a_parallel_line_of_another_body_is_an_event():
+    # the triple is met only from the minuend's line and the translate's
+    # top or bottom line, with the parallel left edge as third line
+    f = family_volume_function(_parallel_landing_family(), 0, 15)
+    assert pw_equal(f, PiecewisePoly.build(
+        [0, 10, 15], [Poly.of(100, 20, 1), Poly.of(100, 30)]))
+
+
+def _hk_range(pair):
+    return hk_family(pair.polytope), 0, pair.l
+
+
+def _phi_range(pair):
+    r = cell_cover_scale(pair)
+    return phi_family(pair.polytope, r), 0, r
+
+
+_SMALL_SURFACES = (hirzebruch(1, 2, 1), plane_anticanonical(),
+                   plane_degree_one(), quadric_anticanonical())
+
+
+@pytest.mark.parametrize("family, lo, hi", [
+    *map(_hk_range, _SMALL_SURFACES),
+    *map(_phi_range, _SMALL_SURFACES + (hirzebruch(1, 1, 2),)),
+    (_parallel_landing_family(), 0, 15),
+])
+def test_events_match_brute_force_over_every_line_triple(family, lo, hi):
+    record = regions._FamilyRecord(family, Rat(lo), Rat(hi))
+    assert regions._events(record) == brute_events(record)
 
 
 @pytest.mark.parametrize("pair_factory", [
