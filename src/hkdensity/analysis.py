@@ -27,8 +27,6 @@ fractional exponents force floating point for d >= 3 (its zero test is still
 decided exactly).
 """
 
-from __future__ import annotations
-
 from functools import lru_cache, reduce
 from math import factorial, prod
 

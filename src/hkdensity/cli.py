@@ -21,8 +21,6 @@ command line is read in one pass against the command and flag tables
 without importing it.
 """
 
-from __future__ import annotations
-
 import json
 import re
 import sys
@@ -97,7 +95,7 @@ def parse_spec(text: str):
     """Parse a JSON pair spec into a ToricPair or SegrePair."""
     try:
         data = json.loads(text, object_pairs_hook=_object)
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # JSONDecodeError, or an int past the digit limit
         raise SpecParseError(f"invalid JSON: {exc}") from exc
     return _pair_from_data(data)
 

@@ -4,8 +4,6 @@ Every error carries a stable machine-readable ``code`` that the CLI emits in
 its error JSON; exit status is nonzero exactly when one of these is raised.
 """
 
-from __future__ import annotations
-
 
 class EngineError(Exception):
     """Base class for all engine errors."""

@@ -14,8 +14,6 @@ All values are immutable and every operation is a pure function, so the
 module is safe to use from concurrent callers without locking.
 """
 
-from __future__ import annotations
-
 import itertools
 import math
 import operator
@@ -29,7 +27,7 @@ from .errors import (
     NonIntegralVertexError,
     UnboundedError,
 )
-from .rationals import Rat, Value, as_integer, ceil_rat, floor_rat
+from .rationals import Rat, Value, ceil_rat, floor_rat
 
 
 # ---------------------------------------------------------------------------
@@ -130,7 +128,7 @@ class ConvexPolytope(Value):
 
     @property
     def is_lattice(self) -> bool:
-        return all(as_integer(c) is not None for v in self.vertices for c in v)
+        return all(c.denominator == 1 for v in self.vertices for c in v)
 
     def __repr__(self):  # compact, debugging aid
         return (f"ConvexPolytope(dim={self.dim}, pdim={self.pdim}, "

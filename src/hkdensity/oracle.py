@@ -15,8 +15,6 @@ of fibers; only overlapping lines are united fiber by fiber.  Everything
 runs on Python integers, so counts are exact at any size.
 """
 
-from __future__ import annotations
-
 from . import geometry as geo
 from .rationals import Rat, Value, floor_rat, rat_str
 

@@ -5,8 +5,6 @@ are all that spec parsing and the counting oracle need, so they live apart
 from the exact engine in ``analysis``.
 """
 
-from __future__ import annotations
-
 from functools import reduce
 from math import prod
 

@@ -6,8 +6,6 @@ the common value type for density functions and unit-cell defect functions,
 both continuous on their support.
 """
 
-from __future__ import annotations
-
 import bisect
 from math import lcm
 
@@ -36,10 +34,6 @@ class Poly(Value):
     @staticmethod
     def of(*coeffs) -> "Poly":
         return Poly(_strip(coeffs))
-
-    @staticmethod
-    def const(c) -> "Poly":
-        return Poly(_strip([c]))
 
     def __call__(self, x):
         x = Rat(x)
@@ -82,7 +76,7 @@ class Poly(Value):
         arg = Poly.of(shift, scale)
         acc = Poly(())
         for c in reversed(self.coeffs):
-            acc = acc * arg + Poly.const(c)
+            acc = acc * arg + Poly.of(c)
         return acc
 
 

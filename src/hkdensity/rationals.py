@@ -6,8 +6,6 @@ samples and lattice counts) run on Python integers.  ``Value`` is the
 base of the package's immutable value types.
 """
 
-from __future__ import annotations
-
 from fractions import Fraction as Rat
 from math import gcd
 from operator import attrgetter
@@ -41,12 +39,6 @@ def floor_rat(x) -> int:
 
 def ceil_rat(x) -> int:
     return -floor_rat(-Rat(x))
-
-
-def as_integer(x):
-    """Exact integer value of x, or None when x is not an integer."""
-    x = Rat(x)
-    return int(x.numerator) if x.denominator == 1 else None
 
 
 class Value:

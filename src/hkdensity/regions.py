@@ -23,8 +23,6 @@ rejected here; ``analysis`` answers a segment in closed form, and products
 and the counting oracle cover higher dimensions.
 """
 
-from __future__ import annotations
-
 import itertools
 from functools import cmp_to_key
 from math import lcm

@@ -390,3 +390,13 @@ def test_unit_simplex_regular_ring():
     assert phi.integral() == 1
     assert not is_tiler(pair)
     assert tiling_gap_B(pair) == tiling_gap_B(plane_anticanonical())
+
+
+@pytest.mark.parametrize("call", [
+    lambda pair: pair.scaled(0),
+    lambda pair: phi_scaled(pair, 0),
+    lambda pair: ehk_power(pair, 0),
+], ids=["scaled", "phi_scaled", "ehk_power"])
+def test_nonpositive_multiples_are_value_errors(call):
+    with pytest.raises(ValueError, match="positive integer"):
+        call(plane_anticanonical())

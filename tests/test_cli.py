@@ -108,6 +108,20 @@ def test_spec_errors_name_the_bad_entry(spec, message):
     assert json.loads(text)["error"] == {"code": "parse_error", "message": message}
 
 
+def test_integer_past_the_digit_limit_is_a_parse_error():
+    # json raises a plain ValueError, not a JSONDecodeError, for an integer
+    # longer than the interpreter converts from a string
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    if not limit:
+        pytest.skip("no limit on integer string conversion")
+    spec = '{"vertices": [[0], [%s]]}' % ("1" * (limit + 100))
+    with pytest.raises(SpecParseError):
+        parse_spec(spec)
+    status, text, ext = run_command("ehk", spec)
+    assert (status, ext) == (1, "json")
+    assert json.loads(text)["error"]["code"] == "parse_error"
+
+
 @pytest.mark.parametrize("argv,spec,message", [
     (["convergence"], '{"vertices": [[0],[1]]}',
      "'convergence' requires --q (comma list) and --lambda"),
@@ -374,6 +388,22 @@ def test_run_command_rejects_flags_the_command_ignores(command, options,
     assert "error:" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("argv,message", [
+    (["density", "--"], "unrecognized arguments: --"),
+    (["density", "--", "--format", "csv"],
+     "unrecognized arguments: -- --format csv"),
+    (["ehk", "--", "2"], "unrecognized arguments: -- 2"),
+    (["ehk", "--k", "--", "2"], "argument --k: expected one argument"),
+    (["--", "ehk"], "argument command: invalid choice: '--' (choose from "
+                    "'density', 'phi', 'ehk', 'limit', 'tiling', 'report', "
+                    "'segre', 'oracle', 'convergence')"),
+])
+def test_double_dash_ends_the_options(argv, message, capsys):
+    # every argument after "--" is a positional, and no command takes one
+    assert cli._execute(argv, LINE2) == (None, 2, "", None)
+    assert capsys.readouterr().err.splitlines()[1].split("error: ", 1)[1] == message
+
+
 def test_cli_import_does_not_load_numpy():
     import os
     import subprocess
@@ -430,6 +460,8 @@ def test_cli_import_does_not_load_numpy():
     assert "hkdensity.analysis" not in loaded
     assert "hkdensity.piecewise" not in loaded
     assert "dataclasses" in bare or "dataclasses" not in loaded
+    # annotations evaluate eagerly: no module imports __future__
+    assert "__future__" in bare or "__future__" not in loaded
     # a planar base loads the area engine; a line is answered in closed form
     # by every command and never loads it
     density_run, loaded = python(
@@ -440,6 +472,7 @@ def test_cli_import_does_not_load_numpy():
     assert density_run[0] == 0 and "hkdensity.regions" in loaded
     assert "argparse" not in loaded
     assert "dataclasses" in bare or "dataclasses" not in loaded
+    assert "__future__" in bare or "__future__" not in loaded
     line_runs, loaded = python(
         "import json, sys\n"
         "from hkdensity.cli import run_command\n"
@@ -448,6 +481,7 @@ def test_cli_import_does_not_load_numpy():
     assert [run[0] for run in line_runs] == [0, 0, 0]
     assert "hkdensity.analysis" in loaded
     assert "hkdensity.regions" not in loaded
+    assert "__future__" in bare or "__future__" not in loaded
 
 
 def test_products_of_lines_do_not_load_the_area_engine():
@@ -565,6 +599,18 @@ def test_readme_examples():
             want.append(text + "\n")
         status, text, _ = run_command(argv[1], spec, argv[2:])
         assert (status, text) == (0, "".join(want))
+
+
+def test_readme_lists_every_error_code():
+    from hkdensity import EngineError
+    classes, codes = [EngineError], set()
+    while classes:
+        cls = classes.pop()
+        codes.add(cls.code)
+        classes += cls.__subclasses__()
+    rows = reference._table(README.splitlines(), "| code")
+    listed = [reference._ticked(row[0])[0] for row in rows]
+    assert sorted(listed) == sorted(codes | {"invalid_argument"})
 
 
 def test_readme_python_api_block():

@@ -8,6 +8,8 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from hkdensity import (
+    ConvexPolytope,
+    DegenerateError,
     DimMismatchError,
     EmptyRegionError,
     NegativeScaleError,
@@ -595,3 +597,20 @@ def test_random_polytope_rows_vertices_and_volume(dim, data, t, shift, perm,
     order = [i for i in perm if i < dim]
     image = [tuple(signs[i] * p[i] + move[i] for i in order) for p in points]
     assert volume(hrep_from_vrep(image)) == volume(P)
+
+
+@pytest.mark.parametrize("build,error,code", [
+    (lambda: hrep_from_vrep([]), EmptyRegionError, "empty"),
+    (lambda: hrep_from_vrep([(0, 0), (1,)]), DimMismatchError, "dim_mismatch"),
+    (lambda: polytope_from_divisor([], []), DegenerateError, "degenerate"),
+    (lambda: polytope_from_divisor([(1, 0), (0, 1), (-1, -1)], [1, 1]),
+     DimMismatchError, "dim_mismatch"),
+    (lambda: ConvexPolytope(2, (), (), 0), EmptyRegionError, "empty"),
+    (lambda: ConvexPolytope(2, ((Rat(0),),), (), 0), DimMismatchError,
+     "dim_mismatch"),
+], ids=["no_points", "mixed_points", "no_rays", "coefficient_short",
+        "no_vertices", "short_vertex"])
+def test_malformed_input_raises_its_engine_error(build, error, code):
+    with pytest.raises(error) as info:
+        build()
+    assert type(info.value) is error and info.value.code == code

@@ -366,3 +366,12 @@ def test_slice_count_beyond_int64_on_a_line(q):
     # q = m: w in [0, 2m] dies iff w = q*u for u in {0, 1, 2}
     line = ToricPair.from_vertices([(0,), (2,)])
     assert slice_count(line, q, q) == 2 * (q - 1)
+
+
+@pytest.mark.parametrize("call", [
+    lambda pair: slice_count(pair, 0, 1),
+    lambda pair: f_n(pair, 2, -1),
+], ids=["level_zero", "negative_parameter"])
+def test_out_of_range_counts_are_value_errors(call):
+    with pytest.raises(ValueError):
+        call(projective_line(2))

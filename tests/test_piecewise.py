@@ -1,3 +1,5 @@
+import pytest
+
 from hkdensity import (
     PiecewisePoly,
     Poly,
@@ -80,6 +82,23 @@ def test_equal_on_line_fixture():
 def test_eval_outside_domain_is_zero():
     f = _ramp()
     assert f(-1) == 0 and f(2) == 0 and f(0) == 1 and f(1) == 0
+
+
+@pytest.mark.parametrize("call", [
+    lambda f: PiecewisePoly.build([0, 1], []),
+    lambda f: PiecewisePoly.build([1, 0], [Poly.of(1)]),
+    lambda f: f.scale_arg(0),
+    lambda f: pw_combine(f, f, "div"),
+], ids=["piece_missing", "decreasing_breakpoints", "zero_scale", "unknown_op"])
+def test_malformed_arguments_are_value_errors(call):
+    with pytest.raises(ValueError):
+        call(_ramp())
+
+
+def test_jump_is_not_continuous():
+    f = PiecewisePoly.build([0, 1, 2], [Poly.of(1), Poly.of(2)])
+    assert not f.is_continuous()
+    assert _ramp().is_continuous()
 
 
 def test_scale_arg():

@@ -348,3 +348,10 @@ def _ring_sets(draw):
 def test_boundary_area_matches_clipped_rings(rings):
     from hkdensity.regions import _boundary_area
     assert _boundary_area(rings) == 2 * ring_difference_area(rings)
+
+
+@pytest.mark.parametrize("lo,hi", [(1, 1), (2, 1)])
+def test_empty_parameter_interval_is_a_value_error(lo, hi):
+    family = hk_family(plane_anticanonical().polytope)
+    with pytest.raises(ValueError, match="empty parameter interval"):
+        family_volume_function(family, lo, hi)
