@@ -193,58 +193,66 @@ def _csv_text(rows) -> str:
     return "".join(",".join(row) + "\n" for row in rows)
 
 
+def convergence_csv_rows(rep):
+    """CSV rows of an ``oracle.ConvergenceReport``, exact rationals."""
+    exact = "" if rep.exact_value is None else rat_str(rep.exact_value)
+    rows = [("q", "m", "count", "f_value", "exact_value", "gap")]
+    for s, g in zip(rep.samples, rep.gaps):
+        rows.append((str(s.q), str(s.m), str(s.count), rat_str(s.f_value),
+                     exact, "" if g is None else rat_str(g)))
+    return rows
+
+
+def _error_text(code, message) -> str:
+    return json.dumps({"error": {"code": code, "message": message}}) + "\n"
+
+
 # ---------------------------------------------------------------------------
-# command handlers
+# command handlers: each returns a JSON document, CSV rows or SVG text
 # ---------------------------------------------------------------------------
 
-def _function_artifact(f, args, title):
-    if args.format == "json":
-        return json.dumps(pw_to_json(f), indent=2) + "\n", "json"
+def _function_artifact(f, args):
     if args.format == "csv":
-        return _csv_text(function_csv_rows(f, args.samples)), "csv"
-    return function_svg(f, args.samples, title) + "\n", "svg"
+        return function_csv_rows(f, args.samples)
+    if args.format == "svg":
+        return function_svg(f, args.samples, args.command)
+    return pw_to_json(f)
 
 
 def _cmd_density(pair, args):
     from . import analysis
-    return _function_artifact(analysis.hkd_function(pair), args, "density")
+    return _function_artifact(analysis.hkd_function(pair), args)
 
 
 def _cmd_phi(pair, args):
     from . import analysis
     f = analysis.phi_scaled(pair, args.k) if args.k > 1 else analysis.phi_function(pair)
-    return _function_artifact(f, args, "phi")
+    return _function_artifact(f, args)
 
 
 def _cmd_ehk(pair, args):
     from . import analysis
     if args.k > 1:
-        value = analysis.ehk_power(pair, args.k)
-        return json.dumps({"k": args.k, "e_hk_power": rat_str(value)}) + "\n", "json"
-    return json.dumps({"e_hk": rat_str(analysis.e_hk(pair))}) + "\n", "json"
+        return {"k": args.k, "e_hk_power": rat_str(analysis.ehk_power(pair, args.k))}
+    return {"e_hk": rat_str(analysis.e_hk(pair))}
 
 
 def _cmd_limit(pair, args):
     from . import analysis
-    return json.dumps({
-        "e0": rat_str(analysis.e0(pair)),
-        "phi_integral": rat_str(analysis.phi_integral(pair)),
-        "limit_A": rat_str(analysis.limit_A(pair)),
-    }) + "\n", "json"
+    return {"e0": rat_str(analysis.e0(pair)),
+            "phi_integral": rat_str(analysis.phi_integral(pair)),
+            "limit_A": rat_str(analysis.limit_A(pair))}
 
 
 def _cmd_tiling(pair, args):
     from . import analysis
-    return json.dumps({
-        "is_tiler": analysis.is_tiler(pair),
-        "B": _b_string(analysis.tiling_gap_B(pair)),
-    }) + "\n", "json"
+    return {"is_tiler": analysis.is_tiler(pair),
+            "B": _b_string(analysis.tiling_gap_B(pair))}
 
 
 def _cmd_report(pair, args):
     from . import analysis
-    rep = analysis.hk_report(pair)
-    return json.dumps(report_to_json(rep), indent=2) + "\n", "json"
+    return report_to_json(analysis.hk_report(pair))
 
 
 def _cmd_segre(pair, args):
@@ -258,12 +266,8 @@ def _cmd_oracle(pair, args):
         raise SpecParseError("'oracle' requires --q and --lambda")
     from . import oracle
     sample = oracle.f_n(pair, args.q, args.lam)
-    return json.dumps({
-        "q": sample.q,
-        "m": sample.m,
-        "count": sample.count,
-        "f_value": rat_str(sample.f_value),
-    }) + "\n", "json"
+    return {"q": sample.q, "m": sample.m, "count": sample.count,
+            "f_value": rat_str(sample.f_value)}
 
 
 def _cmd_convergence(pair, args):
@@ -271,18 +275,18 @@ def _cmd_convergence(pair, args):
         raise SpecParseError("'convergence' requires --q (comma list) and --lambda")
     from . import oracle
     rep = oracle.convergence_report(pair, args.lam, args.q)
-    if args.format == "json":
-        return json.dumps({
-            "lambda": rat_str(rep.lam),
-            "exact_value": None if rep.exact_value is None else rat_str(rep.exact_value),
-            "samples": [{
-                "q": s.q, "m": s.m, "count": s.count,
-                "f_value": rat_str(s.f_value),
-                "gap": None if g is None else rat_str(g),
-            } for s, g in zip(rep.samples, rep.gaps)],
-            "max_gap_tail": None if rep.max_gap_tail is None else rat_str(rep.max_gap_tail),
-        }, indent=2) + "\n", "json"
-    return _csv_text(rep.csv_rows()), "csv"
+    if args.format == "csv":
+        return convergence_csv_rows(rep)
+    return {
+        "lambda": rat_str(rep.lam),
+        "exact_value": None if rep.exact_value is None else rat_str(rep.exact_value),
+        "samples": [{
+            "q": s.q, "m": s.m, "count": s.count,
+            "f_value": rat_str(s.f_value),
+            "gap": None if g is None else rat_str(g),
+        } for s, g in zip(rep.samples, rep.gaps)],
+        "max_gap_tail": None if rep.max_gap_tail is None else rat_str(rep.max_gap_tail),
+    }
 
 
 # name -> (handler, output formats, the other flags the handler reads, help)
@@ -497,11 +501,11 @@ def _read_input(name) -> str:
 
 def _execute(argv, spec_text=None):
     """Parse ``argv``, read the spec (``spec_text``, else ``--input``) and run
-    the command: (args, exit_status, artifact_text, extension).  An engine or
-    argument error is status 1 with an error JSON as the artifact.  A usage
-    error is status 2 with a usage line and its message on stderr and no
-    artifact; -h/--help is status 0 with the help text as the artifact (args
-    None for both)."""
+    the command: (args, exit_status, artifact_text, extension).  This is
+    where every answer is written.  An engine or argument error is status 1
+    with an error JSON as the artifact.  A usage error is status 2 with a
+    usage line and its message on stderr and no artifact; -h/--help is
+    status 0 with the help text as the artifact (args None for both)."""
     args = None
     try:
         args = _parse(argv)
@@ -509,8 +513,13 @@ def _execute(argv, spec_text=None):
             return None, 0, args, None
         if spec_text is None:
             spec_text = _read_input(args.input)
-        text, ext = _COMMANDS[args.command][0](parse_spec(spec_text), args)
-        return args, 0, text, ext
+        answer = _COMMANDS[args.command][0](parse_spec(spec_text), args)
+        if isinstance(answer, dict):  # indented when a value is a list or an object
+            nested = any(isinstance(v, (list, dict)) for v in answer.values())
+            text = json.dumps(answer, indent=2 if nested else None) + "\n"
+        else:  # CSV rows or SVG text
+            text = _csv_text(answer) if isinstance(answer, list) else answer + "\n"
+        return args, 0, text, args.format
     except _UsageError as exc:
         command, message = exc.args
         prog = " ".join(filter(None, ("hkdensity", command)))
@@ -520,8 +529,7 @@ def _execute(argv, spec_text=None):
         code, message = exc.code, str(exc)
     except ValueError as exc:
         code, message = "invalid_argument", str(exc)
-    error = {"error": {"code": code, "message": message}}
-    return args, 1, json.dumps(error) + "\n", "json"
+    return args, 1, _error_text(code, message), "json"
 
 
 def run_command(command, spec_text, options=None) -> tuple:
@@ -535,13 +543,17 @@ def main(argv=None) -> int:
     args, status, text, ext = _execute(sys.argv[1:] if argv is None else argv)
     if args is None or status or args.output is None:
         sys.stdout.write(text)
-    else:
-        from pathlib import Path
-        out_dir = Path(args.output)
-        out_dir.mkdir(parents=True, exist_ok=True)
-        out_path = out_dir / f"{args.command}.{ext}"
+        return status
+    from pathlib import Path
+    out_path = Path(args.output) / f"{args.command}.{ext}"
+    try:
+        out_path.parent.mkdir(parents=True, exist_ok=True)
         out_path.write_text(text, encoding="utf-8")
-        print(str(out_path))
+    except OSError as exc:  # a file in the way, or not writable
+        sys.stdout.write(_error_text("parse_error", "cannot write output "
+                                     f"directory {args.output}: {exc.strerror}"))
+        return 1
+    print(str(out_path))
     return status
 
 

@@ -16,7 +16,7 @@ runs on Python integers, so counts are exact at any size.
 """
 
 from . import geometry as geo
-from .rationals import Rat, Value, floor_rat, rat_str
+from .rationals import Rat, Value, floor_rat
 
 
 class OracleSample(Value):
@@ -36,16 +36,6 @@ class ConvergenceReport(Value):
     """
 
     __slots__ = ("lam", "exact_value", "samples", "gaps", "max_gap_tail")
-
-    def csv_rows(self):
-        rows = [("q", "m", "count", "f_value", "exact_value", "gap")]
-        for s, g in zip(self.samples, self.gaps):
-            rows.append((
-                str(s.q), str(s.m), str(s.count), rat_str(s.f_value),
-                "" if self.exact_value is None else rat_str(self.exact_value),
-                "" if g is None else rat_str(g),
-            ))
-        return rows
 
 
 def _lines(P, k):
@@ -138,7 +128,7 @@ def f_n(pair, q: int, lam) -> OracleSample:
     m = floor_rat(Rat(q) * lam)
     count = slice_count(pair, q, m)
     return OracleSample(q=int(q), m=m, count=count, f_value=Rat(
-        count, q ** pair.polytope.dim))
+        count, q ** (pair.d - 1)))
 
 
 def oracle_ehk(pair, q: int):
@@ -164,7 +154,7 @@ def convergence_report(pair, lam, q_list) -> ConvergenceReport:
     lam = Rat(lam)
     samples = tuple(f_n(pair, q, lam) for q in q_list)
     exact = None
-    if pair.polytope.dim <= 2:
+    if pair.d <= 3:
         from .analysis import hkd_function  # loaded only when it can answer
         exact = hkd_function(pair)(lam)
     gaps = tuple(None if exact is None else abs(s.f_value - exact)

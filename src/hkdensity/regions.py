@@ -259,10 +259,9 @@ class _FamilyRecord:
         r, s = int(t.numerator), int(t.denominator)
         rings = [[(s * px + r * qx, s * py + r * qy)
                   for px, py, qx, qy in ring] for ring in self.rings]
-        # a body at scale 0 is one point and bounds nothing
+        # a body at scale 0 is one point and bounds nothing: a subtrahend is
+        # dropped, and the minuend's edges have zero length and sum to 0
         rings = [rings[0]] + [ring for ring in rings[1:] if ring[0] != ring[1]]
-        if rings[0][0] == rings[0][1]:
-            return Rat(0)
         den = s * self.scale
         return _boundary_area(rings) / (2 * den * den)
 

@@ -311,6 +311,24 @@ def test_output_directory(tmp_path, capsys, monkeypatch):
     assert json.loads(written.read_text())["breakpoints"] == ["0", "1", "3/2"]
 
 
+@pytest.mark.parametrize("below,errno_name", [("", "EEXIST"), ("sub", "ENOTDIR")])
+def test_unwritable_output_directory_is_a_parse_error(below, errno_name, tmp_path,
+                                                      capsys, monkeypatch):
+    # a file where the directory, or one of its parents, would go
+    import errno
+    import os
+    blocker = tmp_path / "F"
+    blocker.write_text("kept")
+    target = blocker / below if below else blocker
+    status, out = run(capsys, ["ehk", "--output", str(target)], LINE2, monkeypatch)
+    strerror = os.strerror(getattr(errno, errno_name))
+    assert status == 1
+    assert json.loads(out) == {"error": {
+        "code": "parse_error",
+        "message": f"cannot write output directory {target}: {strerror}"}}
+    assert blocker.read_text() == "kept"
+
+
 def test_input_file(tmp_path, capsys, monkeypatch):
     spec = tmp_path / "pair.json"
     spec.write_text(LINE2)

@@ -21,6 +21,7 @@ from hkdensity import (
     segre,
     slice_count,
 )
+from hkdensity.cli import convergence_csv_rows
 
 from conftest import (
     plane_anticanonical,
@@ -190,7 +191,7 @@ def test_convergence_report_line():
     assert rep.exact_value == 1
     assert list(rep.gaps) == [Rat(1, 2), Rat(1, 4), Rat(1, 8), Rat(1, 16)]
     assert rep.max_gap_tail == Rat(1, 8)
-    rows = rep.csv_rows()
+    rows = convergence_csv_rows(rep)
     assert rows[0] == ("q", "m", "count", "f_value", "exact_value", "gap")
     assert len(rows) == 5
 
@@ -228,7 +229,28 @@ def test_convergence_report_without_exact_value():
     rep = convergence_report(cube, Rat(1, 2), [2, 4])
     assert rep.exact_value is None and rep.max_gap_tail is None
     assert [s.count for s in rep.samples] == [8, 27]
-    assert rep.csv_rows()[1] == ("2", "1", "8", "1", "", "")
+    assert convergence_csv_rows(rep)[1] == ("2", "1", "8", "1", "", "")
+
+
+def test_segre_counts_build_one_product_polytope_each(monkeypatch):
+    # the base dimension comes from the pair, so the product polytope of a
+    # segre spec is built only for the count that walks it
+    from hkdensity import geometry
+    built = []
+    product = geometry.product
+
+    def counted(*polytopes):
+        built.append(polytopes)
+        return product(*polytopes)
+
+    monkeypatch.setattr(geometry, "product", counted)
+    line = projective_line(1)
+    cube = segre(line, line, line)
+    assert f_n(cube, 4, Rat(3, 2)).f_value == Rat(127, 64)
+    assert len(built) == 2
+    built.clear()
+    convergence_report(cube, Rat(3, 2), [16, 32, 64])
+    assert len(built) == 6
 
 
 def test_convergence_gap_bound_simplex():

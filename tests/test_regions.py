@@ -206,6 +206,27 @@ def test_edge_landing_inside_a_parallel_line_of_another_body_is_an_event():
         [0, 10, 15], [Poly.of(100, 20, 1), Poly.of(100, 30)]))
 
 
+_THIN = lattice_hull([(0, 0), (2, 0), (0, 1)])
+_UNIT = lattice_hull([(0, 0), (1, 0), (0, 1)])
+
+
+@pytest.mark.parametrize("translates,shape,breakpoints,pieces", [
+    ((), _THIN, [0, 2], [(0, 0, 1)]),
+    (((0, 0), (1, 0)), _UNIT, [0, Rat(1, 2), 1, 2],
+     [(0, 0, Rat(1, 2)), (Rat(-1, 4), 1, Rat(-1, 2)),
+      (Rat(3, 4), -1, Rat(1, 2))]),
+])
+def test_minuend_sampled_at_scale_zero(translates, shape, breakpoints, pieces):
+    # the minuend t*P is one point at t = 0: its edges have zero length and
+    # no subtrahend edge runs through it, so the sample there is 0
+    fam = SliceFamily(minuend=(_THIN, 0, 1), translates=translates,
+                      shape=(shape, 0, 1))
+    f = family_volume_function(fam, 0, 2)
+    assert pw_equal(f, PiecewisePoly.build(
+        breakpoints, [Poly.of(*p) for p in pieces]))
+    assert regions._FamilyRecord(fam, Rat(0), Rat(2)).area(Rat(0)) == 0
+
+
 def _hk_range(pair):
     return hk_family(pair.polytope), 0, pair.l
 
