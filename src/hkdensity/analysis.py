@@ -69,15 +69,13 @@ def _hkd_cached(pair: ToricPair) -> PiecewisePoly:
         return PiecewisePoly.build([0, 1, 1 + 1 / vol], [
             Poly.of(0, vol), Poly.of(vol * (vol + 1), -vol * vol)])
     from . import regions
-    fam = regions.hk_family(P)
-    tail = regions.family_volume_function(fam, 0, pair.l)
-    if tail(0) != vol:
+    tail = regions.family_volume_function(regions.hk_family(P), 1, 1 + pair.l)
+    # tail(1) = vol > 0 also puts the tail's first breakpoint at 1
+    if tail(1) != vol:
         raise BreakpointVerificationError(
             "density function discontinuous at level 1")
-    # vol * z^2 on [0, 1], then the tail reparameterized from t to z = 1 + t
-    out = PiecewisePoly.build(
-        [0, 1] + [b + 1 for b in tail.breakpoints[1:]],
-        [Poly.of(0, 0, vol)] + [p.compose_affine(1, -1) for p in tail.pieces])
+    out = PiecewisePoly.build([0, *tail.breakpoints],
+                              [Poly.of(0, 0, vol), *tail.pieces])
     if not out.is_continuous():
         raise BreakpointVerificationError(
             "density function fails exact continuity")

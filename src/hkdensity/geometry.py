@@ -27,7 +27,7 @@ from .errors import (
     NonIntegralVertexError,
     UnboundedError,
 )
-from .rationals import Rat, Value, ceil_rat, floor_rat
+from .rationals import Rat, Value
 
 
 # ---------------------------------------------------------------------------
@@ -366,7 +366,7 @@ def volume(poly: ConvexPolytope):
 def fiber_box(poly: ConvexPolytope, k=1):
     """Integer box of the first n-1 coordinates of the dilate k*P."""
     los, his = poly.bounding_box()
-    return [(ceil_rat(lo * k), floor_rat(hi * k))
+    return [(math.ceil(lo * k), math.floor(hi * k))
             for lo, hi in zip(los[:-1], his[:-1])]
 
 

@@ -15,8 +15,10 @@ of fibers; only overlapping lines are united fiber by fiber.  Everything
 runs on Python integers, so counts are exact at any size.
 """
 
+from math import floor
+
 from . import geometry as geo
-from .rationals import Rat, Value, floor_rat
+from .rationals import Rat, Value
 
 
 class OracleSample(Value):
@@ -125,7 +127,7 @@ def f_n(pair, q: int, lam) -> OracleSample:
     lam = Rat(lam)
     if lam < 0:
         raise ValueError("parameter must be nonnegative")
-    m = floor_rat(Rat(q) * lam)
+    m = floor(Rat(q) * lam)
     count = slice_count(pair, q, m)
     return OracleSample(q=int(q), m=m, count=count, f_value=Rat(
         count, q ** (pair.d - 1)))

@@ -64,20 +64,10 @@ class Poly(Value):
                 out[i + j] += a * b
         return Poly(_strip(out))
 
-    def antiderivative(self) -> "Poly":
-        return Poly(_strip([Rat(0)] + [c / (i + 1) for i, c in enumerate(self.coeffs)]))
-
     def integrate(self, a, b):
-        f = self.antiderivative()
-        return f(b) - f(a)
-
-    def compose_affine(self, scale, shift) -> "Poly":
-        """p(scale*x + shift)."""
-        arg = Poly.of(shift, scale)
-        acc = Poly(())
-        for c in reversed(self.coeffs):
-            acc = acc * arg + Poly.of(c)
-        return acc
+        a, b = Rat(a), Rat(b)
+        return sum((c * (b ** (i + 1) - a ** (i + 1)) / (i + 1)
+                    for i, c in enumerate(self.coeffs)), Rat(0))
 
 
 ZERO_POLY = Poly(())
@@ -203,7 +193,8 @@ class PiecewisePoly(Value):
         if k <= 0:
             raise ValueError("positive scale required")
         bps = tuple(b / k for b in self.breakpoints)
-        ps = tuple(p.compose_affine(k, 0) for p in self.pieces)
+        ps = tuple(Poly(tuple(c * k ** i for i, c in enumerate(p.coeffs)))
+                   for p in self.pieces)
         return PiecewisePoly(bps, ps)._normalized()
 
     def is_continuous(self) -> bool:

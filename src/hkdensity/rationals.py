@@ -32,15 +32,6 @@ def ratio_str(n: int, d: int) -> str:
     return str(n) if d == 1 else f"{n}/{d}"
 
 
-def floor_rat(x) -> int:
-    x = Rat(x)
-    return int(x.numerator // x.denominator)
-
-
-def ceil_rat(x) -> int:
-    return -floor_rat(-Rat(x))
-
-
 class Value:
     """Base of the package's immutable value types.
 

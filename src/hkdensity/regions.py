@@ -1,7 +1,7 @@
 """Exact area functions of the cone-difference regions.
 
-The density function of a toric pair at level z > 1 is the area of a dilate
-of the base polytope minus lattice translates of a smaller dilate; the
+The density function of a toric pair at level z > 1 is the area of zP
+minus the translates u + (z - 1)P over the lattice points u of P; the
 unit-cell defect function is the uncovered area of a unit cell under lattice
 translates of a dilate.  Both are instances of one parametric family: a
 minuend and translates of one shape, each a nonnegative dilate
@@ -9,9 +9,11 @@ minuend and translates of one shape, each a nonnegative dilate
 one integer record (rings and facets with a common denominator), from which
 one integer scan of the concurrences of three distinct moving facet lines
 gives the candidate breakpoints and an integer area kernel gives each area
-sample.  The translates u + tP whose u share <n, u> carry one line for the
-facet normal n, so the hk family of a surface has a few dozen lines and a
-dozen or so distinct ones.
+sample.  The hk family runs in the level z itself, so the density's
+breakpoints past z = 1 are among its events as they are.  The translates
+u + (z - 1)P whose u share <n, u> carry one line for the facet normal n, so
+the hk family of a surface has a few dozen lines and a dozen or so distinct
+ones.
 The parameterized area function is recovered on every candidate interval,
 a vanishing tail included, by exact interpolation through both ends and
 the midpoint with a verification sample in the last quarter; a failed
@@ -25,12 +27,12 @@ and the counting oracle cover higher dimensions.
 
 import itertools
 from functools import cmp_to_key
-from math import lcm
+from math import floor, lcm
 
 from . import geometry as geo
 from .errors import BreakpointVerificationError, UnsupportedDimensionError
 from .piecewise import PiecewisePoly, Poly
-from .rationals import Rat, Value, floor_rat
+from .rationals import Rat, Value
 
 
 # ---------------------------------------------------------------------------
@@ -161,7 +163,7 @@ def cell_translates(poly, lam_max):
     rows = []
     for n in units + [tuple(-c for c in m) for m, _ in poly.halfspaces]:
         top = max(geo.dot(n, v) for v in poly.vertices)
-        rows.append((n, floor_rat(sum(min(c, 0) for c in n) - lam * top) + 1))
+        rows.append((n, floor(sum(min(c, 0) for c in n) - lam * top) + 1))
     # the unit rows bound coordinate i to [rows[2i] offset, -rows[2i+1] offset]
     box = [(rows[2 * i][1], -rows[2 * i + 1][1]) for i in range(dim - 1)]
     lines = geo.lattice_lines(rows, box)
@@ -179,7 +181,8 @@ class SliceFamily(Value):
 
     ``minuend`` and ``shape`` are triples (polytope, c0, c1) that stand for
     the dilate (c0 + c1*t)*polytope, with c0 + c1*t >= 0 on the parameter
-    range; ``translates`` are the vectors u_i.  The engine reads only
+    range (``family_volume_function`` raises ValueError otherwise);
+    ``translates`` are the vectors u_i.  The engine reads only
     planar families.
     """
 
@@ -221,6 +224,10 @@ class _FamilyRecord:
                 raise UnsupportedDimensionError(
                     "exact slicing supports full-dimensional polygons only, "
                     f"got dimension {poly.pdim} in R^{poly.dim}")
+        for _, c0, c1 in (family.minuend, family.shape):
+            if min(c0 + c1 * lo, c0 + c1 * hi) < 0:
+                raise ValueError(
+                    f"dilate {c0} + {c1}*t is negative on [{lo}, {hi}]")
         # each dilate (c0 + c1*t)*poly in rational rows: (px, py, qx, qy) per
         # vertex, the integer normal and (a, b) per facet
         dilates = []
@@ -394,13 +401,13 @@ def family_volume_function(family: SliceFamily, lo, hi) -> PiecewisePoly:
 
 
 def hk_family(poly) -> SliceFamily:
-    """Family for density levels z = 1 + t: (1+t)P minus u + tP over the
-    lattice points u of P."""
+    """Family of the density level z itself: zP minus u + (z - 1)P over the
+    lattice points u of P, to be read on [1, 1 + l]."""
     P = geo.anchored(poly)
     return SliceFamily(
-        minuend=(P, 1, 1),
+        minuend=(P, 0, 1),
         translates=tuple(geo.lattice_points(P)),
-        shape=(P, 0, 1),
+        shape=(P, -1, 1),
     )
 
 

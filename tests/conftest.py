@@ -99,7 +99,9 @@ def hirzebruch_density_form(a: int, c: int, d: int) -> PiecewisePoly:
     sections = (c + a * d / 2 + 1) * (d + 1)
     z = Poly.of(0, 1)
     head = Poly.of(0, 0, vol)
-    second = head - Poly.of(0, 0, sections * vol).compose_affine(1, -1)
+    # the translates u + (z - 1)P of the sections, disjoint just past z = 1
+    shift = z - Poly.of(1)
+    second = head - Poly.of(sections * vol) * shift * shift
     corner = Poly.of(c + 1, -c)
     ridge = Poly.of((c + a * d / 2) * (d + 1) / (2 * a)) * corner * corner
     fade = Poly.of(vol) * z * Poly.of(d + 1, -d)

@@ -547,9 +547,14 @@ def test_lattice_boxes_do_not_load_the_area_engine():
     assert "hkdensity.regions" not in loaded
 
 
-@pytest.mark.parametrize("command", ["density", "phi"])
-def test_run_command_reports_failed_certificate(command, monkeypatch):
-    # a wrong area function must surface as a typed error, not a traceback
+@pytest.mark.parametrize("command, message", [
+    ("density", "density function discontinuous at level 1"),
+    ("phi", "defect function must start at 1 and vanish at the cover scale"),
+], ids=["density", "phi"])
+def test_run_command_reports_failed_certificate(command, message, monkeypatch):
+    # a wrong area function must surface as a typed error, not a traceback:
+    # x on [0, 1] is 1 at z = 1, not the simplex's area 1/2, and 0 at t = 0,
+    # where phi is 1
     from hkdensity import PiecewisePoly, Poly, analysis, regions
     from hkdensity.cli import run_command
     monkeypatch.setattr(regions, "family_volume_function",
@@ -559,7 +564,8 @@ def test_run_command_reports_failed_certificate(command, monkeypatch):
     analysis._phi_cached.cache_clear()
     status, text, ext = run_command(command, SIMPLEX)
     assert (status, ext) == (1, "json")
-    assert json.loads(text)["error"]["code"] == "breakpoint_verification_failed"
+    assert json.loads(text)["error"] == {
+        "code": "breakpoint_verification_failed", "message": message}
 
 
 def test_line_commands_never_run_the_engine(monkeypatch):

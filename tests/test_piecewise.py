@@ -32,11 +32,6 @@ def test_poly_add_strips_trailing_zeros():
     assert (Poly.of(1, 2, 3) + Poly.of(0, 0, -3)).coeffs == (Rat(1), Rat(2))
 
 
-def test_poly_compose_affine():
-    # p(z) = z^2 evaluated along z = 2x + 1
-    assert Poly.of(0, 0, 1).compose_affine(2, 1).coeffs == (Rat(1), Rat(4), Rat(4))
-
-
 # --- piecewise combine / equality ---------------------------------------------
 
 def _ramp():
@@ -106,6 +101,10 @@ def test_scale_arg():
     g = f.scale_arg(2)
     assert g.breakpoints == (Rat(0), Rat(1, 2))
     assert g.pieces[0].coeffs == (Rat(1), Rat(-2))
+    # x -> f(3x) takes the coefficient c_i to c_i * 3^i
+    f = PiecewisePoly.build([0, 1, 3], [Poly.of(1, 0, -4), Poly.of(-3, 2)])
+    assert f.scale_arg(3) == PiecewisePoly.build(
+        [0, Rat(1, 3), 1], [Poly.of(1, 0, -36), Poly.of(-3, 6)])
 
 
 # --- json round trip ----------------------------------------------------------

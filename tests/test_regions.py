@@ -105,16 +105,24 @@ def hirzebruch_112():
 def test_family_rejects_higher_dimension():
     cube = lattice_hull(list(itertools.product((0, 1), repeat=3)))
     with pytest.raises(UnsupportedDimensionError):
-        family_volume_function(hk_family(cube), 0, 1)
+        family_volume_function(hk_family(cube), 1, 2)
     with pytest.raises(UnsupportedDimensionError):
         family_volume_function(phi_family(cube, 1), 0, 1)
+
+
+def test_family_rejects_negative_dilate():
+    # the minuend (1 - t)*cell is a reflected cell past t = 1
+    cell = unit_square().polytope
+    fam = SliceFamily(minuend=(cell, 1, -1), translates=(), shape=(cell, 0, 1))
+    with pytest.raises(ValueError, match="negative"):
+        family_volume_function(fam, 0, 2)
 
 
 def test_family_rejects_segment():
     # a segment is answered in closed form by analysis, never by the engine
     segment = projective_line(2).polytope
     with pytest.raises(UnsupportedDimensionError):
-        family_volume_function(hk_family(segment), 0, 2)
+        family_volume_function(hk_family(segment), 1, 3)
     with pytest.raises(UnsupportedDimensionError):
         family_volume_function(phi_family(segment, 1), 0, 1)
 
@@ -161,19 +169,19 @@ def test_missed_events_fail_certificate(monkeypatch):
     monkeypatch.setattr(regions, "_events", lambda scan: set())
     pair = plane_anticanonical()
     with pytest.raises(BreakpointVerificationError, match="polynomial piece"):
-        family_volume_function(hk_family(pair.polytope), 0, pair.l)
+        family_volume_function(hk_family(pair.polytope), 1, 1 + pair.l)
 
 
 def test_missed_event_on_the_last_interval_fails_certificate(monkeypatch):
-    # hirzebruch(1, 1, 2)'s hk family has events 1/3, 1/2, 2/3 and 1, and its
-    # area vanishes from t = 1.  Without the event 1 the last interval
-    # [2/3, 10/9] spans that kink, and no later piece checks its right end
+    # hirzebruch(1, 1, 2)'s hk family has events 4/3, 3/2, 5/3 and 2, and its
+    # area vanishes from z = 2.  Without the event 2 the last interval
+    # [5/3, 19/9] spans that kink, and no later piece checks its right end
     events = regions._events
     monkeypatch.setattr(regions, "_events",
-                        lambda record: events(record) - {Rat(1)})
+                        lambda record: events(record) - {Rat(2)})
     family = hk_family(hirzebruch(1, 1, 2).polytope)
     with pytest.raises(BreakpointVerificationError, match="polynomial piece"):
-        family_volume_function(family, 0, Rat(10, 9))
+        family_volume_function(family, 1, Rat(19, 9))
 
 
 def test_edge_landing_inside_a_parallel_edge_is_an_event():
@@ -228,7 +236,7 @@ def test_minuend_sampled_at_scale_zero(translates, shape, breakpoints, pieces):
 
 
 def _hk_range(pair):
-    return hk_family(pair.polytope), 0, pair.l
+    return hk_family(pair.polytope), 1, 1 + pair.l
 
 
 def _phi_range(pair):
@@ -248,6 +256,19 @@ _SMALL_SURFACES = (hirzebruch(1, 2, 1), plane_anticanonical(),
 def test_events_match_brute_force_over_every_line_triple(family, lo, hi):
     record = regions._FamilyRecord(family, Rat(lo), Rat(hi))
     assert regions._events(record) == brute_events(record)
+
+
+@pytest.mark.parametrize("pair", [
+    hirzebruch(1, 1, 2), hirzebruch(1, 2, 1), plane_anticanonical(),
+    blowup3_anticanonical(),
+], ids=["hirzebruch112", "hirzebruch121", "plane", "blowup3"])
+def test_density_breakpoints_are_events_of_the_hk_family(pair):
+    # the hk family runs in the level z, so the density's breakpoints past
+    # z = 1 are among its events as they are
+    family, lo, hi = _hk_range(pair)
+    events = regions._events(regions._FamilyRecord(family, Rat(lo), Rat(hi)))
+    breakpoints = {b for b in hkd_function(pair).breakpoints if b > 1}
+    assert breakpoints and breakpoints <= events
 
 
 @pytest.mark.parametrize("pair_factory", [
