@@ -40,7 +40,7 @@ _EXPORTS = {
     ),
     "pairs": ("SegrePair", "ToricPair", "segre"),
     "piecewise": (
-        "PiecewisePoly", "Poly", "pw_combine", "pw_equal", "pw_from_json",
+        "PiecewisePoly", "Poly", "pw_equal", "pw_from_json",
     ),
     "rationals": ("Rat", "parse_rat", "rat_str"),
     "regions": (

@@ -16,11 +16,11 @@ that enters the density function is a lattice count.  This module assembles:
   max(0, 1 - Vol(P) * t^{d-1});
 * ``segre_phi`` -- the product rule (1 - phi_{XxY}) = (1 - phi_X)(1 - phi_Y).
 
-Every invariant of a product folds over its factors, in any dimension, as
-does every invariant of a lattice box up to a unimodular map (the product of
-its edge segments).  A base segment [0, n] (up to translation) is answered
-in closed form from n alone; only planar bases that are not boxes load the
-area engine in ``regions``.
+Every invariant folds over ``_factors``: a product's factors, recursively,
+and each lattice box (up to a unimodular map) as its edge segments.  One
+product rule serves both functions: Vol * z^n - HKd multiplies as 1 - phi
+does.  A segment is answered in closed form; only planar factors that are
+not boxes load the area engine in ``regions``, and any other is refused.
 
 Everything is exact; the only float in sight is the reported gap B, whose
 fractional exponents force floating point for d >= 3 (its zero test is still
@@ -29,20 +29,39 @@ decided exactly).
 
 from functools import lru_cache, reduce
 from math import factorial, prod
+from operator import mul
 
 from . import geometry as geo
 from .errors import BreakpointVerificationError, UnsupportedDimensionError
 from .pairs import SegrePair, ToricPair, segre  # noqa: F401 (segre re-exported)
-from .piecewise import PiecewisePoly, Poly, pw_combine, pw_equal
+from .piecewise import PiecewisePoly, Poly, pw_equal
 from .rationals import Rat, Value
+
+
+def _factors(pair) -> list:
+    """The flat list of factors every invariant of ``pair`` folds over: the
+    factors of a product, recursively; the edge segments [0, hi_i - lo_i] of
+    a lattice box up to a unimodular map; any other base itself.
+
+    A box of dimension n >= 2 has exactly 2n facet rows in opposite pairs
+    <w_i, x> >= lo_i, <-w_i, x> >= -hi_i with |det(w_1..w_n)| = 1, so that
+    x -> (<w_i, x>) maps it onto the product of the [lo_i, hi_i]."""
+    if isinstance(pair, SegrePair):
+        return [g for f in pair.factors for g in _factors(f)]
+    P = pair.polytope
+    rows = dict(P.halfspaces)
+    sides = {w: (lo, -rows[neg]) for w, lo in rows.items()
+             if (neg := tuple(-c for c in w)) in rows and w > neg}
+    if (P.dim < 2 or len(rows) != 2 * P.dim or len(sides) != P.dim
+            or abs(geo.det(list(sides))) != 1):
+        return [pair]
+    return [ToricPair.from_vertices([(0,), (hi - lo,)])
+            for lo, hi in sides.values()]
 
 
 def pair_volume(pair):
     """Base-polytope volume; multiplicative over products."""
-    pair = _folded(pair)
-    if isinstance(pair, SegrePair):
-        return prod(pair_volume(f) for f in pair.factors)
-    return geo.volume(pair.polytope)
+    return prod(geo.volume(f.polytope) for f in _factors(pair))
 
 
 def e0(pair):
@@ -52,11 +71,32 @@ def e0(pair):
 
 def h0(pair) -> int:
     """Number of lattice points of the base polytope (section count)."""
-    if isinstance(pair, SegrePair):
-        return prod(h0(f) for f in pair.factors)
-    P = pair.polytope
-    lines = geo.lattice_lines(P.halfspaces, geo.fiber_box(P))
-    return geo.lattice_count(lines)
+    return prod(geo.lattice_count(geo.lattice_lines(
+        f.polytope.halfspaces, geo.fiber_box(f.polytope)))
+        for f in _factors(pair))
+
+
+def _exact_factors(pair) -> list:
+    """``_factors(pair)``, refusing any factor but segments and polygons."""
+    factors = _factors(pair)
+    dim = max(f.polytope.dim for f in factors)
+    if dim > 2:
+        raise UnsupportedDimensionError(
+            f"no exact function for a factor of dimension {dim} that is not "
+            "a lattice box; use the counting oracle ('oracle')")
+    return factors
+
+
+def _product(terms) -> PiecewisePoly:
+    """The product rule full - prod(full_i - f_i) on [0, end] over the terms
+    (full_i, f_i): full = prod(full_i), and every f_i vanishes outside
+    [0, end].  HKd takes full_i = Vol_i * z^{n_i}, phi takes full_i = 1."""
+    if len(terms) == 1:
+        return terms[0][1]
+    end = max(f.breakpoints[-1] for _, f in terms)
+    covered = [PiecewisePoly.build([0, end], [p]) - f for p, f in terms]
+    full = reduce(mul, (p for p, _ in terms))
+    return PiecewisePoly.build([0, end], [full]) - reduce(mul, covered)
 
 
 @lru_cache(maxsize=256)
@@ -82,50 +122,15 @@ def _hkd_cached(pair: ToricPair) -> PiecewisePoly:
     return out
 
 
-def _folded(pair):
-    """The product of segments [0, hi_i - lo_i] when the base of ``pair`` is
-    a lattice box up to a unimodular map, else ``pair`` itself.
-
-    A box of dimension n >= 2 has exactly 2n facet rows in opposite pairs
-    <w_i, x> >= lo_i, <-w_i, x> >= -hi_i with |det(w_1..w_n)| = 1, so that
-    x -> (<w_i, x>) maps it onto the product of the [lo_i, hi_i]."""
-    if not isinstance(pair, ToricPair) or pair.polytope.dim < 2:
-        return pair
-    P = pair.polytope
-    rows = dict(P.halfspaces)
-    sides = {w: (lo, -rows[neg]) for w, lo in rows.items()
-             if (neg := tuple(-c for c in w)) in rows and w > neg}
-    if (len(rows) != 2 * P.dim or len(sides) != P.dim
-            or abs(geo.det(list(sides))) != 1):
-        return pair
-    return SegrePair(tuple(ToricPair.from_vertices([(0,), (hi - lo,)])
-                           for lo, hi in sides.values()))
-
-
-def _box(pair, end) -> PiecewisePoly:
-    """Vol(P) * z^dim(P) on [0, end]: the normalized count of z*P."""
-    return PiecewisePoly.build(
-        [0, end], [Poly.of(*[0] * (pair.d - 1), pair_volume(pair))])
-
-
 def hkd_function(pair) -> PiecewisePoly:
     """Exact density function on [0, 1+l] (identically 0 afterwards).
 
-    A product folds over its factors: the translates covering z*(P x Q) are
-    products of those covering z*P and z*Q, so the covered density
-    Vol * z^dim - HKd multiplies, as 1 - phi does."""
-    pair = _folded(pair)
-    if isinstance(pair, ToricPair):
-        if pair.polytope.dim > 2:
-            raise UnsupportedDimensionError(
-                "density function needs base dimension 1 or 2 or a lattice "
-                "box; use a product form or the counting oracle")
-        return _hkd_cached(pair)
-    hkds = [hkd_function(f) for f in pair.factors]
-    end = max(h.breakpoints[-1] for h in hkds)
-    covered = reduce(lambda f, g: pw_combine(f, g, "mul"), (
-        pw_combine(_box(f, end), h, "sub") for f, h in zip(pair.factors, hkds)))
-    return pw_combine(_box(pair, end), covered, "sub")
+    The translates covering z*(P x Q) are products of those covering z*P
+    and z*Q, so the covered density Vol * z^dim - HKd multiplies over the
+    factors, as 1 - phi does."""
+    return _product([
+        (Poly.of(*[0] * f.polytope.dim, geo.volume(f.polytope)),
+         _hkd_cached(f)) for f in _exact_factors(pair)])
 
 
 def e_hk(pair):
@@ -169,14 +174,8 @@ def _phi_cached(pair: ToricPair) -> PiecewisePoly:
 def phi_function(pair) -> PiecewisePoly:
     """Unit-cell defect function phi: compactly supported, continuous,
     with phi(0) = 1.  For products it is combined multiplicatively."""
-    pair = _folded(pair)
-    if isinstance(pair, SegrePair):
-        return reduce(segre_phi, (phi_function(f) for f in pair.factors))
-    if pair.polytope.dim > 2:
-        raise UnsupportedDimensionError(
-            "direct defect function needs base dimension 1 or 2 or a "
-            "lattice box; use a product form or the counting oracle")
-    return _phi_cached(pair)
+    return _product([(Poly.of(1), _phi_cached(f))
+                     for f in _exact_factors(pair)])
 
 
 def phi_scaled(pair, k: int) -> PiecewisePoly:
@@ -197,8 +196,21 @@ def limit_A(pair):
 
 
 def segre_phi(f: PiecewisePoly, g: PiecewisePoly) -> PiecewisePoly:
-    """Product rule: phi of a product pair is f + g - f*g."""
-    return pw_combine(pw_combine(f, g, "add"), pw_combine(f, g, "mul"), "sub")
+    """Product rule for defect functions (1 at 0, supported in [0, oo)):
+    phi of a product pair is 1 - (1 - f)(1 - g)."""
+    return _product([(Poly.of(1), f), (Poly.of(1), g)])
+
+
+def _tiling(d, vol, phi):
+    """(is_tiler, tiling_gap_B) of a pair of dimension d, base volume
+    ``vol`` and defect function ``phi``."""
+    bound = Poly.of(1, *[0] * (d - 2), -vol)
+    if pw_equal(phi, PiecewisePoly.build([0, phi.breakpoints[-1]], [bound])):
+        return True, 0.0
+    a = float(vol * phi.integral())
+    expo = (2 - d) / (d - 1)
+    return False, (float(factorial(d - 1) * vol) ** expo) * a - (
+        (d - 1) / d) * float(factorial(d - 1)) ** expo
 
 
 def is_tiler(pair) -> bool:
@@ -206,13 +218,7 @@ def is_tiler(pair) -> bool:
     lattice.  Decided exactly: phi >= max(0, 1 - Vol * t^{d-1}) always
     holds, with equality (as functions) precisely in the tiling case, so it
     suffices to compare phi with 1 - Vol * t^{d-1} on phi's support."""
-    phi = phi_function(pair)
-    dm1 = pair.d - 1
-    vol = pair_volume(pair)
-    support_end = phi.breakpoints[-1]
-    bound = Poly(tuple([Rat(1)] + [Rat(0)] * (dm1 - 1) + [-vol]))
-    return pw_equal(phi, PiecewisePoly.build(
-        [Rat(0), support_end], [bound]))
+    return _tiling(pair.d, pair_volume(pair), phi_function(pair))[0]
 
 
 def tiling_gap_B(pair) -> float:
@@ -221,15 +227,8 @@ def tiling_gap_B(pair) -> float:
 
     Exactly 0.0 in the tiling case (decided by the exact phi identity);
     otherwise a positive float (the fractional exponents force floating
-    point once d >= 3).
-    """
-    if is_tiler(pair):
-        return 0.0
-    d = pair.d
-    a = float(limit_A(pair))
-    expo = (2 - d) / (d - 1)
-    return (float(e0(pair)) ** expo) * a - ((d - 1) / d) * float(
-        factorial(d - 1)) ** expo
+    point once d >= 3)."""
+    return _tiling(pair.d, pair_volume(pair), phi_function(pair))[1]
 
 
 def ehk_power(pair, k: int):
@@ -251,18 +250,10 @@ class HKReport(Value):
 
 
 def hk_report(pair) -> HKReport:
-    phi = phi_function(pair)
-    hkd = hkd_function(pair)
+    phi, hkd, vol = phi_function(pair), hkd_function(pair), pair_volume(pair)
+    tiles, gap = _tiling(pair.d, vol, phi)
+    phi_int = phi.integral()
     return HKReport(
-        d=pair.d,
-        l=pair.l,
-        e0=e0(pair),
-        h0=h0(pair),
-        hkd=hkd,
-        e_hk=hkd.integral(),
-        phi=phi,
-        phi_integral=phi.integral(),
-        limit_A=limit_A(pair),
-        tiling_gap_B=tiling_gap_B(pair),
-        is_tiler=is_tiler(pair),
-    )
+        d=pair.d, l=pair.l, e0=factorial(pair.d - 1) * vol, h0=h0(pair),
+        hkd=hkd, e_hk=hkd.integral(), phi=phi, phi_integral=phi_int,
+        limit_A=vol * phi_int, tiling_gap_B=gap, is_tiler=tiles)

@@ -51,9 +51,9 @@ class DimMismatchError(EngineError):
 
 
 class UnsupportedDimensionError(EngineError):
-    """A base the exact functions do not cover: they answer segments,
-    polygons, and products and lattice boxes of any dimension folded over
-    their factors; every other base of dimension 3 or more is refused."""
+    """A base the exact functions do not cover: they fold products and
+    lattice boxes of any dimension over their factors and answer segments
+    and polygons; any other factor, of dimension 3 or more, is refused."""
 
     code = "unsupported_dimension"
 

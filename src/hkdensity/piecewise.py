@@ -204,6 +204,22 @@ class PiecewisePoly(Value):
                 return False
         return True
 
+    def _pointwise(self, other, op) -> "PiecewisePoly":
+        """x -> op(self(x), other(x)) on the union of both breakpoint sets."""
+        cuts = sorted(set(self.breakpoints) | set(other.breakpoints))
+        mids = [(a + b) / 2 for a, b in zip(cuts, cuts[1:])]
+        pieces = tuple(op(self.piece_at(m), other.piece_at(m)) for m in mids)
+        return PiecewisePoly(tuple(cuts), pieces)._normalized()
+
+    def __add__(self, other):
+        return self._pointwise(other, Poly.__add__)
+
+    def __sub__(self, other):
+        return self._pointwise(other, Poly.__sub__)
+
+    def __mul__(self, other):
+        return self._pointwise(other, Poly.__mul__)
+
     def piece_at(self, x) -> Poly:
         """Polynomial on the interval containing x (0 outside the domain)."""
         x = Rat(x)
@@ -213,31 +229,9 @@ class PiecewisePoly(Value):
         return self.pieces[min(i, len(self.pieces) - 1)]
 
 
-def pw_combine(f: PiecewisePoly, g: PiecewisePoly, op: str) -> PiecewisePoly:
-    """Pointwise add/sub/mul with implicit 0 outside each domain."""
-    if op not in ("add", "sub", "mul"):
-        raise ValueError(f"unknown op {op!r}")
-    cuts = sorted(set(f.breakpoints) | set(g.breakpoints))
-    if len(cuts) == 1:
-        return PiecewisePoly.zero(cuts[0])
-    pieces = []
-    for a, b in zip(cuts, cuts[1:]):
-        mid = (a + b) / 2
-        pf = f.piece_at(mid)
-        pg = g.piece_at(mid)
-        if op == "add":
-            pieces.append(pf + pg)
-        elif op == "sub":
-            pieces.append(pf - pg)
-        else:
-            pieces.append(pf * pg)
-    return PiecewisePoly(tuple(cuts), tuple(pieces))._normalized()
-
-
 def pw_equal(f: PiecewisePoly, g: PiecewisePoly) -> bool:
     """Exact equality as functions on all of R."""
-    diff = pw_combine(f, g, "sub")
-    return not diff.pieces
+    return not (f - g).pieces
 
 
 def pw_from_json(data: dict) -> PiecewisePoly:

@@ -29,7 +29,7 @@ from hkdensity import (
     segre_phi,
     tiling_gap_B,
 )
-from hkdensity.analysis import _folded, _hkd_cached, _phi_cached
+from hkdensity.analysis import _factors, _hkd_cached, _phi_cached
 from hkdensity.cli import pw_to_json, report_to_json
 
 from conftest import (
@@ -270,9 +270,7 @@ def test_box_images_obey_product_rule(a, b, vertices):
     (ToricPair.from_vertices([(0, 0), (4, 2), (3, 3), (7, 5)]), [2, 3]),
 ], ids=["rectangle", "offset", "quadric", "image", "nonprimitive"])
 def test_box_recognized(pair, sides):
-    folded = _folded(pair)
-    assert isinstance(folded, SegrePair)
-    assert sorted(folded.factors, key=pair_volume) == [
+    assert sorted(_factors(pair), key=pair_volume) == [
         projective_line(n) for n in sides]
 
 
@@ -290,7 +288,34 @@ def test_box_recognized(pair, sides):
 ], ids=["det2", "det3", "hirzebruch112", "trapezoid", "pentagon", "triangle",
         "hexagon", "line", "product"])
 def test_non_box_kept(pair):
-    assert _folded(pair) is pair
+    # a product is flattened into its factors, here none of them a box
+    factors = pair.factors if isinstance(pair, SegrePair) else (pair,)
+    assert _factors(pair) == list(factors)
+
+
+_LINE1, _LINE2 = projective_line(1), projective_line(2)
+_BOX21 = ToricPair.from_vertices([(0, 0), (2, 0), (0, 1), (2, 1)])
+_TRIANGLE = plane_degree_one()
+
+
+@pytest.mark.parametrize("group,ehk,limit,sections,volume", [
+    ([segre(segre(_LINE1, _LINE2), _BOX21),
+      segre(_LINE1, _LINE2, _LINE2, _LINE1),
+      segre(_LINE1, _LINE2, _LINE1, _LINE2)],
+     Rat(283, 30), Rat(41, 15), 36, 4),
+    ([segre(_TRIANGLE, _BOX21), segre(_TRIANGLE, segre(_LINE2, _LINE1)),
+      segre(_TRIANGLE, _LINE2, _LINE1)],
+     Rat(867, 160), Rat(2003, 1920), 18, 1),
+], ids=["lines_and_box", "triangle_and_box"])
+def test_nesting_and_order_do_not_change_a_product(group, ehk, limit,
+                                                   sections, volume):
+    # every invariant folds over the flat list of factors, so a nested, a
+    # reordered and a box-carrying product emit the same functions
+    assert len({(str(pw_to_json(hkd_function(p))),
+                 str(pw_to_json(phi_function(p)))) for p in group}) == 1
+    for pair in group:
+        assert (e_hk(pair), limit_A(pair), h0(pair), pair_volume(pair)) == (
+            ehk, limit, sections, volume)
 
 
 def test_segre_quadruple_lines():

@@ -286,6 +286,30 @@ def test_missing_oracle_flags(capsys, monkeypatch):
     assert json.loads(out)["error"]["code"] == "parse_error"
 
 
+SIMPLEX3 = '{"vertices": [[0,0,0],[1,0,0],[0,1,0],[0,0,1]]}'
+SIMPLEX3_LINE = '{"segre": [%s, {"vertices": [[0],[1]]}]}' % SIMPLEX3
+
+
+@pytest.mark.parametrize("spec", [SIMPLEX3, SIMPLEX3_LINE],
+                         ids=["simplex", "product"])
+@pytest.mark.parametrize("command", ["density", "phi", "ehk", "limit",
+                                     "tiling", "report"])
+def test_exact_commands_refuse_a_factor_of_dimension_three(command, spec):
+    status, text, ext = run_command(command, spec)
+    assert (status, ext) == (1, "json")
+    assert json.loads(text) == {"error": {
+        "code": "unsupported_dimension",
+        "message": "no exact function for a factor of dimension 3 that is "
+                   "not a lattice box; use the counting oracle ('oracle')"}}
+
+
+@pytest.mark.parametrize("spec,count", [(SIMPLEX3, 31), (SIMPLEX3_LINE, 167)],
+                         ids=["simplex", "product"])
+def test_oracle_answers_a_factor_of_dimension_three(spec, count):
+    status, text, _ = run_command("oracle", spec, ["--q", "4", "--lambda", "1"])
+    assert status == 0 and json.loads(text)["count"] == count
+
+
 @pytest.mark.parametrize("command,q", [
     ("oracle", "2,4"), ("oracle", "0"), ("oracle", "x"),
     ("convergence", "0"), ("convergence", "x"), ("convergence", "4,x"),

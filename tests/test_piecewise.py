@@ -4,7 +4,6 @@ from hkdensity import (
     PiecewisePoly,
     Poly,
     Rat,
-    pw_combine,
     pw_equal,
     pw_from_json,
     pw_to_json,
@@ -32,7 +31,7 @@ def test_poly_add_strips_trailing_zeros():
     assert (Poly.of(1, 2, 3) + Poly.of(0, 0, -3)).coeffs == (Rat(1), Rat(2))
 
 
-# --- piecewise combine / equality ---------------------------------------------
+# --- piecewise arithmetic / equality ---------------------------------------------
 
 def _ramp():
     return PiecewisePoly.build([0, 1], [Poly.of(1, -1)])
@@ -40,21 +39,21 @@ def _ramp():
 
 def test_combine_with_zero_is_identity():
     f = _ramp()
-    assert pw_equal(pw_combine(f, PiecewisePoly.zero(), "add"), f)
+    assert pw_equal(f + PiecewisePoly.zero(), f)
 
 
 def test_combine_complement_product():
     # (1-f)^2 inside the window [0,2], where f = 1-x on [0,1] and 0 after
     one = PiecewisePoly.build([0, 2], [Poly.of(1)])
-    g = pw_combine(one, _ramp(), "sub")
-    prod = pw_combine(g, g, "mul")
+    g = one - _ramp()
+    prod = g * g
     expected = PiecewisePoly.build([0, 1, 2], [Poly.of(0, 0, 1), Poly.of(1)])
     assert pw_equal(prod, expected)
 
 
 def test_combine_sub_equal_functions_is_zero():
     f = _ramp()
-    assert pw_equal(pw_combine(f, f, "sub"), PiecewisePoly.zero())
+    assert pw_equal(f - f, PiecewisePoly.zero())
 
 
 def test_equal_ignores_redundant_breakpoints():
@@ -83,8 +82,7 @@ def test_eval_outside_domain_is_zero():
     lambda f: PiecewisePoly.build([0, 1], []),
     lambda f: PiecewisePoly.build([1, 0], [Poly.of(1)]),
     lambda f: f.scale_arg(0),
-    lambda f: pw_combine(f, f, "div"),
-], ids=["piece_missing", "decreasing_breakpoints", "zero_scale", "unknown_op"])
+], ids=["piece_missing", "decreasing_breakpoints", "zero_scale"])
 def test_malformed_arguments_are_value_errors(call):
     with pytest.raises(ValueError):
         call(_ramp())

@@ -116,6 +116,32 @@ def test_growth_lower_bound_exact_with_tiling_equality(pair):
     assert tiling_gap_B(pair) >= -1e-12
 
 
+# Theorem t4 for surfaces in exact form: B >= 0 reads 9 * A^2 >= 2 * e0 at
+# d = 3, with equality exactly for the tilers
+def _assert_t4(pair, tiles):
+    lhs, rhs = 9 * limit_A(pair) ** 2, 2 * e0(pair)
+    assert lhs >= rhs
+    assert (lhs == rhs) is tiles
+
+
+@pytest.mark.parametrize("pair,tiles", [
+    *[(factory(), factory is quadric_anticanonical)
+      for factory, *_ in FANO_TABLE],
+    (hirzebruch(1, 2, 1), False),
+    (hirzebruch(2, 1, 3), False),
+    (plane_degree_one(), False),
+    (symmetric_hexagon(), True),
+    (unit_square(), True),
+    (ToricPair(lattice_hull([(0, 0), (2, 0), (0, 2), (2, 2)])), True),
+    # a tiler that is not a box: edges (1, 0) and (2, 4)
+    (ToricPair(lattice_hull([(0, 0), (1, 0), (3, 4), (2, 4)])), True),
+], ids=["quadric", "plane", "blowup1", "blowup2", "blowup3", "hirzebruch121",
+        "hirzebruch213", "triangle", "hexagon", "square", "square2",
+        "parallelogram"])
+def test_growth_bound_t4_exact_for_surfaces(pair, tiles):
+    _assert_t4(pair, tiles)
+
+
 @pytest.mark.parametrize("pair", [plane_anticanonical(), symmetric_hexagon(),
                                   projective_line(2), hirzebruch(1, 2, 1)])
 def test_report_translation_invariant(pair):
@@ -186,6 +212,13 @@ def test_random_polygon_functions_match_slices(points):
     assert all(phi(lam) >= max(0, 1 - vol * lam ** 2) for lam in probes)
     assert is_tiler(pair) == all(phi(lam) == 1 - vol * lam ** 2
                                  for lam in probes)
+
+
+@settings(max_examples=30, deadline=None, derandomize=True)
+@given(points=_POLYGON)
+def test_random_polygon_growth_bound_t4_exact(points):
+    pair = _polygon_pair(points)
+    _assert_t4(pair, is_tiler(pair))
 
 
 def _mapped(points, maps, shift=(0, 0)):
