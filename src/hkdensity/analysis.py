@@ -14,6 +14,8 @@ that enters the density function is a lattice count.  This module assembles:
 * ``is_tiler`` / ``tiling_gap_B`` -- the exact translate-tiling criterion:
   the pair attains the minimal renormalized growth iff phi coincides with
   max(0, 1 - Vol(P) * t^{d-1});
+* ``limit_values`` -- (e0, integral(phi), limit_A), and ``tiling_values``
+  -- (is_tiler, tiling_gap_B), each from one volume and one phi;
 * ``segre_phi`` -- the product rule (1 - phi_{XxY}) = (1 - phi_X)(1 - phi_Y).
 
 Every invariant folds over ``_factors``: a product's factors, recursively,
@@ -35,7 +37,7 @@ from . import geometry as geo
 from .errors import BreakpointVerificationError, UnsupportedDimensionError
 from .pairs import SegrePair, ToricPair, segre  # noqa: F401 (segre re-exported)
 from .piecewise import PiecewisePoly, Poly, pw_equal
-from .rationals import Rat, Value
+from .rationals import Value
 
 
 def _factors(pair) -> list:
@@ -163,8 +165,8 @@ def _phi_cached(pair: ToricPair) -> PiecewisePoly:
         return PiecewisePoly.build([0, 1 / vol], [Poly.of(1, -vol)])
     from . import regions
     r = cell_cover_scale(pair)
-    fam = regions.phi_family(P, Rat(r))
-    phi = regions.family_volume_function(fam, 0, Rat(r))
+    fam = regions.phi_family(P, r)
+    phi = regions.family_volume_function(fam, 0, r)
     if phi(0) != 1 or phi(r) != 0:
         raise BreakpointVerificationError(
             "defect function must start at 1 and vanish at the cover scale")
@@ -182,7 +184,7 @@ def phi_scaled(pair, k: int) -> PiecewisePoly:
     """Defect function of the k-th multiple divisor: t -> phi(k*t)."""
     if int(k) != k or k < 1:
         raise ValueError("positive integer multiple required")
-    return phi_function(pair).scale_arg(Rat(int(k)))
+    return phi_function(pair).scale_arg(int(k))
 
 
 def phi_integral(pair):
@@ -193,6 +195,12 @@ def limit_A(pair):
     """Second-order growth coefficient of e_HK over powers of the maximal
     ideal: Vol(P) times the integral of phi."""
     return pair_volume(pair) * phi_integral(pair)
+
+
+def limit_values(pair):
+    """(e0, integral of phi, limit_A) from one volume and one phi."""
+    vol, phi_int = pair_volume(pair), phi_integral(pair)
+    return factorial(pair.d - 1) * vol, phi_int, vol * phi_int
 
 
 def segre_phi(f: PiecewisePoly, g: PiecewisePoly) -> PiecewisePoly:
@@ -213,12 +221,17 @@ def _tiling(d, vol, phi):
         (d - 1) / d) * float(factorial(d - 1)) ** expo
 
 
+def tiling_values(pair):
+    """(is_tiler, tiling_gap_B) from one volume and one phi."""
+    return _tiling(pair.d, pair_volume(pair), phi_function(pair))
+
+
 def is_tiler(pair) -> bool:
     """Whether translates of a dilate of P tile space with the integer
     lattice.  Decided exactly: phi >= max(0, 1 - Vol * t^{d-1}) always
     holds, with equality (as functions) precisely in the tiling case, so it
     suffices to compare phi with 1 - Vol * t^{d-1} on phi's support."""
-    return _tiling(pair.d, pair_volume(pair), phi_function(pair))[0]
+    return tiling_values(pair)[0]
 
 
 def tiling_gap_B(pair) -> float:
@@ -228,7 +241,7 @@ def tiling_gap_B(pair) -> float:
     Exactly 0.0 in the tiling case (decided by the exact phi identity);
     otherwise a positive float (the fractional exponents force floating
     point once d >= 3)."""
-    return _tiling(pair.d, pair_volume(pair), phi_function(pair))[1]
+    return tiling_values(pair)[1]
 
 
 def ehk_power(pair, k: int):
@@ -236,7 +249,7 @@ def ehk_power(pair, k: int):
     ideal, via the multiple-divisor identity e_HK(R, m^k) = k * e_HK(X, kD)."""
     if int(k) != k or k < 1:
         raise ValueError("positive integer power required")
-    return Rat(int(k)) * e_hk(pair.scaled(int(k)))
+    return int(k) * e_hk(pair.scaled(int(k)))
 
 
 class HKReport(Value):

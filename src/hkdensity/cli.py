@@ -239,15 +239,15 @@ def _cmd_ehk(pair, args):
 
 def _cmd_limit(pair, args):
     from . import analysis
-    return {"e0": rat_str(analysis.e0(pair)),
-            "phi_integral": rat_str(analysis.phi_integral(pair)),
-            "limit_A": rat_str(analysis.limit_A(pair))}
+    e0, phi_int, a = analysis.limit_values(pair)
+    return {"e0": rat_str(e0), "phi_integral": rat_str(phi_int),
+            "limit_A": rat_str(a)}
 
 
 def _cmd_tiling(pair, args):
     from . import analysis
-    return {"is_tiler": analysis.is_tiler(pair),
-            "B": _b_string(analysis.tiling_gap_B(pair))}
+    tiles, gap = analysis.tiling_values(pair)
+    return {"is_tiler": tiles, "B": _b_string(gap)}
 
 
 def _cmd_report(pair, args):

@@ -30,16 +30,10 @@ class DegenerateError(EngineError):
 
 
 class NonIntegralVertexError(EngineError):
-    """Divisor data produced a rational, non-lattice polytope.
-
-    The rational polytope is attached so the caller may still proceed.
-    """
+    """Half-spaces, such as divisor data, whose intersection has a vertex
+    off the lattice; no polytope is built."""
 
     code = "non_integral_vertex"
-
-    def __init__(self, message, polytope=None):
-        super().__init__(message)
-        self.polytope = polytope
 
 
 class NegativeScaleError(EngineError):

@@ -1,14 +1,15 @@
-"""Exact rational convex-polytope primitives in ambient dimension <= 4.
+"""Exact lattice-polytope primitives in ambient dimension <= 4.
 
-Points are plain tuples of Rat.  A polytope always carries both its
-rational vertices and an irredundant half-space representation as canonical
+A polytope is full-dimensional with integer vertices (tuples of int) and
+always carries an irredundant half-space representation as canonical
 integer facet rows (normal, offset), meaning <normal, x> >= offset with no
 common factor across the row: the form the exact kernels read.  The two are
 kept consistent by construction.  Hull, vertex enumeration and volume run
-on integers: points and rows are scaled by their common denominator, rank
-comes from fraction-free elimination, and both conversions, points to facets
-and rows to vertices, read the extreme rays of a cone from one
-double-description kernel, whose cost follows the output size.
+on integers: rank comes from fraction-free elimination, and both
+conversions, points to facets and rows to vertices, read the extreme rays
+of a cone from one double-description kernel, whose cost follows the
+output size.  Points of lower affine dimension and half-spaces with a
+vertex off the lattice give errors, not polytopes.
 
 All values are immutable and every operation is a pure function, so the
 module is safe to use from concurrent callers without locking.
@@ -88,32 +89,20 @@ def _echelon(rows):
 
 
 # ---------------------------------------------------------------------------
-# half-spaces and polytopes
+# polytopes
 # ---------------------------------------------------------------------------
 
-def _row(normal, offset):
-    """Canonical integer row (normal, offset) of {x : <normal, x> >= offset}
-    for rational entries: cleared of denominators and of their common
-    factor, so each half-space has exactly one row."""
-    entries = (*normal, offset)
-    lcm = math.lcm(*(c.denominator for c in entries))
-    ints = [c.numerator * (lcm // c.denominator) for c in entries]
-    g = math.gcd(*ints) or 1
-    return tuple(v // g for v in ints[:-1]), ints[-1] // g
-
-
 class ConvexPolytope(Value):
-    """Bounded convex polytope with consistent V- and H-representations.
+    """Full-dimensional lattice polytope with consistent V- and H-reps.
 
-    ``dim`` is the ambient dimension, ``pdim`` the dimension of the affine
-    hull; lower-dimensional polytopes are first-class values (their H-rep
-    includes the affine-hull equations as paired half-spaces) and have
-    volume 0.  ``vertices`` is a tuple of points, ``halfspaces`` a tuple of
-    canonical integer rows (normal, offset) meaning <normal, x> >= offset:
-    int entries with no common factor across the row.
+    ``dim`` is the ambient dimension, ``vertices`` a tuple of int points,
+    ``halfspaces`` a tuple of canonical integer rows (normal, offset)
+    meaning <normal, x> >= offset: int entries with no common factor
+    across the row.  A facet normal through lattice points is primitive,
+    so integer dilates and translates keep every row canonical.
     """
 
-    __slots__ = ("dim", "vertices", "halfspaces", "pdim")
+    __slots__ = ("dim", "vertices", "halfspaces")
 
     def _validate(self):
         if not self.vertices:
@@ -126,21 +115,9 @@ class ConvexPolytope(Value):
         his = [max(v[i] for v in self.vertices) for i in range(self.dim)]
         return tuple(los), tuple(his)
 
-    @property
-    def is_lattice(self) -> bool:
-        return all(c.denominator == 1 for v in self.vertices for c in v)
-
     def __repr__(self):  # compact, debugging aid
-        return (f"ConvexPolytope(dim={self.dim}, pdim={self.pdim}, "
-                f"{len(self.vertices)} vertices, {len(self.halfspaces)} halfspaces)")
-
-
-def _integer_points(pts):
-    """The rational points times the common denominator L of their
-    coordinates, as int tuples, and L."""
-    lcm = math.lcm(*(c.denominator for p in pts for c in p))
-    return [tuple(c.numerator * (lcm // c.denominator) for c in p)
-            for p in pts], lcm
+        return (f"ConvexPolytope(dim={self.dim}, {len(self.vertices)} "
+                f"vertices, {len(self.halfspaces)} halfspaces)")
 
 
 def _primitive(v):
@@ -192,60 +169,41 @@ def _facets(points, dim):
         _extreme_rays([(1, *p) for p in points]), key=lambda r: r[1])}
 
 
-def hrep_from_vrep(points) -> ConvexPolytope:
-    """Convex hull of a finite point set, with canonical irredundant H-rep.
+def hrep_from_vrep(points, name="hull") -> ConvexPolytope:
+    """Convex hull of integer points, with canonical irredundant H-rep.
 
-    For lower-dimensional hulls the H-rep starts with the affine-hull
-    equations (as paired opposite half-spaces) followed by the facet
-    inequalities computed inside the hull.
+    The points must span their space affinely: a hull of lower dimension
+    is a DegenerateError naming ``name`` and the dimension it has.
     """
-    pts = [tuple(Rat(c) for c in p) for p in points]
-    if not pts:
+    if not points:
         raise EmptyRegionError("no points given")
-    dim = len(pts[0])
-    if any(len(p) != dim for p in pts):
+    dim = len(points[0])
+    if any(len(p) != dim for p in points):
         raise DimMismatchError("points of mixed dimension")
-    pts = sorted(set(pts))
-    ipts, lcm = _integer_points(pts)
-    base = ipts[0]
-    span, pivots = _echelon([vsub(p, base) for p in ipts[1:]])
-    pdim = len(pivots)
-
-    # rows (normal, offset) of the scaled points, normals primitive; first
-    # for each non-pivot column f the affine-hull normal that is 0 at the
-    # other non-pivot columns, times w[f] to make it positive at f
-    rows = []
-    for f in [c for c in range(dim) if c not in pivots]:
-        cols = sorted([*pivots, f])
-        w = dict(zip(cols, _cross([[r[c] for c in cols] for r in span],
-                                  pdim + 1)))
-        normal = _primitive([w.get(c, 0) * w[f] for c in range(dim)])
-        offset = dot(normal, base)
-        rows += [(normal, offset), (vscale(normal, -1), -offset)]
-    if pdim:
-        # project to the pivot coordinates, where the hull is full-dimensional
-        proj = [tuple(p[c] for c in pivots) for p in ipts]
-        for n, offset in _facets(proj, pdim):
-            lift = dict(zip(pivots, n))
-            rows.append((tuple(lift.get(c, 0) for c in range(dim)), offset))
-
+    pts = sorted({tuple(p) for p in points})
+    rank = len(_echelon([vsub(p, pts[0]) for p in pts[1:]])[1])
+    if rank < dim:
+        raise DegenerateError(f"{name} has dimension {rank} < {dim}")
+    rows = tuple(_facets(pts, dim))
     # a vertex is tight on rows of rank dim
-    verts = tuple(p for p, ip in zip(pts, ipts) if len(_echelon(
-        [n for n, off in rows if dot(n, ip) == off])[1]) == dim)
-    halfspaces = tuple(_row(vscale(n, lcm), off) for n, off in rows)
-    return ConvexPolytope(dim, verts, halfspaces, pdim)
+    verts = tuple(p for p in pts if len(_echelon(
+        [n for n, off in rows if dot(n, p) == off])[1]) == dim)
+    return ConvexPolytope(dim, verts, rows)
 
 
-def vrep_from_hrep(halfspaces, dim) -> ConvexPolytope:
+def vrep_from_hrep(halfspaces, dim,
+                   name="half-space intersection") -> ConvexPolytope:
     """Vertices of a bounded half-space intersection.
 
-    ``halfspaces`` are (normal, offset) pairs of rationals, each meaning
+    ``halfspaces`` are integer (normal, offset) pairs, each meaning
     <normal, x> >= offset.  Raises UnboundedError when the recession cone is
-    nontrivial and EmptyRegionError when the system is infeasible.  The
-    returned polytope carries a canonical irredundant H-rep rebuilt from the
-    vertices.
+    nontrivial, EmptyRegionError when the system is infeasible, and
+    NonIntegralVertexError or DegenerateError, naming ``name``, when a
+    vertex is not a lattice point or the intersection is not
+    full-dimensional.  The returned polytope carries a canonical
+    irredundant H-rep rebuilt from the vertices.
     """
-    rows = [_row(n, off) for n, off in halfspaces]
+    rows = list(halfspaces)
     for n, _ in rows:
         if len(n) != dim:
             raise DimMismatchError(
@@ -259,8 +217,10 @@ def vrep_from_hrep(halfspaces, dim) -> ConvexPolytope:
         raise UnboundedError("half-space intersection is unbounded")
     if not rays:
         raise EmptyRegionError("half-space intersection is empty")
-    verts = {tuple(Rat(x, x0) for x in xs) for x0, *xs in rays}
-    return hrep_from_vrep(verts)
+    # x0 divides x for a primitive ray (x0, x) exactly when x0 = 1
+    if any(x0 != 1 for x0, *_ in rays):
+        raise NonIntegralVertexError(f"{name} has non-integral vertices")
+    return hrep_from_vrep([tuple(xs) for _, *xs in rays], name)
 
 
 def polytope_from_divisor(rays, coeffs) -> ConvexPolytope:
@@ -272,44 +232,33 @@ def polytope_from_divisor(rays, coeffs) -> ConvexPolytope:
         raise DimMismatchError("one coefficient per ray required")
     if any(len(r) != dim for r in rays):
         raise DimMismatchError("rays of mixed dimension")
-    poly = vrep_from_hrep([(r, -a) for r, a in zip(rays, coeffs)], dim)
-    if poly.pdim < dim:
-        raise DegenerateError(
-            f"divisor polytope has dimension {poly.pdim} < {dim}")
-    if not poly.is_lattice:
-        raise NonIntegralVertexError(
-            "divisor polytope has non-integral vertices", polytope=poly)
-    return poly
+    return vrep_from_hrep([(r, -a) for r, a in zip(rays, coeffs)], dim,
+                          "divisor polytope")
 
 
 def lattice_hull(points) -> ConvexPolytope:
-    """Convex hull of integer points; NonIntegralVertexError otherwise."""
-    poly = hrep_from_vrep(points)
-    if not poly.is_lattice:
-        raise NonIntegralVertexError(
-            "vertices are not all integral", polytope=poly)
-    return poly
+    """Convex hull of integer points (``hrep_from_vrep``)."""
+    return hrep_from_vrep(points)
 
 
-def scale(poly: ConvexPolytope, t) -> ConvexPolytope:
-    """The dilate t*P for t >= 0; t = 0 collapses to the origin point."""
-    t = Rat(t)
-    if t < 0:
-        raise NegativeScaleError("negative scale factor")
-    if t == 0:
-        return hrep_from_vrep([tuple(Rat(0) for _ in range(poly.dim))])
+def scale(poly: ConvexPolytope, t: int) -> ConvexPolytope:
+    """The dilate t*P for an integer t >= 1."""
+    t = operator.index(t)
+    if t < 1:
+        raise NegativeScaleError("scale factor must be a positive integer")
     verts = tuple(vscale(v, t) for v in poly.vertices)
-    hs = tuple(_row(n, off * t) for n, off in poly.halfspaces)
-    return ConvexPolytope(poly.dim, verts, hs, poly.pdim)
+    hs = tuple((n, off * t) for n, off in poly.halfspaces)
+    return ConvexPolytope(poly.dim, verts, hs)
 
 
 def translate(poly: ConvexPolytope, v) -> ConvexPolytope:
-    v = tuple(Rat(c) for c in v)
+    """The translate P + v by an integer vector v."""
+    v = tuple(map(operator.index, v))
     if len(v) != poly.dim:
         raise DimMismatchError("translation vector dimension mismatch")
     verts = tuple(vadd(p, v) for p in poly.vertices)
-    hs = tuple(_row(n, off + dot(n, v)) for n, off in poly.halfspaces)
-    return ConvexPolytope(poly.dim, verts, hs, poly.pdim)
+    hs = tuple((n, off + dot(n, v)) for n, off in poly.halfspaces)
+    return ConvexPolytope(poly.dim, verts, hs)
 
 
 def anchored(poly):
@@ -328,7 +277,7 @@ def product(p: ConvexPolytope, q: ConvexPolytope) -> ConvexPolytope:
     verts = tuple(vp + vq for vp in p.vertices for vq in q.vertices)
     hs = tuple((n + (0,) * q.dim, off) for n, off in p.halfspaces)
     hs += tuple(((0,) * p.dim + n, off) for n, off in q.halfspaces)
-    return ConvexPolytope(p.dim + q.dim, verts, hs, p.pdim + q.pdim)
+    return ConvexPolytope(p.dim + q.dim, verts, hs)
 
 
 # ---------------------------------------------------------------------------
@@ -355,19 +304,14 @@ def _pyramid_volume(points, rows):
 
 
 def volume(poly: ConvexPolytope):
-    """Exact Lebesgue volume; 0 for polytopes below full ambient dimension."""
-    if poly.pdim < poly.dim:
-        return Rat(0)
-    pts, lcm = _integer_points(poly.vertices)
-    rows = [(n, off * lcm) for n, off in poly.halfspaces]
-    return _pyramid_volume(pts, rows) / lcm ** poly.dim
+    """Exact Lebesgue volume."""
+    return _pyramid_volume(poly.vertices, poly.halfspaces)
 
 
 def fiber_box(poly: ConvexPolytope, k=1):
     """Integer box of the first n-1 coordinates of the dilate k*P."""
     los, his = poly.bounding_box()
-    return [(math.ceil(lo * k), math.floor(hi * k))
-            for lo, hi in zip(los[:-1], his[:-1])]
+    return [(lo * k, hi * k) for lo, hi in zip(los[:-1], his[:-1])]
 
 
 def lattice_lines(rows, box):

@@ -9,9 +9,8 @@ from functools import reduce
 from math import prod
 
 from . import geometry as geo
-from .errors import (DegenerateError, NonIntegralVertexError,
-                     UnsupportedDimensionError)
-from .rationals import Rat, Value
+from .errors import DegenerateError, UnsupportedDimensionError
+from .rationals import Value
 
 
 class ToricPair(Value):
@@ -25,18 +24,18 @@ class ToricPair(Value):
 
     def _validate(self):
         P = self.polytope
-        if P.pdim != P.dim:
-            raise DegenerateError("base polytope must be full-dimensional")
         if P.dim < 1 or P.dim > 4:
             raise UnsupportedDimensionError(
                 f"base polytope dimension {P.dim} outside 1..4")
-        if not P.is_lattice:
-            raise NonIntegralVertexError(
-                "base polytope vertices are not all integral", polytope=P)
 
     @staticmethod
     def from_vertices(points) -> "ToricPair":
-        return ToricPair(geo.lattice_hull(points))
+        try:
+            P = geo.lattice_hull(points)
+        except DegenerateError:
+            raise DegenerateError(
+                "base polytope must be full-dimensional") from None
+        return ToricPair(P)
 
     @staticmethod
     def from_fan(rays, coeffs) -> "ToricPair":
@@ -54,7 +53,7 @@ class ToricPair(Value):
         """The pair of the dilated polytope k*P (the k-th multiple divisor)."""
         if int(k) != k or k < 1:
             raise ValueError("positive integer multiple required")
-        return ToricPair(geo.scale(self.polytope, Rat(int(k))))
+        return ToricPair(geo.scale(self.polytope, int(k)))
 
 
 class SegrePair(Value):

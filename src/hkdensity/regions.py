@@ -5,11 +5,11 @@ minus the translates u + (z - 1)P over the lattice points u of P; the
 unit-cell defect function is the uncovered area of a unit cell under lattice
 translates of a dilate.  Both are instances of one parametric family: a
 minuend and translates of one shape, each a nonnegative dilate
-(c0 + c1*t)*polytope of a fixed polytope.  A family is converted once into
-one integer record (rings and facets with a common denominator), from which
-one integer scan of the concurrences of three distinct moving facet lines
-gives the candidate breakpoints and an integer area kernel gives each area
-sample.  The hk family runs in the level z itself, so the density's
+(c0 + c1*t)*polytope of a fixed lattice polytope, c0 and c1 integers.  A
+family is converted once into one integer record of rings and facets, from
+which one integer scan of the concurrences of three distinct moving facet
+lines gives the candidate breakpoints and an integer area kernel gives each
+area sample.  The hk family runs in the level z itself, so the density's
 breakpoints past z = 1 are among its events as they are.  The translates
 u + (z - 1)P whose u share <n, u> carry one line for the facet normal n, so
 the hk family of a surface has a few dozen lines and a dozen or so distinct
@@ -27,7 +27,7 @@ and the counting oracle cover higher dimensions.
 
 import itertools
 from functools import cmp_to_key
-from math import floor, lcm
+from math import lcm
 
 from . import geometry as geo
 from .errors import BreakpointVerificationError, UnsupportedDimensionError
@@ -151,19 +151,20 @@ _by_start = cmp_to_key(lambda u, v: u[0][0] * v[0][1] - v[0][0] * u[0][1])
 
 
 def cell_translates(poly, lam_max):
-    """Integer translates u whose body u + lam_max*P meets the open unit
-    cell, in lexicographic order: the integer points strictly inside
-    cell - lam_max*P, whose rows are P's rows negated and +-e_i (exact up to
-    dimension 2), each n with offset sum(min(n_i, 0)) - lam_max*max <n, v>
-    over the vertices v.  With 0 in P no other u + t*P, t <= lam_max, meets
-    the open cell; a body that does not changes no area and no witness."""
-    lam, dim = Rat(lam_max), poly.dim
+    """Integer translates u whose body u + lam_max*P, for an integer
+    lam_max >= 1, meets the open unit cell, in lexicographic order: the
+    integer points strictly inside cell - lam_max*P, whose rows are P's rows
+    negated and +-e_i (exact up to dimension 2), each n with offset
+    sum(min(n_i, 0)) - lam_max*max <n, v> over the vertices v.  With 0 in
+    P no other u + t*P, t <= lam_max, meets the open cell; a body that does
+    not changes no area and no witness."""
+    dim = poly.dim
     units = [tuple(s * (j == i) for j in range(dim))
              for i in range(dim) for s in (1, -1)]
     rows = []
     for n in units + [tuple(-c for c in m) for m, _ in poly.halfspaces]:
         top = max(geo.dot(n, v) for v in poly.vertices)
-        rows.append((n, floor(sum(min(c, 0) for c in n) - lam * top) + 1))
+        rows.append((n, sum(min(c, 0) for c in n) - lam_max * top + 1))
     # the unit rows bound coordinate i to [rows[2i] offset, -rows[2i+1] offset]
     box = [(rows[2 * i][1], -rows[2 * i + 1][1]) for i in range(dim - 1)]
     lines = geo.lattice_lines(rows, box)
@@ -179,10 +180,11 @@ def cell_translates(poly, lam_max):
 class SliceFamily(Value):
     """Minuend minus the translates u_i + shape, as plain data.
 
-    ``minuend`` and ``shape`` are triples (polytope, c0, c1) that stand for
-    the dilate (c0 + c1*t)*polytope, with c0 + c1*t >= 0 on the parameter
-    range (``family_volume_function`` raises ValueError otherwise);
-    ``translates`` are the vectors u_i.  The engine reads only
+    ``minuend`` and ``shape`` are triples (polytope, c0, c1) of a lattice
+    polytope and two integers that stand for the dilate
+    (c0 + c1*t)*polytope, with c0 + c1*t >= 0 on the parameter range
+    (``family_volume_function`` raises ValueError otherwise);
+    ``translates`` are the integer vectors u_i.  The engine reads only
     planar families.
     """
 
@@ -203,14 +205,12 @@ class _FamilyRecord:
     """Integer record of a family's bodies, built once per call and read by
     both the event scan and the area samples.
 
-    Body 0 is the minuend, body i the subtrahend u_i + shape.  Coordinates
-    are scaled by one common ``scale``, the lcm of every vertex, facet-offset
-    and translate denominator, so that body k is the counterclockwise ring
-    ``rings[k]`` of points ((px, py) + t*(qx, qy))/scale and the facets
-    ``facets[k]``, each nx*X + ny*Y >= a + b*t in scaled coordinates, all
-    integers.  Each body is a nonnegative dilate of one of two fixed
-    polytopes, so its base order stays counterclockwise for every t in range
-    (at scale 0 the ring collapses to one point).
+    Body 0 is the minuend, body i the subtrahend u_i + shape.  Body k is the
+    counterclockwise ring ``rings[k]`` of points (px, py) + t*(qx, qy) and
+    the facets ``facets[k]``, each nx*X + ny*Y >= a + b*t, all integers.
+    Each body is a nonnegative dilate of one of two fixed polytopes, so its
+    base order stays counterclockwise for every t in range (at scale 0 the
+    ring collapses to one point).
 
     ``lines`` maps each distinct moving facet line (nx, ny, a, b) to the
     bodies it bounds.  For the scan a moving point is
@@ -220,35 +220,22 @@ class _FamilyRecord:
 
     def __init__(self, family, lo, hi):
         for poly, _, _ in (family.minuend, family.shape):
-            if poly.pdim != 2 or poly.dim != 2:
+            if poly.dim != 2:
                 raise UnsupportedDimensionError(
-                    "exact slicing supports full-dimensional polygons only, "
-                    f"got dimension {poly.pdim} in R^{poly.dim}")
+                    "exact slicing supports polygons only, "
+                    f"got a polytope in R^{poly.dim}")
         for _, c0, c1 in (family.minuend, family.shape):
             if min(c0 + c1 * lo, c0 + c1 * hi) < 0:
                 raise ValueError(
                     f"dilate {c0} + {c1}*t is negative on [{lo}, {hi}]")
-        # each dilate (c0 + c1*t)*poly in rational rows: (px, py, qx, qy) per
-        # vertex, the integer normal and (a, b) per facet
-        dilates = []
-        for poly, c0, c1 in (family.minuend, family.shape):
-            c0, c1 = Rat(c0), Rat(c1)
-            dilates.append((
-                [tuple(c * x for c in (c0, c1) for x in v) for v in _ccw(poly)],
-                [(n, (c0 * b, c1 * b)) for n, b in poly.halfspaces]))
-        shifts = [tuple(Rat(x) for x in u) for u in family.translates]
-        rows = [row for ring, facets in dilates
-                for row in ring + [ab for _, ab in facets]] + shifts
-        self.scale = lcm(*(int(x.denominator) for row in rows for x in row))
-
-        def scaled(row):
-            return tuple(int(x * self.scale) for x in row)
-
+        # each dilate (c0 + c1*t)*poly: (px, py, qx, qy) per vertex and
+        # (nx, ny, a, b) per facet
         (ring, facets), (shape_ring, shape_facets) = (
-            ([scaled(p) for p in ring], [n + scaled(ab) for n, ab in facets])
-            for ring, facets in dilates)
+            ([tuple(c * x for c in (c0, c1) for x in v) for v in _ccw(poly)],
+             [(*n, c0 * b, c1 * b) for n, b in poly.halfspaces])
+            for poly, c0, c1 in (family.minuend, family.shape))
         self.rings, self.facets = [ring], [facets]
-        for ux, uy in map(scaled, shifts):
+        for ux, uy in family.translates:
             self.rings.append([(px + ux, py + uy, qx, qy)
                                for px, py, qx, qy in shape_ring])
             self.facets.append([(nx, ny, a + nx * ux + ny * uy, b)
@@ -262,15 +249,14 @@ class _FamilyRecord:
 
     def area(self, t):
         """Exact area of the slice at t = r/s: every ring is evaluated as
-        s*p + r*q over the denominator s*scale."""
+        s*p + r*q over the denominator s."""
         r, s = int(t.numerator), int(t.denominator)
         rings = [[(s * px + r * qx, s * py + r * qy)
                   for px, py, qx, qy in ring] for ring in self.rings]
         # a body at scale 0 is one point and bounds nothing: a subtrahend is
         # dropped, and the minuend's edges have zero length and sum to 0
         rings = [rings[0]] + [ring for ring in rings[1:] if ring[0] != ring[1]]
-        den = s * self.scale
-        return _boundary_area(rings) / (2 * den * den)
+        return _boundary_area(rings) / (2 * s * s)
 
     def window(self, x0, y0, x1, y1, den):
         """Parameter window (wn, wd, vn, vd) = [wn/wd, vn/vd] inside (lo, hi)

@@ -2,7 +2,17 @@
 
 from __future__ import annotations
 
-from hkdensity import PiecewisePoly, Poly, Rat, ToricPair
+from hkdensity import (DegenerateError, PiecewisePoly, Poly, Rat, ToricPair,
+                       lattice_hull)
+
+
+def hull_or_none(points):
+    """The lattice hull of the points, or None when they lie on a
+    hyperplane and so span no polytope."""
+    try:
+        return lattice_hull(points)
+    except DegenerateError:
+        return None
 
 
 def projective_line(n: int) -> ToricPair:

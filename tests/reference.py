@@ -3,10 +3,13 @@
 Slices of the density and defect regions by convex clipping, for the family
 engine of ``hkdensity.regions``: a slice, the closed minuend minus the open
 subtrahends, is cut into convex counterclockwise rings by Sutherland-Hodgman
-clipping; its area is an exact shoelace sum.  A base segment [a, b] is
-thickened to [a, b] x [0, 1], so its slices go through the same clipper and
-their areas are lengths.  The same clipping decides which integer
-translates of a dilate overlap the unit cell, for ``cell_translates``.
+clipping; its area is an exact shoelace sum.  A slice at the parameter r/s
+is the slice of the lattice polytopes at r, its translates scaled by s, with
+its ring coordinates divided by s.  A base segment [a, b] is thickened to
+[a, b] x [0, 1], so its slices go through the same clipper and their areas
+are lengths.  The same clipping decides which integer translates of a
+dilate overlap the unit cell, for ``cell_translates``, and intersects
+convex rings.
 
 The events of a family record by brute force: every triple of its facet
 lines, solved for the point and the parameter where they meet by Cramer's
@@ -26,16 +29,8 @@ import math
 import re
 from fractions import Fraction
 
-from hkdensity import (DimMismatchError, EmptyRegionError, Rat, lattice_hull,
-                       rat_str, scale, translate, vrep_from_hrep)
-
-
-def intersect(p, q):
-    """Exact intersection of two polytopes, or None when it is empty."""
-    try:
-        return vrep_from_hrep(list(p.halfspaces) + list(q.halfspaces), p.dim)
-    except EmptyRegionError:
-        return None
+from hkdensity import (DimMismatchError, Rat, lattice_hull, rat_str, scale,
+                       translate)
 
 
 def _slack(row, x):
@@ -97,6 +92,32 @@ def _difference_rings(minuend, subs):
     return rings
 
 
+def ring_meet(*rings):
+    """The part of the first convex counterclockwise ring inside all the
+    others, clipped by the line of each of their edges; [] when that has
+    no three points."""
+    out = list(rings[0])
+    for ring in rings[1:]:
+        for (px, py), (qx, qy) in zip(ring, ring[1:] + ring[:1]):
+            out = _clip(out, [(qx - px) * (y - py) - (qy - py) * (x - px)
+                              for x, y in out])
+            if len(out) < 3:
+                return []
+    return out
+
+
+def _shrunk(rings, s, dim):
+    """The rings with their first ``dim`` coordinates divided by s; a
+    segment's thickening stays [0, 1]."""
+    return [[tuple(Rat(c) / s if i < dim else c for i, c in enumerate(p))
+             for p in ring] for ring in rings]
+
+
+def _moved(small, u, s):
+    """The translate s*u + small."""
+    return translate(small, tuple(s * c for c in u))
+
+
 def area(rings):
     """Exact total area of counterclockwise rings, by the shoelace sum."""
     return Rat(sum(p[0] * q[1] - p[1] * q[0] for ring in rings
@@ -110,44 +131,52 @@ def _box_points(lo, hi):
 
 def hk_slice(pair, z):
     """Rings of z*P for z <= 1, else of z*P minus the translates
-    u + (z-1)*P over the lattice points u of P."""
+    u + (z-1)*P over the lattice points u of P: at z = r/s those of rP minus
+    s*u + (r-s)P, divided by s.  0*P is one point and has no ring."""
     P, z = pair.polytope, Rat(z)
-    if z <= 1:
-        return _difference_rings(scale(P, z), [])
-    small = scale(P, z - 1)
-    points = [u for u in _box_points(*P.bounding_box()) if contains(P, u)]
-    return _difference_rings(scale(P, z),
-                             [translate(small, u) for u in points])
+    r, s = z.numerator, z.denominator
+    if r == 0:
+        return []
+    subs = []
+    if r > s:
+        small = scale(P, r - s)
+        subs = [_moved(small, u, s) for u in _box_points(*P.bounding_box())
+                if contains(P, u)]
+    return _shrunk(_difference_rings(scale(P, r), subs), s, P.dim)
 
 
 def _unit_cell(dim):
     return lattice_hull(list(itertools.product((0, 1), repeat=dim)))
 
 
-def _cell_candidates(small):
-    """Integer u in [-hi, 1 - lo] for the bounding box [lo, hi] of
-    ``small``: the only translates u + small that can meet the unit cell."""
+def _cell_candidates(small, s=1):
+    """Integer u in [-hi/s, 1 - lo/s] for the bounding box [lo, hi] of
+    ``small``: the only translates u + small/s that can meet the unit
+    cell."""
     lo, hi = small.bounding_box()
-    return _box_points([-b for b in hi], [1 - a for a in lo])
+    return _box_points([Rat(-b, s) for b in hi], [1 - Rat(a, s) for a in lo])
 
 
 def phi_slice(pair, lam):
     """Rings of the part of the unit cell left uncovered by the lattice
-    translates u + lam*P."""
+    translates u + lam*P: at lam = r/s those of s*cell minus s*u + rP,
+    divided by s."""
     P, lam = pair.polytope, Rat(lam)
-    cell = _unit_cell(P.dim)
-    if lam == 0:
-        return _difference_rings(cell, [])
-    small = scale(P, lam)
-    return _difference_rings(cell, [translate(small, u)
-                                    for u in _cell_candidates(small)])
+    r, s = lam.numerator, lam.denominator
+    subs = []
+    if r:
+        small = scale(P, r)
+        subs = [_moved(small, u, s) for u in _cell_candidates(small, s)]
+    return _shrunk(_difference_rings(scale(_unit_cell(P.dim), s), subs), s,
+                   P.dim)
 
 
 def meeting_translates(P, lam):
-    """Integer u, in lexicographic order, whose u + lam*P overlaps the unit
-    cell in positive area (positive length on the line): the candidates
-    whose open body leaves less than the whole cell uncovered."""
-    cell, small = _unit_cell(P.dim), scale(P, Rat(lam))
+    """Integer u, in lexicographic order, whose u + lam*P, for an integer
+    lam >= 1, overlaps the unit cell in positive area (positive length on
+    the line): the candidates whose open body leaves less than the whole
+    cell uncovered."""
+    cell, small = _unit_cell(P.dim), scale(P, lam)
     return [u for u in _cell_candidates(small)
             if area(_difference_rings(cell, [translate(small, u)])) < 1]
 

@@ -404,6 +404,28 @@ def test_run_command_agrees_with_main_on_degenerate_spec(capsys, monkeypatch):
     assert run(capsys, ["density"], spec, monkeypatch) == (status, text)
 
 
+@pytest.mark.parametrize("spec,code,message", [
+    ('{"rays": [[1,0],[0,1],[-1,-2]], "coeffs": [0,0,1]}',
+     "non_integral_vertex", "divisor polytope has non-integral vertices"),
+    ('{"vertices": [[0,0],[1,1],[2,2]]}',
+     "degenerate", "base polytope must be full-dimensional"),
+    ('{"rays": [[1,0],[-1,0],[0,1],[0,-1]], "coeffs": [0,0,0,1]}',
+     "degenerate", "divisor polytope has dimension 1 < 2"),
+    ('{"rays": [[1,0],[0,1],[-1,-1,0]], "coeffs": [1,1,1]}',
+     "dim_mismatch", "rays of mixed dimension"),
+    ('{"rays": [[1,0],[0,1]], "coeffs": [1,1]}',
+     "unbounded", "half-space intersection is unbounded"),
+    ('{"rays": [[1,0],[-1,0],[0,1],[0,-1]], "coeffs": [-2,1,1,1]}',
+     "empty", "half-space intersection is empty"),
+], ids=["rational_vertex", "collinear_vertices", "flat_fan", "mixed_rays",
+        "unbounded_fan", "empty_fan"])
+def test_rejected_base_keeps_its_code_and_message(spec, code, message):
+    # a base polytope is a full-dimensional lattice polytope or an error
+    status, text, ext = run_command("ehk", spec)
+    assert (status, ext) == (1, "json")
+    assert json.loads(text) == {"error": {"code": code, "message": message}}
+
+
 def test_run_command_returns_usage_status_like_main(capsys):
     from hkdensity.cli import run_command
     status, text, ext = run_command("density", LINE2, ["--format", "xml"])

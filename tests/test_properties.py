@@ -40,6 +40,7 @@ from conftest import (
     blowup2_anticanonical,
     blowup3_anticanonical,
     hirzebruch,
+    hull_or_none,
     plane_anticanonical,
     plane_degree_one,
     projective_line,
@@ -182,8 +183,8 @@ _RANDOM_SETTINGS = settings(max_examples=9, deadline=None, derandomize=True)
 
 
 def _polygon_pair(points):
-    P = lattice_hull(points)
-    assume(P.pdim == 2)
+    P = hull_or_none(points)
+    assume(P is not None)
     return ToricPair(P)
 
 
@@ -295,9 +296,9 @@ def _thin_polygons(count):
     from r = 3 on."""
     rng, found = random.Random(2024), []
     while len(found) < count:
-        P = lattice_hull([(rng.randint(-4, 4), rng.randint(-4, 4))
+        P = hull_or_none([(rng.randint(-4, 4), rng.randint(-4, 4))
                           for _ in range(rng.randint(3, 5))])
-        if P.pdim == 2 and _corner_search_cover_scale(ToricPair(P)) >= 3:
+        if P is not None and _corner_search_cover_scale(ToricPair(P)) >= 3:
             found.append(ToricPair(P))
     return found
 

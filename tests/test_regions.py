@@ -27,6 +27,7 @@ from hkdensity import (
 from conftest import (
     blowup3_anticanonical,
     hirzebruch,
+    hull_or_none,
     plane_anticanonical,
     plane_degree_one,
     projective_line,
@@ -34,8 +35,8 @@ from conftest import (
     symmetric_hexagon,
     unit_square,
 )
-from reference import (area, brute_events, hk_slice, intersect, phi_slice,
-                       ring_difference_area)
+from reference import (area, brute_events, hk_slice, phi_slice,
+                       ring_difference_area, ring_meet)
 
 
 # --- slices -------------------------------------------------------------------
@@ -45,9 +46,8 @@ def test_hk_slice_line_degree_two():
 
 
 def test_hk_slice_origin_at_zero():
-    rings = hk_slice(plane_anticanonical(), 0)
-    assert len(rings) == 1
-    assert area(rings) == 0
+    # 0*P is one point: no ring, no area
+    assert hk_slice(plane_anticanonical(), 0) == []
 
 
 def test_hk_slice_below_one_is_dilate():
@@ -63,7 +63,6 @@ def test_hk_slice_empty_beyond_support_bound():
 
 
 def test_hk_slice_pieces_have_disjoint_interiors():
-    from hkdensity import hrep_from_vrep, volume
     slices = [
         hk_slice(quadric_anticanonical(), Rat(5, 4)),
         # several translates overlap the minuend and each other
@@ -72,13 +71,10 @@ def test_hk_slice_pieces_have_disjoint_interiors():
     ]
     for rings in slices:
         assert len(rings) > 1
-        pieces = [hrep_from_vrep(ring) for ring in rings]
-        for piece in pieces:
-            assert piece.pdim == piece.dim
-        for i, a in enumerate(pieces):
-            for b in pieces[i + 1:]:
-                overlap = intersect(a, b)
-                assert overlap is None or volume(overlap) == 0
+        for i, a in enumerate(rings):
+            assert area([a]) > 0
+            for b in rings[i + 1:]:
+                assert area([ring_meet(a, b)]) == 0
 
 
 def test_phi_slice_line():
@@ -297,27 +293,27 @@ def test_phi_matches_slices_at_breakpoints_and_midpoints():
 
 
 def test_family_with_rational_offsets_matches_exact_intersections():
-    # a minuend and two translates whose offsets are not integers: the area
-    # is checked by inclusion-exclusion over exact polytope intersections
-    from hkdensity import scale, translate, volume
-    square = lattice_hull([(0, 0), (3, 0), (0, 3), (3, 3)])
+    # the square [0, 3]^2 + (0, 1/4) minus (1/3, 0) and (1, 1/2) plus
+    # (1/2 + t)*T, T the triangle (0, 0), (2, 0), (0, 1), scaled by 12 to
+    # integer data: areas scale by 144.  They are checked by
+    # inclusion-exclusion over intersections of the clipped rings
+    from hkdensity import scale, translate
+    from hkdensity.regions import _ccw
+    square = translate(scale(lattice_hull([(0, 0), (3, 0), (0, 3), (3, 3)]),
+                             12), (0, 3))
     triangle = lattice_hull([(0, 0), (2, 0), (0, 1)])
-    shifts = ((Rat(1, 3), Rat(0)), (Rat(1), Rat(1, 2)))
-    minuend = translate(square, (0, Rat(1, 4)))
-    fam = SliceFamily(minuend=(minuend, 1, 0), translates=shifts,
-                      shape=(triangle, Rat(1, 2), 1))
+    shifts = ((4, 0), (12, 6))
+    fam = SliceFamily(minuend=(square, 1, 0), translates=shifts,
+                      shape=(triangle, 6, 12))
     f = family_volume_function(fam, 0, 2)
+    minuend = _ccw(square)
 
-    def vol(*polys):
-        meet = polys[0]
-        for p in polys[1:]:
-            meet = intersect(meet, p)
-            if meet is None:
-                return 0
-        return volume(meet)
+    def vol(*rings):
+        return area([ring_meet(*rings)])
 
     for t in [Rat(k, 7) for k in range(15)] + list(f.breakpoints):
-        s1, s2 = (translate(scale(triangle, Rat(1, 2) + t), u) for u in shifts)
+        s1, s2 = ([(ux + (6 + 12 * t) * x, uy + (6 + 12 * t) * y)
+                   for x, y in _ccw(triangle)] for ux, uy in shifts)
         expected = (vol(minuend) - vol(minuend, s1) - vol(minuend, s2)
                     + vol(minuend, s1, s2))
         assert f(t) == expected
@@ -325,20 +321,15 @@ def test_family_with_rational_offsets_matches_exact_intersections():
 
 def test_covered_area_consistent_with_exact_intersection():
     # the area kernel's covered area for one translate must equal the area
-    # of the exact polytope intersection computed by the geometry engine
+    # of the two bodies' intersection, clipped as rings: at z = 4/3, zP
+    # minus (1, 0) + (z - 1)P taken at scale 3
     from hkdensity import scale, translate, volume
-    pair = plane_anticanonical()
-    P = pair.polytope
-    z = Rat(4, 3)
-    minuend = scale(P, z)
-    sub = translate(scale(P, z - 1), (1, 0))
     from hkdensity.regions import _boundary_area, _ccw
-    # every vertex has denominator 3: the rings are taken at scale 3
-    rings = [[(int(3 * x), int(3 * y)) for x, y in _ccw(poly)]
-             for poly in (minuend, sub)]
-    uncovered = Rat(_boundary_area(rings)) / (2 * 3 * 3)
-    overlap = intersect(minuend, sub)
-    assert volume(minuend) - uncovered == volume(overlap)
+    P = plane_anticanonical().polytope
+    minuend = scale(P, 4)
+    rings = [_ccw(minuend), _ccw(translate(P, (3, 0)))]
+    uncovered = Rat(_boundary_area(rings)) / 2
+    assert volume(minuend) - uncovered == area([ring_meet(*rings)]) > 0
 
 
 # --- the boundary-area kernel on random rings -----------------------------------
@@ -351,10 +342,8 @@ def _ring(points):
     """The counterclockwise integer vertex ring of the hull of points, or
     None when the hull is not a polygon."""
     from hkdensity.regions import _ccw
-    hull = lattice_hull(points)
-    if hull.pdim != 2:
-        return None
-    return [(int(x), int(y)) for x, y in _ccw(hull)]
+    hull = hull_or_none(points)
+    return None if hull is None else _ccw(hull)
 
 
 @st.composite
