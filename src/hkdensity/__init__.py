@@ -31,7 +31,7 @@ _EXPORTS = {
         "UnsupportedDimensionError",
     ),
     "geometry": (
-        "ConvexPolytope", "hrep_from_vrep", "lattice_hull", "lattice_points",
+        "ConvexPolytope", "hrep_from_vrep", "lattice_points",
         "polytope_from_divisor", "scale", "translate", "volume",
         "vrep_from_hrep",
     ),
@@ -41,7 +41,7 @@ _EXPORTS = {
     ),
     "pairs": ("SegrePair", "ToricPair", "segre"),
     "piecewise": (
-        "PiecewisePoly", "Poly", "pw_equal", "pw_from_json",
+        "PiecewisePoly", "Poly", "pw_from_json",
     ),
     "rationals": ("Rat", "parse_rat", "rat_str"),
     "regions": (

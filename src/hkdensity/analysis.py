@@ -36,7 +36,7 @@ from operator import mul
 from . import geometry as geo
 from .errors import BreakpointVerificationError, UnsupportedDimensionError
 from .pairs import SegrePair, ToricPair, segre  # noqa: F401 (segre re-exported)
-from .piecewise import PiecewisePoly, Poly, pw_equal
+from .piecewise import PiecewisePoly, Poly
 from .rationals import Value
 
 
@@ -213,7 +213,7 @@ def _tiling(d, vol, phi):
     """(is_tiler, tiling_gap_B) of a pair of dimension d, base volume
     ``vol`` and defect function ``phi``."""
     bound = Poly.of(1, *[0] * (d - 2), -vol)
-    if pw_equal(phi, PiecewisePoly.build([0, phi.breakpoints[-1]], [bound])):
+    if phi == PiecewisePoly.build([0, phi.breakpoints[-1]], [bound]):
         return True, 0.0
     a = float(vol * phi.integral())
     expo = (2 - d) / (d - 1)

@@ -126,6 +126,15 @@ def _primitive(v):
     return tuple(c // g for c in v)
 
 
+def _int(value, name):
+    """``operator.index(value)``, or a TypeError naming ``name`` and value."""
+    try:
+        return operator.index(value)
+    except TypeError:
+        raise TypeError(
+            f"{name} needs integer entries, not {value!r}") from None
+
+
 def _extreme_rays(rows):
     """Extreme rays of the pointed cone {y : <a, y> >= 0 for each row a},
     for integer rows that span R^d, as (primitive ray, sorted indices of the
@@ -173,14 +182,15 @@ def hrep_from_vrep(points, name="hull") -> ConvexPolytope:
     """Convex hull of integer points, with canonical irredundant H-rep.
 
     The points must span their space affinely: a hull of lower dimension
-    is a DegenerateError naming ``name`` and the dimension it has.
+    is a DegenerateError naming ``name`` and the dimension it has.  A
+    coordinate that is not an integer is a TypeError naming ``name``.
     """
     if not points:
         raise EmptyRegionError("no points given")
     dim = len(points[0])
     if any(len(p) != dim for p in points):
         raise DimMismatchError("points of mixed dimension")
-    pts = sorted({tuple(p) for p in points})
+    pts = sorted({tuple(_int(c, name) for c in p) for p in points})
     rank = len(_echelon([vsub(p, pts[0]) for p in pts[1:]])[1])
     if rank < dim:
         raise DegenerateError(f"{name} has dimension {rank} < {dim}")
@@ -196,14 +206,16 @@ def vrep_from_hrep(halfspaces, dim,
     """Vertices of a bounded half-space intersection.
 
     ``halfspaces`` are integer (normal, offset) pairs, each meaning
-    <normal, x> >= offset.  Raises UnboundedError when the recession cone is
+    <normal, x> >= offset; an entry that is not an integer is a TypeError
+    naming ``name``.  Raises UnboundedError when the recession cone is
     nontrivial, EmptyRegionError when the system is infeasible, and
     NonIntegralVertexError or DegenerateError, naming ``name``, when a
     vertex is not a lattice point or the intersection is not
     full-dimensional.  The returned polytope carries a canonical
     irredundant H-rep rebuilt from the vertices.
     """
-    rows = list(halfspaces)
+    rows = [(tuple(_int(c, name) for c in n), _int(off, name))
+            for n, off in halfspaces]
     for n, _ in rows:
         if len(n) != dim:
             raise DimMismatchError(
@@ -234,11 +246,6 @@ def polytope_from_divisor(rays, coeffs) -> ConvexPolytope:
         raise DimMismatchError("rays of mixed dimension")
     return vrep_from_hrep([(r, -a) for r, a in zip(rays, coeffs)], dim,
                           "divisor polytope")
-
-
-def lattice_hull(points) -> ConvexPolytope:
-    """Convex hull of integer points (``hrep_from_vrep``)."""
-    return hrep_from_vrep(points)
 
 
 def scale(poly: ConvexPolytope, t: int) -> ConvexPolytope:

@@ -34,7 +34,8 @@ class ConvergenceReport(Value):
     ``gaps[i]`` is |samples[i].f_value - exact_value| (exact rational);
     ``max_gap_tail`` is the largest gap over the second half of the sample
     list, the quantity that should shrink as q grows.  ``exact_value`` is
-    None when the base dimension is out of reach of the exact engine.
+    None for a base of dimension 3 or more (``convergence_report`` says
+    why), and the gaps are None with it.
     """
 
     __slots__ = ("lam", "exact_value", "samples", "gaps", "max_gap_tail")
@@ -152,12 +153,15 @@ def oracle_ehk(pair, q: int):
 
 def convergence_report(pair, lam, q_list) -> ConvergenceReport:
     """Oracle samples at each q against the exact density value at lam,
-    which the exact engine gives for base dimension 1 or 2 only."""
+    read for a base of dimension 1 or 2 (d <= 3) only.  The exact engine
+    also answers products and boxes of higher dimension (the cube's density
+    at 3/2 is 19/8); the gate stays because ``perfbench/expected/oracle.json``
+    records ``convergence`` on the cube with no exact value."""
     lam = Rat(lam)
     samples = tuple(f_n(pair, q, lam) for q in q_list)
     exact = None
     if pair.d <= 3:
-        from .analysis import hkd_function  # loaded only when it can answer
+        from .analysis import hkd_function  # not loaded for d > 3
         exact = hkd_function(pair)(lam)
     gaps = tuple(None if exact is None else abs(s.f_value - exact)
                  for s in samples)

@@ -31,7 +31,7 @@ class ToricPair(Value):
     @staticmethod
     def from_vertices(points) -> "ToricPair":
         try:
-            P = geo.lattice_hull(points)
+            P = geo.hrep_from_vrep(points)
         except DegenerateError:
             raise DegenerateError(
                 "base polytope must be full-dimensional") from None

@@ -24,12 +24,14 @@ def _strip(coeffs):
 
 
 class Poly(Value):
-    """Polynomial with exact rational coefficients, ascending order.
-
-    The zero polynomial has an empty coefficient tuple.
-    """
+    """Polynomial with exact rational coefficients, ascending, in a tuple
+    with no trailing zero (``of`` strips them): the zero polynomial is ()."""
 
     __slots__ = ("coeffs",)
+
+    def _validate(self):
+        if type(self.coeffs) is not tuple or self.coeffs[-1:] == (0,):
+            raise ValueError("Poly coefficients: a tuple, no trailing zero")
 
     @staticmethod
     def of(*coeffs) -> "Poly":
@@ -80,57 +82,50 @@ ZERO_POLY = Poly(())
 class PiecewisePoly(Value):
     """Piecewise polynomial, implicitly 0 outside [breakpoints[0], breakpoints[-1]].
 
-    Breakpoints are strictly increasing; pieces[i] lives on
-    [breakpoints[i], breakpoints[i+1]].  A single breakpoint and no pieces
-    is the canonical identically-zero function.  Both fields are tuples.
+    pieces[i] lives on [breakpoints[i], breakpoints[i+1]].  ``build`` makes
+    every value, in the one canonical form that ``_validate`` checks:
+    strictly increasing ``Rat`` breakpoints, one ``Poly`` per interval, no
+    two equal neighbours, no zero end piece, and the zero function as the
+    single breakpoint 0.  So ``==`` is exact equality of functions.
     """
 
     __slots__ = ("breakpoints", "pieces")
 
+    def _validate(self):
+        bps, ps = self.breakpoints, self.pieces
+        if not (type(bps) is tuple and type(ps) is tuple
+                and len(bps) == len(ps) + 1
+                and all(type(b) is Rat for b in bps)
+                and all(type(p) is Poly for p in ps)
+                and all(a < b for a, b in zip(bps, bps[1:]))
+                and all(p != q for p, q in zip(ps, ps[1:]))
+                and (ZERO_POLY not in (ps[0], ps[-1]) if ps else bps == (0,))):
+            raise ValueError("not a canonical PiecewisePoly; use build")
+
     @staticmethod
     def build(breakpoints, pieces) -> "PiecewisePoly":
-        bps = tuple(Rat(b) for b in breakpoints)
-        ps = tuple(p if isinstance(p, Poly) else Poly(_strip(p)) for p in pieces)
-        if len(bps) != len(ps) + 1 and not (len(bps) == 1 and not ps):
+        """The function that is pieces[i] (a Poly) on [breakpoints[i],
+        breakpoints[i+1]] and 0 elsewhere: equal neighbours merge and
+        zero end pieces are trimmed."""
+        bps, ps = [Rat(b) for b in breakpoints], list(pieces)
+        if len(bps) != len(ps) + 1:
             raise ValueError("need one piece per interval")
-        if any(bps[i] >= bps[i + 1] for i in range(len(bps) - 1)):
+        if any(a >= b for a, b in zip(bps, bps[1:])):
             raise ValueError("breakpoints must be strictly increasing")
-        return PiecewisePoly(bps, ps)._normalized()
-
-    @staticmethod
-    def zero(at=0) -> "PiecewisePoly":
-        return PiecewisePoly((Rat(at),), ())
-
-    def _normalized(self) -> "PiecewisePoly":
-        bps, ps = list(self.breakpoints), list(self.pieces)
-        # merge adjacent intervals carrying the same polynomial
-        i = 0
-        while i + 1 < len(ps):
-            if ps[i] == ps[i + 1]:
-                del ps[i + 1]
-                del bps[i + 1]
-            else:
-                i += 1
-        # trim identically-zero ends
+        for i in range(len(ps) - 1, 0, -1):
+            if ps[i] == ps[i - 1]:
+                del ps[i], bps[i]
         while ps and ps[0] == ZERO_POLY:
-            del ps[0]
-            del bps[0]
+            del ps[0], bps[0]
         while ps and ps[-1] == ZERO_POLY:
-            del ps[-1]
-            del bps[-1]
-        if not ps:
-            return PiecewisePoly((Rat(0),), ())
-        return PiecewisePoly(tuple(bps), tuple(ps))
+            del ps[-1], bps[-1]
+        return PiecewisePoly(tuple(bps) if ps else (Rat(0),), tuple(ps))
 
     def __call__(self, x):
         x = Rat(x)
-        bps = self.breakpoints
-        if not self.pieces or x < bps[0] or x > bps[-1]:
-            return Rat(0)
-        i = bisect.bisect_right(bps, x) - 1
-        if i == len(self.pieces):  # x == right end of the domain
-            i -= 1
-        return self.pieces[i](x)
+        if self.pieces and x == self.breakpoints[-1]:  # the right end
+            return self.pieces[-1](x)
+        return self.piece_at(x)(x)
 
     def grid(self, end, n):
         """Values f(end*i/n) for i = 0..n, for end > 0 and n >= 1, as
@@ -182,10 +177,9 @@ class PiecewisePoly(Value):
         return out
 
     def integral(self):
-        total = Rat(0)
-        for i, p in enumerate(self.pieces):
-            total += p.integrate(self.breakpoints[i], self.breakpoints[i + 1])
-        return total
+        bps = self.breakpoints
+        return sum((p.integrate(a, b)
+                    for p, a, b in zip(self.pieces, bps, bps[1:])), Rat(0))
 
     def scale_arg(self, k) -> "PiecewisePoly":
         """The function x -> f(k*x) for k > 0."""
@@ -195,21 +189,18 @@ class PiecewisePoly(Value):
         bps = tuple(b / k for b in self.breakpoints)
         ps = tuple(Poly(tuple(c * k ** i for i, c in enumerate(p.coeffs)))
                    for p in self.pieces)
-        return PiecewisePoly(bps, ps)._normalized()
+        return PiecewisePoly.build(bps, ps)
 
     def is_continuous(self) -> bool:
-        for i in range(1, len(self.pieces)):
-            b = self.breakpoints[i]
-            if self.pieces[i - 1](b) != self.pieces[i](b):
-                return False
-        return True
+        ps, bps = self.pieces, self.breakpoints
+        return all(p(b) == q(b) for p, q, b in zip(ps, ps[1:], bps[1:]))
 
     def _pointwise(self, other, op) -> "PiecewisePoly":
         """x -> op(self(x), other(x)) on the union of both breakpoint sets."""
         cuts = sorted(set(self.breakpoints) | set(other.breakpoints))
         mids = [(a + b) / 2 for a, b in zip(cuts, cuts[1:])]
         pieces = tuple(op(self.piece_at(m), other.piece_at(m)) for m in mids)
-        return PiecewisePoly(tuple(cuts), pieces)._normalized()
+        return PiecewisePoly.build(cuts, pieces)
 
     def __add__(self, other):
         return self._pointwise(other, Poly.__add__)
@@ -223,18 +214,12 @@ class PiecewisePoly(Value):
     def piece_at(self, x) -> Poly:
         """Polynomial on the interval containing x (0 outside the domain)."""
         x = Rat(x)
-        if not self.pieces or x < self.breakpoints[0] or x >= self.breakpoints[-1]:
+        if x < self.breakpoints[0] or x >= self.breakpoints[-1]:
             return ZERO_POLY
-        i = bisect.bisect_right(self.breakpoints, x) - 1
-        return self.pieces[min(i, len(self.pieces) - 1)]
-
-
-def pw_equal(f: PiecewisePoly, g: PiecewisePoly) -> bool:
-    """Exact equality as functions on all of R."""
-    return not (f - g).pieces
+        return self.pieces[bisect.bisect_right(self.breakpoints, x) - 1]
 
 
 def pw_from_json(data: dict) -> PiecewisePoly:
     bps = [parse_rat(b) for b in data["breakpoints"]]
-    ps = [Poly(_strip([parse_rat(c) for c in piece])) for piece in data["pieces"]]
+    ps = [Poly.of(*map(parse_rat, piece)) for piece in data["pieces"]]
     return PiecewisePoly.build(bps, ps)

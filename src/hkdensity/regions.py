@@ -401,7 +401,7 @@ def phi_family(poly, lam_max) -> SliceFamily:
     """Family for the unit-cell defect: cell minus u + tP over the integer
     translates that can meet the cell for t <= lam_max (the cover scale)."""
     P = geo.anchored(poly)
-    cell = geo.lattice_hull(list(itertools.product((0, 1), repeat=P.dim)))
+    cell = geo.hrep_from_vrep(list(itertools.product((0, 1), repeat=P.dim)))
     return SliceFamily(
         minuend=(cell, 1, 0),
         translates=tuple(cell_translates(P, lam_max)),

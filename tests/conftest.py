@@ -3,14 +3,14 @@
 from __future__ import annotations
 
 from hkdensity import (DegenerateError, PiecewisePoly, Poly, Rat, ToricPair,
-                       lattice_hull)
+                       hrep_from_vrep)
 
 
 def hull_or_none(points):
     """The lattice hull of the points, or None when they lie on a
     hyperplane and so span no polytope."""
     try:
-        return lattice_hull(points)
+        return hrep_from_vrep(points)
     except DegenerateError:
         return None
 

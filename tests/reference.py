@@ -29,8 +29,8 @@ import math
 import re
 from fractions import Fraction
 
-from hkdensity import (DimMismatchError, Rat, lattice_hull, rat_str, scale,
-                       translate)
+from hkdensity import (DimMismatchError, Rat, hrep_from_vrep, rat_str,
+                       scale, translate)
 
 
 def _slack(row, x):
@@ -146,7 +146,7 @@ def hk_slice(pair, z):
 
 
 def _unit_cell(dim):
-    return lattice_hull(list(itertools.product((0, 1), repeat=dim)))
+    return hrep_from_vrep(list(itertools.product((0, 1), repeat=dim)))
 
 
 def _cell_candidates(small, s=1):
@@ -222,8 +222,8 @@ def brute_events(record):
 def ring_difference_area(rings):
     """Exact area of the closed convex minuend ``rings[0]`` minus the open
     interiors of the convex subtrahends ``rings[1:]``, integer point rings."""
-    return area(_difference_rings(lattice_hull(rings[0]),
-                                  [lattice_hull(ring) for ring in rings[1:]]))
+    minuend, *subtrahends = (hrep_from_vrep(ring) for ring in rings)
+    return area(_difference_rings(minuend, subtrahends))
 
 
 def function_csv_rows(f, samples):

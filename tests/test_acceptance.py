@@ -1,8 +1,9 @@
 """Acceptance suite: one test per criterion, each printing a pass line.
 
-Every comparison is exact (pw_equal or rational equality) unless the
-criterion itself is about a floating-point margin.  Runtime limits are
-asserted with time.perf_counter on the cold path (this module sorts first).
+Every comparison is exact (== on piecewise polynomials or rationals)
+unless the criterion itself is about a floating-point margin.  Runtime
+limits are asserted with time.perf_counter on the cold path (this module
+sorts first).
 """
 
 import time
@@ -23,7 +24,6 @@ from hkdensity import (
     pair_volume,
     phi_function,
     phi_scaled,
-    pw_equal,
     segre_phi,
     tiling_gap_B,
 )
@@ -54,8 +54,8 @@ def test_criterion_1_line_pairs():
     for n in (1, 2, 3):
         start = time.perf_counter()
         pair = projective_line(n)
-        assert pw_equal(hkd_function(pair), line_density_form(n))
-        assert pw_equal(phi_function(pair), line_defect_form(n))
+        assert hkd_function(pair) == line_density_form(n)
+        assert phi_function(pair) == line_defect_form(n)
         assert e_hk(pair) == Rat(n + 1, 2)
         _done(f"criterion 1: line pair degree {n}", time.perf_counter() - start, 1.0)
 
@@ -64,8 +64,8 @@ def test_criterion_2_ruled_surfaces():
     for acd in ((1, 2, 1), (2, 3, 1), (1, 1, 2), (2, 1, 3)):
         start = time.perf_counter()
         pair = hirzebruch(*acd)
-        assert pw_equal(hkd_function(pair), hirzebruch_density_form(*acd))
-        assert pw_equal(phi_function(pair), hirzebruch_defect_form(*acd))
+        assert hkd_function(pair) == hirzebruch_density_form(*acd)
+        assert phi_function(pair) == hirzebruch_defect_form(*acd)
         _done(f"criterion 2: ruled surface (a,c,d)={acd}",
               time.perf_counter() - start, 10.0)
 
@@ -105,8 +105,8 @@ def test_criterion_5_tiling():
     hexagon = symmetric_hexagon()
     assert is_tiler(hexagon)
     assert tiling_gap_B(hexagon) == 0.0
-    assert pw_equal(phi_function(hexagon),
-                    PiecewisePoly.build([0, Rat(1, 3)], [Poly.of(1, 0, -9)]))
+    assert phi_function(hexagon) == PiecewisePoly.build(
+        [0, Rat(1, 3)], [Poly.of(1, 0, -9)])
     for factory in (plane_anticanonical, blowup1_anticanonical):
         assert not is_tiler(factory())
         assert tiling_gap_B(factory()) > 1e-9
@@ -118,9 +118,9 @@ def test_criterion_6_multiplicativity():
     start = time.perf_counter()
     line_phi = phi_function(projective_line(1))
     square = segre_phi(line_phi, line_phi)
-    assert pw_equal(square, phi_function(unit_square()))
+    assert square == phi_function(unit_square())
     triple = segre_phi(square, line_phi)
-    assert pw_equal(triple, PiecewisePoly.build([0, 1], [Poly.of(1, 0, 0, -1)]))
+    assert triple == PiecewisePoly.build([0, 1], [Poly.of(1, 0, 0, -1)])
     _done("criterion 6: product rule for the defect function",
           time.perf_counter() - start, 10.0)
 
@@ -171,6 +171,6 @@ def test_criterion_8_property_suite():
     # module; spot-check one pair here to keep the criterion self-contained
     from hkdensity import ToricPair, translate
     moved = ToricPair(translate(plane_anticanonical().polytope, (2, -1)))
-    assert pw_equal(hk_report(moved).phi, hk_report(plane_anticanonical()).phi)
+    assert hk_report(moved).phi == hk_report(plane_anticanonical()).phi
     _done("criterion 8: invariant sweep over the fixture catalog",
           time.perf_counter() - start, 60.0)

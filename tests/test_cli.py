@@ -6,7 +6,7 @@ from pathlib import Path
 import pytest
 
 from hkdensity import (DimMismatchError, Rat, SegrePair, SpecParseError,
-                       ToricPair, pw_equal, pw_from_json)
+                       ToricPair, pw_from_json)
 from hkdensity import cli
 from hkdensity.cli import main, parse_spec, run_command
 
@@ -178,7 +178,7 @@ def test_density_json_round_trip(capsys, monkeypatch):
     data = json.loads(out)
     assert data["breakpoints"] == ["0", "1", "3/2"]
     assert data["pieces"] == [["0", "2"], ["6", "-4"]]
-    assert pw_equal(pw_from_json(data), line_density_form(2))
+    assert pw_from_json(data) == line_density_form(2)
 
 
 def test_density_csv_row_count(capsys, monkeypatch):
@@ -614,6 +614,32 @@ def test_run_command_reports_failed_certificate(command, message, monkeypatch):
         "code": "breakpoint_verification_failed", "message": message}
 
 
+def test_density_reports_a_discontinuous_tail(monkeypatch):
+    # the tail starts at the simplex's area 1/2 at z = 1 and then jumps at
+    # z = 3/2: the assembled density fails its continuity certificate
+    from hkdensity import PiecewisePoly, Poly, analysis, regions
+    monkeypatch.setattr(regions, "family_volume_function",
+                        lambda *args, **kwargs: PiecewisePoly.build(
+                            [1, Rat(3, 2), 2],
+                            [Poly.of(Rat(1, 2)), Poly.of(1)]))
+    analysis._hkd_cached.cache_clear()
+    status, text, ext = run_command("density", SIMPLEX)
+    assert (status, ext) == (1, "json")
+    assert json.loads(text)["error"] == {
+        "code": "breakpoint_verification_failed",
+        "message": "density function fails exact continuity"}
+
+
+def test_value_error_is_invalid_argument():
+    # the density of the line of degree 10^2500 has a coefficient of 5001
+    # digits, past the interpreter's limit for str(int): the ValueError is
+    # reported as invalid_argument (whether to lift the limit is open)
+    spec = json.dumps({"vertices": [[0], [10 ** 2500]]})
+    status, text, ext = run_command("density", spec)
+    assert (status, ext) == (1, "json")
+    assert json.loads(text)["error"]["code"] == "invalid_argument"
+
+
 def test_line_commands_never_run_the_engine(monkeypatch):
     # every invariant of a line of degree n is a closed form in n, so a
     # degree far beyond the engine's reach answers without it
@@ -637,15 +663,15 @@ def test_line_commands_never_run_the_engine(monkeypatch):
 
     assert answer("ehk") == {"e_hk": "1000001/2"}
     assert answer("ehk", "--k", "3") == {"k": 3, "e_hk_power": "9000003/2"}
-    assert pw_equal(pw_from_json(answer("density")), line_density_form(n))
-    assert pw_equal(pw_from_json(answer("phi")), line_defect_form(n))
+    assert pw_from_json(answer("density")) == line_density_form(n)
+    assert pw_from_json(answer("phi")) == line_defect_form(n)
     assert answer("limit") == {"e0": "1000000", "phi_integral": "1/2000000",
                                "limit_A": "1/2"}
     assert answer("tiling") == {"is_tiler": True, "B": "0"}
     report = answer("report")
     assert report["h0"] == 1000001 and report["e_hk"] == "1000001/2"
     assert report["tiling_gap_B"] == "0" and report["is_tiler"] is True
-    assert pw_equal(pw_from_json(report["hkd"]), line_density_form(n))
+    assert pw_from_json(report["hkd"]) == line_density_form(n)
 
 
 def test_readme_examples():

@@ -38,7 +38,9 @@ def _sampled_functions(draw):
     samples = draw(st.integers(1, 64))
     kind = draw(st.sampled_from(["grid", "above", "nonpositive", "free", "zero"]))
     if kind == "zero":
-        return PiecewisePoly.zero(draw(_RATS)), samples
+        # build trims zero pieces drawn on any breakpoints to the one zero
+        bps = sorted(draw(st.sets(_RATS, min_size=1, max_size=4)))
+        return PiecewisePoly.build(bps, [Poly.of()] * (len(bps) - 1)), samples
     if kind == "grid":
         # the support ends at end = last breakpoint, so sample j sits on
         # the breakpoint end*j/samples
@@ -63,6 +65,19 @@ def test_grid_emission_matches_pointwise_reference(case):
     f, samples = case
     assert function_csv_rows(f, samples) == reference.function_csv_rows(f, samples)
     assert function_svg(f, samples, "f") == reference.function_svg(f, samples, "f")
+
+
+def test_every_zero_value_emits_the_same_rows():
+    # the zero function has one value, however it is reached, so one
+    # emission: samples over [0, 1]
+    f = PiecewisePoly.build([Rat(1, 2), 1, 2], [Poly.of(1), Poly.of(0, -3)])
+    zeros = [PiecewisePoly.build([0], []), PiecewisePoly.build([3], []),
+             PiecewisePoly.build([1, 2, 3], [Poly.of(), Poly.of()]),
+             f - f, (f - f).scale_arg(3), f * PiecewisePoly.build([0], [])]
+    assert all(z == PiecewisePoly.build([0], []) for z in zeros)
+    rows = [("lambda", "value"), ("0", "0"), ("1/3", "0"), ("2/3", "0"),
+            ("1", "0")]
+    assert all(function_csv_rows(z, 3) == rows for z in zeros)
 
 
 def test_grid_samples_take_the_right_hand_piece_and_vanish_outside():

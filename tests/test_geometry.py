@@ -17,7 +17,6 @@ from hkdensity import (
     Rat,
     UnboundedError,
     hrep_from_vrep,
-    lattice_hull,
     lattice_points,
     polytope_from_divisor,
     scale,
@@ -26,6 +25,7 @@ from hkdensity import (
     vrep_from_hrep,
 )
 
+from hkdensity import geometry
 from hkdensity.geometry import (anchored, fiber_box, lattice_count,
                                 lattice_lines, product)
 
@@ -154,8 +154,8 @@ def test_hrep_square():
 def test_lattice_hull_of_every_box_point_is_the_hull_of_its_corners(side, dim):
     # 289 and 81 input points, 4 and 16 of them vertices
     points = list(itertools.product(range(side + 1), repeat=dim))
-    box = lattice_hull(points)
-    corners = lattice_hull(list(itertools.product((0, side), repeat=dim)))
+    box = hrep_from_vrep(points)
+    corners = hrep_from_vrep(list(itertools.product((0, side), repeat=dim)))
     assert _vertex_set(box) == _vertex_set(corners)
     assert _facet_set(box) == _facet_set(corners)
     assert volume(box) == side ** dim
@@ -174,7 +174,7 @@ def test_hrep_lower_dimensional_segment_in_plane():
 # --- scale / translate ------------------------------------------------------
 
 def test_scale_unit_square():
-    P = lattice_hull([(0, 0), (1, 0), (0, 1), (1, 1)])
+    P = hrep_from_vrep([(0, 0), (1, 0), (0, 1), (1, 1)])
     Q = scale(P, 3)
     assert _vertex_set(Q) == {(0, 0), (3, 0), (0, 3), (3, 3)}
 
@@ -187,27 +187,27 @@ def test_scale_anticanonical_area_grows_quadratically(k):
 
 def test_scale_identity_and_zero():
     # 0*P is one point, not a polytope
-    P = lattice_hull([(0, 0), (1, 0), (0, 1)])
+    P = hrep_from_vrep([(0, 0), (1, 0), (0, 1)])
     assert scale(P, 1) == P
     with pytest.raises(NegativeScaleError):
         scale(P, 0)
 
 
 def test_scale_negative_rejected():
-    P = lattice_hull([(0,), (1,)])
+    P = hrep_from_vrep([(0,), (1,)])
     with pytest.raises(NegativeScaleError):
         scale(P, -1)
 
 
 def test_translate_identity_and_cell():
-    cell = lattice_hull([(0, 0), (1, 0), (0, 1), (1, 1)])
+    cell = hrep_from_vrep([(0, 0), (1, 0), (0, 1), (1, 1)])
     assert translate(cell, (0, 0)) == cell
     moved = translate(cell, (2, 3))
     assert _vertex_set(moved) == {(2, 3), (3, 3), (2, 4), (3, 4)}
 
 
 def test_translate_dim_mismatch():
-    cell = lattice_hull([(0, 0), (1, 0), (0, 1), (1, 1)])
+    cell = hrep_from_vrep([(0, 0), (1, 0), (0, 1), (1, 1)])
     with pytest.raises(DimMismatchError):
         translate(cell, (1,))
 
@@ -229,16 +229,16 @@ def _seeded_hulls(count):
 
 def test_every_constructor_builds_int_vertices():
     # the catalog's fans go through polytope_from_divisor, its vertex lists
-    # through lattice_hull
+    # through hrep_from_vrep
     bases = [pair.polytope for pair in (
         projective_line(3), hirzebruch(1, 2, 1), plane_anticanonical(),
         quadric_anticanonical(), blowup3_anticanonical(), symmetric_hexagon(),
         unit_square())] + _seeded_hulls(12)
-    segment = lattice_hull([(0,), (2,)])
+    segment = hrep_from_vrep([(0,), (2,)])
     built = []
     for P in bases:
         shift = (2, -1, 3, -4)[:P.dim]
-        built += [P, lattice_hull(P.vertices), hrep_from_vrep(P.vertices),
+        built += [P, hrep_from_vrep(P.vertices),
                   vrep_from_hrep(P.halfspaces, P.dim), scale(P, 3),
                   translate(P, shift), anchored(translate(P, shift)),
                   product(P, segment)]
@@ -375,20 +375,20 @@ def _intersect(p, q):
 
 
 def test_intersect_disjoint_is_none():
-    simplex = lattice_hull([(0, 0), (1, 0), (0, 1)])
+    simplex = hrep_from_vrep([(0, 0), (1, 0), (0, 1)])
     with pytest.raises(EmptyRegionError):
         _intersect(simplex, translate(simplex, (2, 2)))
 
 
 def test_intersect_overlapping_squares():
-    A = lattice_hull([(0, 0), (2, 0), (0, 2), (2, 2)])
+    A = hrep_from_vrep([(0, 0), (2, 0), (0, 2), (2, 2)])
     B = translate(A, (1, 1))
     I = _intersect(A, B)
     assert _vertex_set(I) == {(1, 1), (2, 1), (1, 2), (2, 2)}
 
 
 def test_intersect_shared_edge_is_degenerate():
-    A = lattice_hull([(0, 0), (1, 0), (0, 1), (1, 1)])
+    A = hrep_from_vrep([(0, 0), (1, 0), (0, 1), (1, 1)])
     B = translate(A, (1, 0))
     with pytest.raises(DegenerateError, match="^half-space intersection "
                        "has dimension 1 < 2$"):
@@ -398,27 +398,27 @@ def test_intersect_shared_edge_is_degenerate():
 # --- volume -----------------------------------------------------------------
 
 def test_volume_triangle():
-    P = lattice_hull([(-1, -1), (2, -1), (-1, 2)])
+    P = hrep_from_vrep([(-1, -1), (2, -1), (-1, 2)])
     assert volume(P) == Rat(9, 2)
 
 
 def test_volume_symmetric_hexagon_exact():
-    P = lattice_hull([(2, 1), (1, 2), (-1, 1), (-2, -1), (-1, -2), (1, -1)])
+    P = hrep_from_vrep([(2, 1), (1, 2), (-1, 1), (-2, -1), (-1, -2), (1, -1)])
     assert volume(P) == 9  # shoelace by hand
 
 
 def test_volume_unit_cube():
-    P = lattice_hull(list(itertools.product((0, 1), repeat=3)))
+    P = hrep_from_vrep(list(itertools.product((0, 1), repeat=3)))
     assert volume(P) == 1
 
 
 def _cross_polytope(dim):
-    return lattice_hull([tuple(s if i == j else 0 for i in range(dim))
+    return hrep_from_vrep([tuple(s if i == j else 0 for i in range(dim))
                          for j in range(dim) for s in (1, -1)])
 
 
 def _unit_simplex(dim):
-    return lattice_hull([(0,) * dim] + [tuple(1 if i == j else 0
+    return hrep_from_vrep([(0,) * dim] + [tuple(1 if i == j else 0
                                               for i in range(dim))
                                         for j in range(dim)])
 
@@ -442,13 +442,13 @@ def test_lattice_points_anticanonical_triangle():
 
 @pytest.mark.parametrize("n", [1, 4, 9])
 def test_lattice_points_segment(n):
-    P = lattice_hull([(0,), (n,)])
+    P = hrep_from_vrep([(0,), (n,)])
     assert len(lattice_points(P)) == n + 1
 
 
 @pytest.mark.parametrize("n", [1, 2, 5])
 def test_lattice_points_scaled_simplex(n):
-    P = scale(lattice_hull([(0, 0), (1, 0), (0, 1)]), n)
+    P = scale(hrep_from_vrep([(0, 0), (1, 0), (0, 1)]), n)
     assert len(lattice_points(P)) == (n + 1) * (n + 2) // 2
 
 
@@ -500,7 +500,7 @@ def test_random_polygon_lattice_points_match_box_scan(points):
 # --- contains ---------------------------------------------------------------
 
 def test_contains_center_vertex_exterior():
-    P = lattice_hull([(0, 0), (1, 0), (0, 1), (1, 1)])
+    P = hrep_from_vrep([(0, 0), (1, 0), (0, 1), (1, 1)])
     assert contains(P, (Rat(1, 2), Rat(1, 2)))
     assert contains(P, (1, 1))  # closed polytope
     assert not contains(P, (10, 10))
@@ -514,6 +514,29 @@ def test_lattice_polytope_rejects_rational_vertices():
     with pytest.raises(NonIntegralVertexError, match="^half-space "
                        "intersection has non-integral vertices$"):
         vrep_from_hrep(rows, 2)
+
+
+@pytest.mark.parametrize("bad", [Rat(3, 2), Rat(2), 2.0],
+                         ids=["fraction", "integral_fraction", "float"])
+def test_non_integer_entries_are_type_errors_naming_the_input(bad,
+                                                              monkeypatch):
+    # the entries are read through operator.index before any elimination
+    def eliminate(*args):
+        raise AssertionError("elimination ran on a non-integer entry")
+
+    monkeypatch.setattr(geometry, "_echelon", eliminate)
+    monkeypatch.setattr(geometry, "_extreme_rays", eliminate)
+    calls = [  # in a point, a row normal and a row offset
+        lambda: hrep_from_vrep([(0, 0), (bad, 0), (0, 1)], "tri"),
+        lambda: vrep_from_hrep(
+            [((1, 0), 0), ((bad, 1), 0), ((-1, -1), -2)], 2, "tri"),
+        lambda: vrep_from_hrep(
+            [((1, 0), 0), ((0, 1), 0), ((-1, -1), bad)], 2, "tri"),
+    ]
+    for call in calls:
+        with pytest.raises(TypeError) as info:
+            call()
+        assert str(info.value) == f"tri needs integer entries, not {bad!r}"
 
 
 # --- invariants -------------------------------------------------------------
@@ -543,7 +566,7 @@ FIXTURE_POINTS = [
 
 @pytest.fixture
 def poly(request):
-    return lattice_hull(request.param)
+    return hrep_from_vrep(request.param)
 
 
 @pytest.mark.parametrize("poly", FIXTURE_POINTS, indirect=True)

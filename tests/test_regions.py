@@ -19,9 +19,8 @@ from hkdensity import (
     family_volume_function,
     hk_family,
     hkd_function,
-    lattice_hull,
+    hrep_from_vrep,
     phi_family,
-    pw_equal,
 )
 
 from conftest import (
@@ -99,7 +98,7 @@ def hirzebruch_112():
 # --- families -------------------------------------------------------------------
 
 def test_family_rejects_higher_dimension():
-    cube = lattice_hull(list(itertools.product((0, 1), repeat=3)))
+    cube = hrep_from_vrep(list(itertools.product((0, 1), repeat=3)))
     with pytest.raises(UnsupportedDimensionError):
         family_volume_function(hk_family(cube), 1, 2)
     with pytest.raises(UnsupportedDimensionError):
@@ -147,16 +146,16 @@ def test_phi_family_line(n):
 
 def test_phi_family_square_side_two():
     f = family_volume_function(
-        phi_family(lattice_hull([(0, 0), (2, 0), (0, 2), (2, 2)]), 1), 0, 1)
-    assert pw_equal(f, PiecewisePoly.build([0, Rat(1, 2)], [Poly.of(1, 0, -4)]))
+        phi_family(hrep_from_vrep([(0, 0), (2, 0), (0, 2), (2, 2)]), 1), 0, 1)
+    assert f == PiecewisePoly.build([0, Rat(1, 2)], [Poly.of(1, 0, -4)])
 
 
 def test_constant_family():
-    square = lattice_hull([(0, 0), (2, 0), (0, 2), (2, 2)])
+    square = hrep_from_vrep([(0, 0), (2, 0), (0, 2), (2, 2)])
     fam = SliceFamily(minuend=(square, 1, 0), translates=(),
                       shape=(square, 0, 1))
     f = family_volume_function(fam, 0, 3)
-    assert pw_equal(f, PiecewisePoly.build([0, 3], [Poly.of(4)]))
+    assert f == PiecewisePoly.build([0, 3], [Poly.of(4)])
 
 
 def test_missed_events_fail_certificate(monkeypatch):
@@ -186,7 +185,8 @@ def test_edge_landing_inside_a_parallel_edge_is_an_event():
     # of (1, 0) + tP lands strictly inside the right edge of tP: the
     # parallel pair gives no moving point, so the scan meets the triple
     # from the left edge's neighbours
-    pair = ToricPair(lattice_hull([(-3, -1), (-3, 0), (0, -2), (1, -2), (1, 1)]))
+    pair = ToricPair.from_vertices(
+        [(-3, -1), (-3, 0), (0, -2), (1, -2), (1, 1)])
     f = hkd_function(pair)
     assert Rat(5, 4) in f.breakpoints
     for z in (Rat(9, 8), Rat(5, 4), Rat(21, 16)):
@@ -197,7 +197,7 @@ def _parallel_landing_family():
     # the minuend [0, 10 + t]^2 and the translate (20, 3) + t*[0, 1]^2: at
     # t = 10 the translate's left edge lands strictly inside the minuend's
     # right edge, two parallel lines that coincide once
-    cell = lattice_hull([(0, 0), (1, 0), (0, 1), (1, 1)])
+    cell = hrep_from_vrep([(0, 0), (1, 0), (0, 1), (1, 1)])
     return SliceFamily(minuend=(cell, 10, 1), translates=((20, 3),),
                        shape=(cell, 0, 1))
 
@@ -206,12 +206,12 @@ def test_edge_landing_inside_a_parallel_line_of_another_body_is_an_event():
     # the triple is met only from the minuend's line and the translate's
     # top or bottom line, with the parallel left edge as third line
     f = family_volume_function(_parallel_landing_family(), 0, 15)
-    assert pw_equal(f, PiecewisePoly.build(
-        [0, 10, 15], [Poly.of(100, 20, 1), Poly.of(100, 30)]))
+    assert f == PiecewisePoly.build(
+        [0, 10, 15], [Poly.of(100, 20, 1), Poly.of(100, 30)])
 
 
-_THIN = lattice_hull([(0, 0), (2, 0), (0, 1)])
-_UNIT = lattice_hull([(0, 0), (1, 0), (0, 1)])
+_THIN = hrep_from_vrep([(0, 0), (2, 0), (0, 1)])
+_UNIT = hrep_from_vrep([(0, 0), (1, 0), (0, 1)])
 
 
 @pytest.mark.parametrize("translates,shape,breakpoints,pieces", [
@@ -226,8 +226,8 @@ def test_minuend_sampled_at_scale_zero(translates, shape, breakpoints, pieces):
     fam = SliceFamily(minuend=(_THIN, 0, 1), translates=translates,
                       shape=(shape, 0, 1))
     f = family_volume_function(fam, 0, 2)
-    assert pw_equal(f, PiecewisePoly.build(
-        breakpoints, [Poly.of(*p) for p in pieces]))
+    assert f == PiecewisePoly.build(
+        breakpoints, [Poly.of(*p) for p in pieces])
     assert regions._FamilyRecord(fam, Rat(0), Rat(2)).area(Rat(0)) == 0
 
 
@@ -299,9 +299,9 @@ def test_family_with_rational_offsets_matches_exact_intersections():
     # inclusion-exclusion over intersections of the clipped rings
     from hkdensity import scale, translate
     from hkdensity.regions import _ccw
-    square = translate(scale(lattice_hull([(0, 0), (3, 0), (0, 3), (3, 3)]),
+    square = translate(scale(hrep_from_vrep([(0, 0), (3, 0), (0, 3), (3, 3)]),
                              12), (0, 3))
-    triangle = lattice_hull([(0, 0), (2, 0), (0, 1)])
+    triangle = hrep_from_vrep([(0, 0), (2, 0), (0, 1)])
     shifts = ((4, 0), (12, 6))
     fam = SliceFamily(minuend=(square, 1, 0), translates=shifts,
                       shape=(triangle, 6, 12))

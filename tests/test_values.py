@@ -24,7 +24,6 @@ from hkdensity import (
     hk_family,
     hk_report,
     hrep_from_vrep,
-    lattice_hull,
     phi_family,
     segre,
 )
@@ -44,10 +43,10 @@ VALUES = {
     Poly: (lambda: Poly.of(1, 2), lambda: Poly.of(1, 2, 3)),
     PiecewisePoly: (lambda: PiecewisePoly.build([0, 1], [Poly.of(1, -1)]),
                     lambda: PiecewisePoly.build([0, 2], [Poly.of(1, -1)])),
-    SliceFamily: (lambda: hk_family(lattice_hull(SQUARE)),
-                  lambda: phi_family(lattice_hull(SQUARE), 1)),
+    SliceFamily: (lambda: hk_family(hrep_from_vrep(SQUARE)),
+                  lambda: phi_family(hrep_from_vrep(SQUARE), 1)),
     ToricPair: (lambda: ToricPair.from_vertices(SQUARE),
-                lambda: (lattice_hull(SQUARE), "vertices")),
+                lambda: (hrep_from_vrep(SQUARE), "vertices")),
     SegrePair: (lambda: segre(_line(1), _line(2)),
                 lambda: segre(_line(2), _line(1))),
     HKReport: (lambda: hk_report(_line(2)), lambda: hk_report(_line(3))),
@@ -80,10 +79,10 @@ def test_value_type_semantics(cls):
 
 def test_value_types_validate_at_construction_and_exports_resolve():
     with pytest.raises(DegenerateError):
-        ToricPair(lattice_hull([(0, 0), (1, 1)]))
+        ToricPair(hrep_from_vrep([(0, 0), (1, 1)]))
     simplex5 = [tuple(int(i == j) for j in range(5)) for i in range(6)]
     with pytest.raises(UnsupportedDimensionError):
-        ToricPair(lattice_hull(simplex5))
+        ToricPair(hrep_from_vrep(simplex5))
     with pytest.raises(NonIntegralVertexError):
         ToricPair.from_fan([(1, 2), (-1, 0), (0, -1)], [0, 1, 1])
     with pytest.raises(ValueError):
