@@ -18,10 +18,9 @@ import importlib
 
 _EXPORTS = {
     "analysis": (
-        "HKReport", "e0", "e_hk", "ehk_power", "h0", "hk_report",
-        "hkd_function", "is_tiler", "limit_A", "limit_values", "pair_volume",
-        "phi_function", "phi_integral", "phi_scaled", "segre_phi",
-        "tiling_gap_B", "tiling_values",
+        "HKReport", "e_hk", "ehk_power", "h0", "hk_report", "hkd_function",
+        "limit_values", "pair_volume", "phi_function", "phi_scaled",
+        "tiling_values",
     ),
     "cli": ("pw_to_json",),
     "errors": (

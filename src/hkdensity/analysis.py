@@ -6,27 +6,21 @@ that enters the density function is a lattice count.  This module assembles:
 
 * ``hkd_function`` -- the density function, equal to Vol(P) * z^{d-1} on
   [0, 1] and to the exact area of the sliced cone difference on [1, 1+l];
-* ``e_hk`` -- its integral, the Hilbert-Kunz multiplicity;
+  ``e_hk`` is its integral, the Hilbert-Kunz multiplicity, and
+  ``ehk_power`` that of the k-th power of the maximal ideal;
 * ``phi_function`` -- the unit-cell defect function, compactly supported and
   continuous, which controls the second-order growth of e_HK over powers of
-  the maximal ideal;
-* ``limit_A`` -- the growth coefficient Vol(P) * integral(phi);
-* ``is_tiler`` / ``tiling_gap_B`` -- the exact translate-tiling criterion:
-  the pair attains the minimal renormalized growth iff phi coincides with
-  max(0, 1 - Vol(P) * t^{d-1});
-* ``limit_values`` -- (e0, integral(phi), limit_A), and ``tiling_values``
-  -- (is_tiler, tiling_gap_B), each from one volume and one phi;
-* ``segre_phi`` -- the product rule (1 - phi_{XxY}) = (1 - phi_X)(1 - phi_Y).
+  the maximal ideal (``phi_scaled``: that of the k-th multiple);
+* ``limit_values`` -- e0, the integral of phi and the growth coefficient A;
+* ``tiling_values`` -- the exact translate-tiling criterion and its gap B,
+  the only float in sight;
+* ``hk_report`` -- all of these at once.
 
 Every invariant folds over ``_factors``: a product's factors, recursively,
 and each lattice box (up to a unimodular map) as its edge segments.  One
 product rule serves both functions: Vol * z^n - HKd multiplies as 1 - phi
 does.  A segment is answered in closed form; only planar factors that are
 not boxes load the area engine in ``regions``, and any other is refused.
-
-Everything is exact; the only float in sight is the reported gap B, whose
-fractional exponents force floating point for d >= 3 (its zero test is still
-decided exactly).
 """
 
 from functools import lru_cache, reduce
@@ -35,7 +29,7 @@ from operator import mul
 
 from . import geometry as geo
 from .errors import BreakpointVerificationError, UnsupportedDimensionError
-from .pairs import SegrePair, ToricPair, segre  # noqa: F401 (segre re-exported)
+from .pairs import SegrePair, ToricPair
 from .piecewise import PiecewisePoly, Poly
 from .rationals import Value
 
@@ -64,11 +58,6 @@ def _factors(pair) -> list:
 def pair_volume(pair):
     """Base-polytope volume; multiplicative over products."""
     return prod(geo.volume(f.polytope) for f in _factors(pair))
-
-
-def e0(pair):
-    """Embedding degree (d-1)! * Vol(P), the Hilbert-Samuel multiplicity."""
-    return factorial(pair.d - 1) * pair_volume(pair)
 
 
 def h0(pair) -> int:
@@ -187,69 +176,49 @@ def phi_scaled(pair, k: int) -> PiecewisePoly:
     return phi_function(pair).scale_arg(int(k))
 
 
-def phi_integral(pair):
-    return phi_function(pair).integral()
-
-
-def limit_A(pair):
-    """Second-order growth coefficient of e_HK over powers of the maximal
-    ideal: Vol(P) times the integral of phi."""
-    return pair_volume(pair) * phi_integral(pair)
+def _limit(d, vol, phi):
+    """``limit_values`` from the dimension, base volume and phi of a pair."""
+    phi_int = phi.integral()
+    return factorial(d - 1) * vol, phi_int, vol * phi_int
 
 
 def limit_values(pair):
-    """(e0, integral of phi, limit_A) from one volume and one phi."""
-    vol, phi_int = pair_volume(pair), phi_integral(pair)
-    return factorial(pair.d - 1) * vol, phi_int, vol * phi_int
-
-
-def segre_phi(f: PiecewisePoly, g: PiecewisePoly) -> PiecewisePoly:
-    """Product rule for defect functions (1 at 0, supported in [0, oo)):
-    phi of a product pair is 1 - (1 - f)(1 - g)."""
-    return _product([(Poly.of(1), f), (Poly.of(1), g)])
+    """(e0, integral of phi, limit_A): the embedding degree (d-1)! * Vol(P),
+    the Hilbert-Samuel multiplicity, and the second-order growth coefficient
+    of e_HK over powers of the maximal ideal, Vol(P) times the integral of
+    phi."""
+    return _limit(pair.d, pair_volume(pair), phi_function(pair))
 
 
 def _tiling(d, vol, phi):
-    """(is_tiler, tiling_gap_B) of a pair of dimension d, base volume
-    ``vol`` and defect function ``phi``."""
+    """``tiling_values`` from the dimension, base volume and phi of a pair."""
     bound = Poly.of(1, *[0] * (d - 2), -vol)
     if phi == PiecewisePoly.build([0, phi.breakpoints[-1]], [bound]):
         return True, 0.0
-    a = float(vol * phi.integral())
+    e0, _, a = _limit(d, vol, phi)
     expo = (2 - d) / (d - 1)
-    return False, (float(factorial(d - 1) * vol) ** expo) * a - (
+    return False, float(e0) ** expo * float(a) - (
         (d - 1) / d) * float(factorial(d - 1)) ** expo
 
 
 def tiling_values(pair):
-    """(is_tiler, tiling_gap_B) from one volume and one phi."""
+    """(is_tiler, tiling_gap_B): whether translates of a dilate of P tile
+    space with the integer lattice, and the distance of the renormalized
+    growth coefficient from its universal lower bound,
+    B = e0^((2-d)/(d-1)) * A - ((d-1)/d) * ((d-1)!)^((2-d)/(d-1)).
+
+    The verdict is exact: phi >= max(0, 1 - Vol * t^{d-1}) always holds,
+    with equality (as functions) precisely in the tiling case, so it
+    suffices to compare phi with 1 - Vol * t^{d-1} on phi's support.  B is
+    then exactly 0.0; otherwise it is a positive float (the fractional
+    exponents force floating point once d >= 3)."""
     return _tiling(pair.d, pair_volume(pair), phi_function(pair))
-
-
-def is_tiler(pair) -> bool:
-    """Whether translates of a dilate of P tile space with the integer
-    lattice.  Decided exactly: phi >= max(0, 1 - Vol * t^{d-1}) always
-    holds, with equality (as functions) precisely in the tiling case, so it
-    suffices to compare phi with 1 - Vol * t^{d-1} on phi's support."""
-    return tiling_values(pair)[0]
-
-
-def tiling_gap_B(pair) -> float:
-    """Distance of the renormalized growth coefficient from its universal
-    lower bound: e0^((2-d)/(d-1)) * A - ((d-1)/d) * ((d-1)!)^((2-d)/(d-1)).
-
-    Exactly 0.0 in the tiling case (decided by the exact phi identity);
-    otherwise a positive float (the fractional exponents force floating
-    point once d >= 3)."""
-    return tiling_values(pair)[1]
 
 
 def ehk_power(pair, k: int):
     """Exact e_HK of the ring with respect to the k-th power of the maximal
     ideal, via the multiple-divisor identity e_HK(R, m^k) = k * e_HK(X, kD)."""
-    if int(k) != k or k < 1:
-        raise ValueError("positive integer power required")
-    return int(k) * e_hk(pair.scaled(int(k)))
+    return int(k) * e_hk(pair.scaled(k))
 
 
 class HKReport(Value):
@@ -264,9 +233,9 @@ class HKReport(Value):
 
 def hk_report(pair) -> HKReport:
     phi, hkd, vol = phi_function(pair), hkd_function(pair), pair_volume(pair)
+    e0, phi_int, a = _limit(pair.d, vol, phi)
     tiles, gap = _tiling(pair.d, vol, phi)
-    phi_int = phi.integral()
     return HKReport(
-        d=pair.d, l=pair.l, e0=factorial(pair.d - 1) * vol, h0=h0(pair),
-        hkd=hkd, e_hk=hkd.integral(), phi=phi, phi_integral=phi_int,
-        limit_A=vol * phi_int, tiling_gap_B=gap, is_tiler=tiles)
+        d=pair.d, l=pair.l, e0=e0, h0=h0(pair), hkd=hkd, e_hk=hkd.integral(),
+        phi=phi, phi_integral=phi_int, limit_A=a, tiling_gap_B=gap,
+        is_tiler=tiles)

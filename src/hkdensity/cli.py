@@ -226,8 +226,7 @@ def _cmd_density(pair, args):
 
 def _cmd_phi(pair, args):
     from . import analysis
-    f = analysis.phi_scaled(pair, args.k) if args.k > 1 else analysis.phi_function(pair)
-    return _function_artifact(f, args)
+    return _function_artifact(analysis.phi_scaled(pair, args.k), args)
 
 
 def _cmd_ehk(pair, args):
@@ -499,13 +498,29 @@ def _read_input(name) -> str:
         raise SpecParseError(f"cannot read input file {name}: {exc.strerror}") from exc
 
 
+def _write_output(args, text) -> str:
+    """Write ``text`` to ``--output``'s ``DIR/<command>.<format>``: the path
+    line to print in its place."""
+    from pathlib import Path
+    out_path = Path(args.output) / f"{args.command}.{args.format}"
+    try:
+        out_path.parent.mkdir(parents=True, exist_ok=True)
+        out_path.write_text(text, encoding="utf-8")
+    except OSError as exc:  # a file in the way, or not writable
+        raise SpecParseError(f"cannot write output directory {args.output}: "
+                             f"{exc.strerror}") from exc
+    return f"{out_path}\n"
+
+
 def _execute(argv, spec_text=None):
     """Parse ``argv``, read the spec (``spec_text``, else ``--input``) and run
-    the command: (args, exit_status, artifact_text, extension).  This is
-    where every answer is written.  An engine or argument error is status 1
-    with an error JSON as the artifact.  A usage error is status 2 with a
-    usage line and its message on stderr and no artifact; -h/--help is
-    status 0 with the help text as the artifact (args None for both)."""
+    the command: (args, exit_status, text, extension).  This is where every
+    answer is written: the text is the artifact, or with ``--output`` the
+    line of the path it was written to.  An engine or argument error, an
+    unwritable ``--output`` among them, is status 1 with an error JSON as
+    the text.  A usage error is status 2 with a usage line and its message
+    on stderr and no text; -h/--help is status 0 with the help text (args
+    None for both)."""
     args = None
     try:
         args = _parse(argv)
@@ -519,6 +534,8 @@ def _execute(argv, spec_text=None):
             text = json.dumps(answer, indent=2 if nested else None) + "\n"
         else:  # CSV rows or SVG text
             text = _csv_text(answer) if isinstance(answer, list) else answer + "\n"
+        if args.output is not None:
+            text = _write_output(args, text)
         return args, 0, text, args.format
     except _UsageError as exc:
         command, message = exc.args
@@ -533,27 +550,15 @@ def _execute(argv, spec_text=None):
 
 
 def run_command(command, spec_text, options=None) -> tuple:
-    """Programmatic entry: returns (exit_status, artifact_text, extension),
-    the status and text the command line would give for this spec."""
+    """Programmatic entry: returns (exit_status, text, extension), the status
+    and text the command line would give for this spec."""
     _, status, text, ext = _execute([command] + list(options or []), spec_text)
     return status, text, ext
 
 
 def main(argv=None) -> int:
-    args, status, text, ext = _execute(sys.argv[1:] if argv is None else argv)
-    if args is None or status or args.output is None:
-        sys.stdout.write(text)
-        return status
-    from pathlib import Path
-    out_path = Path(args.output) / f"{args.command}.{ext}"
-    try:
-        out_path.parent.mkdir(parents=True, exist_ok=True)
-        out_path.write_text(text, encoding="utf-8")
-    except OSError as exc:  # a file in the way, or not writable
-        sys.stdout.write(_error_text("parse_error", "cannot write output "
-                                     f"directory {args.output}: {exc.strerror}"))
-        return 1
-    print(str(out_path))
+    _, status, text, _ = _execute(sys.argv[1:] if argv is None else argv)
+    sys.stdout.write(text)
     return status
 
 

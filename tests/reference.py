@@ -21,6 +21,9 @@ time, ``f(end*i/N)`` as a ``Fraction``, for the integer grid sampler of
 
 The command line as the README's command and flag tables document it,
 parsed by ``argparse``, for the table-driven parser of ``hkdensity.cli``.
+
+The product rule of a two-factor product written out in PiecewisePoly
+arithmetic from the factors' functions, for the fold ``analysis._product``.
 """
 
 import argparse
@@ -29,8 +32,9 @@ import math
 import re
 from fractions import Fraction
 
-from hkdensity import (DimMismatchError, Rat, hrep_from_vrep, rat_str,
-                       scale, translate)
+from hkdensity import (DimMismatchError, PiecewisePoly, Poly, Rat,
+                       hkd_function, hrep_from_vrep, pair_volume, phi_function,
+                       rat_str, scale, translate)
 
 
 def _slack(row, x):
@@ -272,6 +276,26 @@ def function_svg(f, samples, title):
         f'<text x="{margin}" y="{margin - 10}" font-size="13">{title}</text>'
         "</svg>"
     )
+
+
+def _on(end, *coeffs):
+    """The polynomial with ``coeffs`` on [0, end], 0 elsewhere."""
+    return PiecewisePoly.build([0, end], [Poly.of(*coeffs)])
+
+
+def product_rule(x, y):
+    """(phi, HKd) of segre(x, y) from the factors' functions: 1 - phi and
+    Vol * z^n - HKd multiply."""
+    fx, fy = phi_function(x), phi_function(y)
+    one = _on(max(fx.breakpoints[-1], fy.breakpoints[-1]), 1)
+    phi = one - (one - fx) * (one - fy)
+    hx, hy = hkd_function(x), hkd_function(y)
+    end = max(hx.breakpoints[-1], hy.breakpoints[-1])
+    nx, ny = x.d - 1, y.d - 1
+    vx, vy = pair_volume(x), pair_volume(y)
+    hkd = _on(end, *[0] * (nx + ny), vx * vy) - (
+        (_on(end, *[0] * nx, vx) - hx) * (_on(end, *[0] * ny, vy) - hy))
+    return phi, hkd
 
 
 class UsageError(Exception):

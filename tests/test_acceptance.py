@@ -14,19 +14,20 @@ from hkdensity import (
     PiecewisePoly,
     Poly,
     Rat,
-    e0,
+    ToricPair,
     e_hk,
     f_n,
     hk_report,
     hkd_function,
-    is_tiler,
+    limit_values,
     oracle_ehk,
     pair_volume,
     phi_function,
     phi_scaled,
-    segre_phi,
-    tiling_gap_B,
+    segre,
+    tiling_values,
 )
+from hkdensity.analysis import cell_cover_scale
 
 from conftest import (
     FANO_TABLE,
@@ -43,6 +44,7 @@ from conftest import (
     symmetric_hexagon,
     unit_square,
 )
+from reference import product_rule
 
 
 def _done(name, elapsed, limit):
@@ -87,7 +89,7 @@ def test_criterion_4_growth_chain_quadric():
         scaled = pair.scaled(k)
         value = e_hk(scaled)
         assert value == Rat((2 * k + 1) ** 2, 3)
-        normalized = (value - e0(scaled) / 6) / k
+        normalized = (value - limit_values(scaled)[0] / 6) / k
         assert normalized == Rat(4 * k + 1, 3 * k)
     # the normalized sequence is exactly (4k+1)/(3k), decreasing toward 4/3
     _done("criterion 4: quadric multiple-divisor chain (2k+1)^2/3",
@@ -97,31 +99,46 @@ def test_criterion_4_growth_chain_quadric():
 def test_criterion_5_tiling():
     start = time.perf_counter()
     for factory in (unit_square, quadric_anticanonical):
-        assert is_tiler(factory())
-        assert tiling_gap_B(factory()) == 0.0
+        assert tiling_values(factory()) == (True, 0.0)
     for n in (1, 2, 3, 5):
-        assert is_tiler(projective_line(n))
-        assert tiling_gap_B(projective_line(n)) == 0.0
+        assert tiling_values(projective_line(n)) == (True, 0.0)
     hexagon = symmetric_hexagon()
-    assert is_tiler(hexagon)
-    assert tiling_gap_B(hexagon) == 0.0
+    assert tiling_values(hexagon) == (True, 0.0)
     assert phi_function(hexagon) == PiecewisePoly.build(
         [0, Rat(1, 3)], [Poly.of(1, 0, -9)])
     for factory in (plane_anticanonical, blowup1_anticanonical):
-        assert not is_tiler(factory())
-        assert tiling_gap_B(factory()) > 1e-9
+        tiles, gap = tiling_values(factory())
+        assert not tiles
+        assert gap > 1e-9
     _done("criterion 5: tiling verdicts and gap signs",
           time.perf_counter() - start, 10.0)
 
 
 def test_criterion_6_multiplicativity():
+    # 1 - phi and Vol * z^n - HKd multiply over the factors of [0,a]x[0,1]
+    # (the rule written out in reference.product_rule), and the planar
+    # engine on the unsplit box gives the same functions
+    from hkdensity import regions
     start = time.perf_counter()
-    line_phi = phi_function(projective_line(1))
-    square = segre_phi(line_phi, line_phi)
-    assert square == phi_function(unit_square())
-    triple = segre_phi(square, line_phi)
+    line = projective_line(1)
+    for a in (1, 2):
+        side = projective_line(a)
+        box = ToricPair.from_vertices([(0, 0), (a, 0), (0, 1), (a, 1)])
+        phi, hkd = product_rule(side, line)
+        assert phi == phi_function(segre(side, line)) == phi_function(box)
+        r = cell_cover_scale(box)
+        assert phi == regions.family_volume_function(
+            regions.phi_family(box.polytope, r), 0, r)
+        assert hkd == hkd_function(segre(side, line)) == hkd_function(box)
+        # the engine's tail on [1, 1+l] after Vol * z^2 on [0, 1]
+        tail = regions.family_volume_function(
+            regions.hk_family(box.polytope), 1, 1 + box.l)
+        assert hkd == PiecewisePoly.build([0, *tail.breakpoints],
+                                          [Poly.of(0, 0, a), *tail.pieces])
+    triple, _ = product_rule(segre(line, line), line)
+    assert triple == phi_function(segre(line, line, line))
     assert triple == PiecewisePoly.build([0, 1], [Poly.of(1, 0, 0, -1)])
-    _done("criterion 6: product rule for the defect function",
+    _done("criterion 6: product rule for the defect and density functions",
           time.perf_counter() - start, 10.0)
 
 

@@ -11,22 +11,18 @@ from hkdensity import (
     SegrePair,
     ToricPair,
     UnsupportedDimensionError,
-    e0,
     e_hk,
     ehk_power,
     h0,
     hk_report,
     hkd_function,
     hrep_from_vrep,
-    is_tiler,
-    limit_A,
+    limit_values,
     pair_volume,
     phi_function,
-    phi_integral,
     phi_scaled,
     segre,
-    segre_phi,
-    tiling_gap_B,
+    tiling_values,
 )
 from hkdensity.analysis import _factors, _hkd_cached, _phi_cached
 from hkdensity.cli import pw_to_json, report_to_json
@@ -47,6 +43,7 @@ from conftest import (
     symmetric_hexagon,
     unit_square,
 )
+from reference import product_rule
 
 
 # --- line pairs -----------------------------------------------------------------
@@ -92,10 +89,11 @@ def test_hirzebruch_balanced_case_boundary():
 @pytest.mark.parametrize("factory,int_phi,coeff_a,vol", FANO_TABLE)
 def test_fano_defect_integrals_and_growth(factory, int_phi, coeff_a, vol):
     pair = factory()
+    _, phi_int, a = limit_values(pair)
     assert pair_volume(pair) == vol
-    assert phi_integral(pair) == int_phi
-    assert limit_A(pair) == coeff_a
-    assert limit_A(pair) == pair_volume(pair) * phi_integral(pair)
+    assert phi_int == int_phi
+    assert a == coeff_a
+    assert a == pair_volume(pair) * phi_function(pair).integral()
 
 
 def test_plane_defect_form():
@@ -124,26 +122,27 @@ def test_phi_scaled_identity_and_shrink():
 @pytest.mark.parametrize("k", [1, 2, 3, 4, 5])
 def test_phi_scaled_integral_scaling(k):
     pair = plane_anticanonical()
-    assert phi_scaled(pair, k).integral() == phi_integral(pair) / k
+    assert phi_scaled(pair, k).integral() == limit_values(pair)[1] / k
 
 
 # --- growth coefficient ---------------------------------------------------------------
 
 @pytest.mark.parametrize("n", [1, 2, 5])
 def test_line_growth_coefficient_is_half(n):
-    assert limit_A(projective_line(n)) == Rat(1, 2)
+    assert limit_values(projective_line(n))[2] == Rat(1, 2)
 
 
 def test_veronese_expansion_line():
     # e_HK over m^k grows as (e0/d!) k^d + A k^{d-1}
     pair = projective_line(3)
-    lead, second = e0(pair) / math.factorial(pair.d), limit_A(pair)
+    e0, _, second = limit_values(pair)
+    lead = e0 / math.factorial(pair.d)
     assert (lead, second) == (Rat(3, 2), Rat(1, 2))
     # exact multiplicities over powers of the maximal ideal: k(kn+1)/2
     for k in (1, 2, 3, 4):
         assert ehk_power(pair, k) == Rat(k * (k * 3 + 1), 2)
         assert ehk_power(pair, k) == lead * k ** 2 + second * k
-        assert e0(pair.scaled(k)) == k ** (pair.d - 1) * e0(pair)
+        assert limit_values(pair.scaled(k))[0] == k ** (pair.d - 1) * e0
 
 
 def test_ehk_power_k1_matches_e_hk():
@@ -156,16 +155,12 @@ def test_ehk_power_k1_matches_e_hk():
 @pytest.mark.parametrize("factory", [unit_square, quadric_anticanonical,
                                      symmetric_hexagon])
 def test_tilers(factory):
-    pair = factory()
-    assert is_tiler(pair)
-    assert tiling_gap_B(pair) == 0.0
+    assert tiling_values(factory()) == (True, 0.0)
 
 
 @pytest.mark.parametrize("n", [1, 2, 4])
 def test_segments_tile(n):
-    pair = projective_line(n)
-    assert is_tiler(pair)
-    assert tiling_gap_B(pair) == 0.0
+    assert tiling_values(projective_line(n)) == (True, 0.0)
 
 
 def test_hexagon_defect_form():
@@ -175,39 +170,46 @@ def test_hexagon_defect_form():
 
 @pytest.mark.parametrize("factory", [plane_anticanonical, blowup1_anticanonical])
 def test_non_tilers_have_positive_gap(factory):
-    pair = factory()
-    assert not is_tiler(pair)
-    assert tiling_gap_B(pair) > 1e-9
+    tiles, gap = tiling_values(factory())
+    assert not tiles
+    assert gap > 1e-9
 
 
 def test_gap_orders_the_blowups():
-    gaps = [tiling_gap_B(factory()) for factory, *_ in FANO_TABLE[1:]]
+    gaps = [tiling_values(factory())[1] for factory, *_ in FANO_TABLE[1:]]
     assert all(a > b for a, b in zip(gaps, gaps[1:]))
     assert gaps[-1] > 0
 
 
 # --- products -----------------------------------------------------------------------------
 
-def test_segre_phi_square():
-    f = phi_function(projective_line(1))
-    prod = segre_phi(f, f)
-    assert prod == PiecewisePoly.build([0, 1], [Poly.of(1, 0, -1)])
-    assert prod == phi_function(unit_square())
+@pytest.mark.parametrize("x,y", [
+    (projective_line(1), projective_line(1)),
+    (projective_line(2), projective_line(1)),
+    (plane_degree_one(), projective_line(2)),
+    (symmetric_hexagon(), projective_line(3)),
+    (plane_anticanonical(), plane_degree_one()),
+], ids=["line1-line1", "line2-line1", "simplex-line2", "hexagon-line3",
+        "plane-simplex"])
+def test_product_rule_in_piecewise_arithmetic(x, y):
+    phi, hkd = product_rule(x, y)
+    assert phi_function(segre(x, y)) == phi
+    assert hkd_function(segre(x, y)) == hkd
+
+
+def test_segre_square_phi():
+    phi, _ = product_rule(projective_line(1), projective_line(1))
+    assert phi == PiecewisePoly.build([0, 1], [Poly.of(1, 0, -1)])
+    assert phi == phi_function(unit_square()) == _phi_cached(unit_square())
 
 
 @pytest.mark.parametrize("a,b", itertools.product(range(1, 6), repeat=2))
 def test_rectangle_phi_obeys_product_rule(a, b):
     # the planar engine on [0,a]x[0,b] against the closed forms of the lines
     rectangle = ToricPair.from_vertices([(0, 0), (a, 0), (0, b), (a, b)])
-    expected = segre_phi(phi_function(projective_line(a)),
-                         phi_function(projective_line(b)))
+    expected, _ = product_rule(projective_line(a), projective_line(b))
     assert _phi_cached(rectangle) == expected
     assert phi_function(rectangle) == expected
-
-
-def test_segre_phi_with_zero_is_identity():
-    f = phi_function(projective_line(2))
-    assert segre_phi(f, PiecewisePoly.build([0], [])) == f
 
 
 def test_segre_triple_cube():
@@ -216,8 +218,9 @@ def test_segre_triple_cube():
     assert phi_function(cube) == PiecewisePoly.build(
         [0, 1], [Poly.of(1, 0, 0, -1)])
     assert cube.d == 4 and cube.l == 8
-    assert pair_volume(cube) == 1 and e0(cube) == 6 and h0(cube) == 8
-    assert is_tiler(cube)
+    assert pair_volume(cube) == 1 and h0(cube) == 8
+    assert limit_values(cube)[0] == 6
+    assert tiling_values(cube)[0]
     f = hkd_function(cube)
     assert f(Rat(5, 4)) == Rat(117, 64) and f(Rat(3, 2)) == Rat(19, 8)
     assert e_hk(cube) == 2
@@ -313,7 +316,8 @@ def test_nesting_and_order_do_not_change_a_product(group, ehk, limit,
     assert len({(str(pw_to_json(hkd_function(p))),
                  str(pw_to_json(phi_function(p)))) for p in group}) == 1
     for pair in group:
-        assert (e_hk(pair), limit_A(pair), h0(pair), pair_volume(pair)) == (
+        assert (e_hk(pair), limit_values(pair)[2], h0(pair),
+                pair_volume(pair)) == (
             ehk, limit, sections, volume)
 
 
@@ -323,7 +327,7 @@ def test_segre_quadruple_lines():
     assert quad.d == 5
     assert phi_function(quad) == PiecewisePoly.build(
         [0, 1], [Poly.of(1, 0, 0, 0, -1)])
-    assert is_tiler(quad) and tiling_gap_B(quad) == 0.0
+    assert tiling_values(quad) == (True, 0.0)
 
 
 def test_mixed_product_tiles_only_at_matching_threshold():
@@ -331,12 +335,13 @@ def test_mixed_product_tiles_only_at_matching_threshold():
     # exactly when the thresholds agree
     hexagon = symmetric_hexagon()
     good = segre(projective_line(3), hexagon)
-    assert is_tiler(good) and tiling_gap_B(good) == 0.0
+    assert tiling_values(good) == (True, 0.0)
     assert phi_function(good) == PiecewisePoly.build(
         [0, Rat(1, 3)], [Poly.of(1, 0, 0, -27)])
     bad = segre(projective_line(2), hexagon)
-    assert not is_tiler(bad)
-    assert tiling_gap_B(bad) > 1e-9
+    tiles, gap = tiling_values(bad)
+    assert not tiles
+    assert gap > 1e-9
 
 
 # --- reports and miscellany -----------------------------------------------------------------
@@ -352,9 +357,9 @@ def test_report_fields_consistent():
 
 
 def test_e0_and_h0():
-    assert e0(projective_line(4)) == 4
+    assert limit_values(projective_line(4))[0] == 4
     assert h0(projective_line(4)) == 5
-    assert e0(plane_anticanonical()) == 9
+    assert limit_values(plane_anticanonical())[0] == 9
 
 
 def test_direct_high_dimension_rejected():
@@ -412,15 +417,19 @@ def test_unit_simplex_regular_ring():
         [0, 1, 2],
         [Poly.of(1, 0, Rat(-1, 2)), Poly.of(2, -2, Rat(1, 2))])
     assert phi.integral() == 1
-    assert not is_tiler(pair)
-    assert tiling_gap_B(pair) == tiling_gap_B(plane_anticanonical())
+    tiles, gap = tiling_values(pair)
+    assert not tiles
+    assert gap == tiling_values(plane_anticanonical())[1]
 
 
 @pytest.mark.parametrize("call", [
-    lambda pair: pair.scaled(0),
-    lambda pair: phi_scaled(pair, 0),
-    lambda pair: ehk_power(pair, 0),
+    lambda pair, k: pair.scaled(k),
+    phi_scaled,
+    ehk_power,
 ], ids=["scaled", "phi_scaled", "ehk_power"])
 def test_nonpositive_multiples_are_value_errors(call):
-    with pytest.raises(ValueError, match="positive integer"):
-        call(plane_anticanonical())
+    for pair in (plane_anticanonical(), segre(projective_line(1),
+                                              projective_line(2))):
+        for k in (0, -1, 1.5):
+            with pytest.raises(ValueError, match="positive integer"):
+                call(pair, k)

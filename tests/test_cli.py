@@ -353,6 +353,30 @@ def test_unwritable_output_directory_is_a_parse_error(below, errno_name, tmp_pat
     assert blocker.read_text() == "kept"
 
 
+def test_run_command_writes_the_output_directory(tmp_path, capsys,
+                                                 monkeypatch):
+    # run_command writes DIR/<command>.<ext> and returns the path line, as
+    # the command line prints it; a DIR below a file is the same parse_error
+    import errno
+    import os
+    _, artifact, _ = run_command("density", LINE2, ["--format", "csv"])
+    options = ["--format", "csv", "--output", str(tmp_path / "out")]
+    written = tmp_path / "out" / "density.csv"
+    assert run_command("density", LINE2, options) == (0, f"{written}\n", "csv")
+    assert written.read_text() == artifact
+    assert run(capsys, ["density"] + options, LINE2, monkeypatch) == (
+        0, f"{written}\n")
+    blocked = written / "sub"
+    status, text, ext = run_command("ehk", LINE2, ["--output", str(blocked)])
+    assert (status, ext) == (1, "json")
+    assert json.loads(text) == {"error": {
+        "code": "parse_error", "message": "cannot write output directory "
+        f"{blocked}: {os.strerror(errno.ENOTDIR)}"}}
+    assert run(capsys, ["ehk", "--output", str(blocked)], LINE2,
+               monkeypatch) == (status, text)
+    assert written.read_text() == artifact
+
+
 def test_input_file(tmp_path, capsys, monkeypatch):
     spec = tmp_path / "pair.json"
     spec.write_text(LINE2)
@@ -913,5 +937,4 @@ def test_command_line_matches_argparse_reference(command, tmp_path, capsys,
         assert main(argv) == status, argv
         out, main_err = capsys.readouterr()
         assert main_err == err, argv
-        if args is None or status or args.output is None:
-            assert out == text, argv
+        assert out == text, argv

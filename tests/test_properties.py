@@ -13,18 +13,16 @@ from hkdensity import (
     Poly,
     Rat,
     ToricPair,
-    e0,
     e_hk,
     hk_report,
     hkd_function,
     hrep_from_vrep,
-    is_tiler,
-    limit_A,
+    limit_values,
     pair_volume,
     phi_function,
     scale,
     segre,
-    tiling_gap_B,
+    tiling_values,
     translate,
 )
 from math import factorial
@@ -102,7 +100,7 @@ def test_defect_function_bounds(pair):
 
 @pytest.mark.parametrize("pair", ALL_PAIRS)
 def test_multiplicity_dominates_normalized_degree(pair):
-    assert e_hk(pair) >= e0(pair) / factorial(pair.d)
+    assert e_hk(pair) >= limit_values(pair)[0] / factorial(pair.d)
 
 
 @pytest.mark.parametrize("pair", SURFACE_PAIRS)
@@ -112,14 +110,16 @@ def test_growth_lower_bound_exact_with_tiling_equality(pair):
     lhs = pair_volume(pair) * phi_function(pair).integral() ** (d - 1)
     rhs = Rat(d - 1, d) ** (d - 1)
     assert lhs >= rhs
-    assert (lhs == rhs) == is_tiler(pair)
-    assert tiling_gap_B(pair) >= -1e-12
+    tiles, gap = tiling_values(pair)
+    assert (lhs == rhs) == tiles
+    assert gap >= -1e-12
 
 
 # Theorem t4 for surfaces in exact form: B >= 0 reads 9 * A^2 >= 2 * e0 at
 # d = 3, with equality exactly for the tilers
 def _assert_t4(pair, tiles):
-    lhs, rhs = 9 * limit_A(pair) ** 2, 2 * e0(pair)
+    e0, _, a = limit_values(pair)
+    lhs, rhs = 9 * a ** 2, 2 * e0
     assert lhs >= rhs
     assert (lhs == rhs) is tiles
 
@@ -157,6 +157,16 @@ def test_report_translation_invariant(pair):
                 rep.tiling_gap_B, rep.is_tiler) == (
             rep2.e0, rep2.h0, rep2.e_hk, rep2.phi_integral, rep2.limit_A,
             rep2.tiling_gap_B, rep2.is_tiler)
+
+
+@pytest.mark.parametrize("pair", ALL_PAIRS + [
+    segre(projective_line(2), plane_degree_one()),
+    segre(symmetric_hexagon(), projective_line(3))])
+def test_report_carries_the_limit_and_tiling_values(pair):
+    # the report and the limit and tiling commands read one set of formulas
+    rep = hk_report(pair)
+    assert (rep.e0, rep.phi_integral, rep.limit_A) == limit_values(pair)
+    assert (rep.is_tiler, rep.tiling_gap_B) == tiling_values(pair)
 
 
 @pytest.mark.parametrize("pair", ALL_PAIRS)
@@ -210,15 +220,15 @@ def test_random_polygon_functions_match_slices(points):
     # with the bound on its whole support
     vol = pair_volume(pair)
     assert all(phi(lam) >= max(0, 1 - vol * lam ** 2) for lam in probes)
-    assert is_tiler(pair) == all(phi(lam) == 1 - vol * lam ** 2
-                                 for lam in probes)
+    assert tiling_values(pair)[0] == all(phi(lam) == 1 - vol * lam ** 2
+                                         for lam in probes)
 
 
 @settings(max_examples=30, deadline=None, derandomize=True)
 @given(points=_POLYGON)
 def test_random_polygon_growth_bound_t4_exact(points):
     pair = _polygon_pair(points)
-    _assert_t4(pair, is_tiler(pair))
+    _assert_t4(pair, tiling_values(pair)[0])
 
 
 def _mapped(points, maps, shift=(0, 0)):
@@ -344,8 +354,8 @@ def test_random_polygon_cell_translates_match_overlap_filter(points, maps,
 
 def _linear_coefficient(pair, k):
     """c_k = (e_HK(R, m^k) - e0*k^3/6 - A*k^2)/k of a planar base."""
-    return (ehk_power(pair, k) - e0(pair) * k ** 3 / 6
-            - limit_A(pair) * k ** 2) / k
+    e0, _, a = limit_values(pair)
+    return (ehk_power(pair, k) - e0 * k ** 3 / 6 - a * k ** 2) / k
 
 
 @pytest.mark.parametrize("pair", [
@@ -399,8 +409,9 @@ def test_product_k_law_fits_limit_A(factors):
     pair = segre(*factors)
     d = pair.d
     law = _interpolate([0] + [ehk_power(pair, k) for k in range(1, d + 1)])
-    assert law.coeffs[d] == e0(pair) / factorial(d)
-    assert law.coeffs[d - 1] == limit_A(pair)
+    e0, _, a = limit_values(pair)
+    assert law.coeffs[d] == e0 / factorial(d)
+    assert law.coeffs[d - 1] == a
 
 
 # --- tiling against the Venkov-McMullen criterion -------------------------------
@@ -488,7 +499,7 @@ def _hexagons(draw):
 def test_venkov_mcmullen_reference_cases(points, tiles):
     pair = ToricPair(hrep_from_vrep(points))
     assert _venkov_mcmullen_tiler(pair.polytope) is tiles
-    assert is_tiler(pair) is tiles
+    assert tiling_values(pair)[0] is tiles
 
 
 @_RANDOM_SETTINGS
@@ -497,4 +508,4 @@ def test_venkov_mcmullen_reference_cases(points, tiles):
 def test_is_tiler_matches_venkov_mcmullen(points, maps, shift):
     pair = _polygon_pair(points)
     for p in (pair, _image(pair, maps, shift)):
-        assert is_tiler(p) == _venkov_mcmullen_tiler(p.polytope)
+        assert tiling_values(p)[0] == _venkov_mcmullen_tiler(p.polytope)
