@@ -10,9 +10,10 @@ Any other key, or a key given twice, at any nesting level, is a parse
 error.
 
 Rationals serialize as strings "p/q" everywhere (JSON and CSV are
-bit-exact); SVG is the only lossy output and is presentation-only.  Every
-engine failure exits nonzero with a machine-readable error JSON carrying a
-stable code.
+bit-exact): a handler returns the values it computed, and ``json.dumps``
+prints each ``Rat`` through one hook, ``rat_str``.  SVG is the only lossy
+output and is presentation-only.  Every engine failure exits nonzero with a
+machine-readable error JSON carrying a stable code.
 
 Only the layers a command runs are imported: spec parsing needs the pair
 types alone, and each handler loads ``analysis`` or ``oracle`` itself.  The
@@ -116,21 +117,16 @@ def pw_to_json(f) -> dict:
     }
 
 
+def _fields(value) -> dict:
+    """The fields of a ``rationals.Value``, by name in constructor order."""
+    return {name: getattr(value, name) for name in value.__slots__}
+
+
 def report_to_json(rep) -> dict:
-    """JSON document of an ``analysis.HKReport``."""
-    return {
-        "d": rep.d,
-        "l": rep.l,
-        "e0": rat_str(rep.e0),
-        "h0": rep.h0,
-        "hkd": pw_to_json(rep.hkd),
-        "e_hk": rat_str(rep.e_hk),
-        "phi": pw_to_json(rep.phi),
-        "phi_integral": rat_str(rep.phi_integral),
-        "limit_A": rat_str(rep.limit_A),
-        "tiling_gap_B": _b_string(rep.tiling_gap_B),
-        "is_tiler": rep.is_tiler,
-    }
+    """JSON document of an ``analysis.HKReport``: its fields in order, the
+    functions as ``pw_to_json`` documents and B through ``_b_string``."""
+    return dict(_fields(rep), hkd=pw_to_json(rep.hkd), phi=pw_to_json(rep.phi),
+                tiling_gap_B=_b_string(rep.tiling_gap_B))
 
 
 def _sample_grid(f, samples: int):
@@ -157,10 +153,10 @@ def function_csv_rows(f, samples: int):
 def function_svg(f, samples: int, title: str) -> str:
     """Static polyline plot with breakpoint markers (presentation only)."""
     width, height, margin = 640, 360, 40
-    end = float(f.breakpoints[-1]) or 1.0
     p, q, values = _sample_grid(f, samples)
     # int / int is correctly rounded, so each float equals float(Fraction)
     xs = [p * i / q for i in range(samples + 1)]
+    end = xs[-1]  # the CSV's span
     ys = [n / d for n, d in values]
     top = max(ys) or 1.0
 
@@ -208,7 +204,8 @@ def _error_text(code, message) -> str:
 
 
 # ---------------------------------------------------------------------------
-# command handlers: each returns a JSON document, CSV rows or SVG text
+# command handlers: each returns a JSON document of the values it computed,
+# CSV rows or SVG text
 # ---------------------------------------------------------------------------
 
 def _function_artifact(f, args):
@@ -232,15 +229,14 @@ def _cmd_phi(pair, args):
 def _cmd_ehk(pair, args):
     from . import analysis
     if args.k > 1:
-        return {"k": args.k, "e_hk_power": rat_str(analysis.ehk_power(pair, args.k))}
-    return {"e_hk": rat_str(analysis.e_hk(pair))}
+        return {"k": args.k, "e_hk_power": analysis.ehk_power(pair, args.k)}
+    return {"e_hk": analysis.e_hk(pair)}
 
 
 def _cmd_limit(pair, args):
     from . import analysis
     e0, phi_int, a = analysis.limit_values(pair)
-    return {"e0": rat_str(e0), "phi_integral": rat_str(phi_int),
-            "limit_A": rat_str(a)}
+    return {"e0": e0, "phi_integral": phi_int, "limit_A": a}
 
 
 def _cmd_tiling(pair, args):
@@ -264,9 +260,7 @@ def _cmd_oracle(pair, args):
     if args.q is None or args.lam is None:
         raise SpecParseError("'oracle' requires --q and --lambda")
     from . import oracle
-    sample = oracle.f_n(pair, args.q, args.lam)
-    return {"q": sample.q, "m": sample.m, "count": sample.count,
-            "f_value": rat_str(sample.f_value)}
+    return _fields(oracle.f_n(pair, args.q, args.lam))
 
 
 def _cmd_convergence(pair, args):
@@ -276,16 +270,9 @@ def _cmd_convergence(pair, args):
     rep = oracle.convergence_report(pair, args.lam, args.q)
     if args.format == "csv":
         return convergence_csv_rows(rep)
-    return {
-        "lambda": rat_str(rep.lam),
-        "exact_value": None if rep.exact_value is None else rat_str(rep.exact_value),
-        "samples": [{
-            "q": s.q, "m": s.m, "count": s.count,
-            "f_value": rat_str(s.f_value),
-            "gap": None if g is None else rat_str(g),
-        } for s, g in zip(rep.samples, rep.gaps)],
-        "max_gap_tail": None if rep.max_gap_tail is None else rat_str(rep.max_gap_tail),
-    }
+    samples = [dict(_fields(s), gap=g) for s, g in zip(rep.samples, rep.gaps)]
+    return {"lambda": rep.lam, "exact_value": rep.exact_value,
+            "samples": samples, "max_gap_tail": rep.max_gap_tail}
 
 
 # name -> (handler, output formats, the other flags the handler reads, help)
@@ -531,7 +518,10 @@ def _execute(argv, spec_text=None):
         answer = _COMMANDS[args.command][0](parse_spec(spec_text), args)
         if isinstance(answer, dict):  # indented when a value is a list or an object
             nested = any(isinstance(v, (list, dict)) for v in answer.values())
-            text = json.dumps(answer, indent=2 if nested else None) + "\n"
+            # a Rat prints as "p/q"; Rat(value) raises TypeError on a value
+            # that is not a number, so no object is printed by accident
+            text = json.dumps(answer, indent=2 if nested else None,
+                              default=rat_str) + "\n"
         else:  # CSV rows or SVG text
             text = _csv_text(answer) if isinstance(answer, list) else answer + "\n"
         if args.output is not None:

@@ -245,10 +245,11 @@ def function_csv_rows(f, samples):
 
 def function_svg(f, samples, title):
     """Polyline plot of f at the points of ``function_csv_rows``, each
-    converted from its ``Fraction``, with breakpoint markers."""
+    converted from its ``Fraction``, with breakpoint markers; the x-axis
+    spans those points."""
     width, height, margin = 640, 360, 40
-    end = float(f.breakpoints[-1]) or 1.0
     end_rat = f.breakpoints[-1] if f.breakpoints[-1] > 0 else Rat(1)
+    end = float(end_rat)
     xs = [end_rat * i / samples for i in range(samples + 1)]
     ys = [float(f(x)) for x in xs]
     xs = [float(x) for x in xs]

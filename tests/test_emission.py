@@ -1,7 +1,9 @@
-"""CSV and SVG emission: the integer grid sampler against the one-point-at-a-
-time reference, and every recorded benchmark output, byte for byte."""
+"""Emission: the integer grid sampler of CSV and SVG against the one-point-at-
+a-time reference, the types of every JSON leaf, and every recorded benchmark
+output, byte for byte."""
 
 import json
+import re
 import runpy
 from pathlib import Path
 
@@ -80,6 +82,16 @@ def test_every_zero_value_emits_the_same_rows():
     assert all(function_csv_rows(z, 3) == rows for z in zeros)
 
 
+def test_svg_spans_the_csv_samples_when_the_support_ends_below_zero():
+    # the samples then sit in [0, 1], and so does the plot's x-span
+    f = PiecewisePoly.build([-2, -1], [Poly.of(1)])
+    assert function_csv_rows(f, 4)[-1] == ("1", "0")
+    points = re.search(r'<polyline points="([^"]*)"', function_svg(f, 4, "f"))
+    xs = [float(point.split(",")[0]) for point in points.group(1).split()]
+    assert len(xs) == 5 and all(40 <= x <= 640 - 40 for x in xs)
+    assert (xs[0], xs[-1]) == (40, 600)
+
+
 def test_grid_samples_take_the_right_hand_piece_and_vanish_outside():
     f = PiecewisePoly.build([Rat(1, 2), 1, 2], [Poly.of(1), Poly.of(0, -3)])
 
@@ -111,3 +123,68 @@ def _recorded_ops():
 def test_recorded_benchmark_output(argv, spec, expected):
     status, text, _ = run_command(argv[0], json.dumps(spec), argv[1:])
     assert (status, text) == (0, expected)
+
+
+# One of each catalog surface (plane, quadric, the three blow-ups, the
+# symmetric hexagon), a line, and the product of the line and the plane.
+_SURFACES = [
+    '{"rays": [[1,0],[0,1],[-1,-1]], "coeffs": [1,1,1]}',
+    '{"rays": [[1,0],[-1,0],[0,1],[0,-1]], "coeffs": [1,1,1,1]}',
+    '{"rays": [[1,0],[0,1],[-1,1],[0,-1]], "coeffs": [1,1,1,1]}',
+    '{"rays": [[1,0],[1,1],[0,1],[-1,-1],[0,-1]], "coeffs": [1,1,1,1,1]}',
+    '{"rays": [[1,0],[0,1],[-1,1],[-1,0],[0,-1],[1,-1]], "coeffs": [1,1,1,1,1,1]}',
+    '{"vertices": [[2,1],[1,2],[-1,1],[-2,-1],[-1,-2],[1,-1]]}',
+]
+_LINE = '{"vertices": [[0], [2]]}'
+_PRODUCT = '{"segre": [%s, %s]}' % (_LINE, _SURFACES[0])
+# no exact function, so convergence has no exact value and no gaps
+_INEXACT = ('{"segre": [{"vertices": [[0,0,0],[1,0,0],[0,1,0],[0,0,1]]}, '
+            '{"vertices": [[0],[1]]}]}')
+_COUNTS = ["--q", "2,3", "--lambda", "1/2"]
+
+
+def _json_calls():
+    for spec in _SURFACES + [_LINE, _PRODUCT]:
+        for command, options in [
+                ("density", []), ("phi", []), ("ehk", []), ("ehk", ["--k", "2"]),
+                ("limit", []), ("tiling", []), ("report", []),
+                ("oracle", ["--q", "2", "--lambda", "1"]),
+                ("convergence", _COUNTS)]:
+            yield command, spec, options
+    yield "segre", _PRODUCT, []
+    yield "convergence", _INEXACT, _COUNTS
+
+
+def _leaves(document, key=None):
+    """(key, value) of each leaf; a list's items sit under the list's key."""
+    if isinstance(document, dict):
+        for name, value in document.items():
+            yield from _leaves(value, name)
+    elif isinstance(document, list):
+        for value in document:
+            yield from _leaves(value, key)
+    else:
+        yield key, document
+
+
+def test_json_leaves_are_exact_strings_or_the_declared_scalars():
+    kinds = set()
+    for command, spec, options in _json_calls():
+        status, text, ext = run_command(command, spec, options)
+        assert (status, ext) == (0, "json"), (command, spec, text)
+        for key, value in _leaves(json.loads(text)):
+            where = (command, spec, key, value)
+            if isinstance(value, bool):
+                assert key == "is_tiler", where
+            elif isinstance(value, int):
+                assert key in ("d", "l", "h0", "k", "q", "m", "count"), where
+            elif key in ("B", "tiling_gap_B"):
+                assert value == "0" or value == repr(float(value)), where
+            elif value is None:
+                assert command == "convergence", where
+            else:
+                assert isinstance(value, str) and str(Rat(value)) == value, where
+            kinds.add(("B = 0" if value == "0" else "B > 0")
+                      if key in ("B", "tiling_gap_B") else type(value).__name__)
+    # every kind of leaf occurs, a nonzero B and a null among them
+    assert kinds == {"bool", "int", "str", "NoneType", "B = 0", "B > 0"}
