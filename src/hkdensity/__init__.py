@@ -18,16 +18,14 @@ import importlib
 
 _EXPORTS = {
     "analysis": (
-        "HKReport", "e_hk", "ehk_power", "h0", "hk_report", "hkd_function",
-        "limit_values", "pair_volume", "phi_function", "phi_scaled",
-        "tiling_values",
+        "HKReport", "e_hk", "h0", "hk_report", "hkd_function",
+        "limit_values", "pair_volume", "phi_function", "tiling_values",
     ),
     "cli": ("pw_to_json",),
     "errors": (
         "BreakpointVerificationError", "DegenerateError", "DimMismatchError",
-        "EmptyRegionError", "EngineError", "NegativeScaleError",
-        "NonIntegralVertexError", "SpecParseError", "UnboundedError",
-        "UnsupportedDimensionError",
+        "EmptyRegionError", "EngineError", "NonIntegralVertexError",
+        "SpecParseError", "UnboundedError", "UnsupportedDimensionError",
     ),
     "geometry": (
         "ConvexPolytope", "hrep_from_vrep", "lattice_points",

@@ -6,11 +6,11 @@ that enters the density function is a lattice count.  This module assembles:
 
 * ``hkd_function`` -- the density function, equal to Vol(P) * z^{d-1} on
   [0, 1] and to the exact area of the sliced cone difference on [1, 1+l];
-  ``e_hk`` is its integral, the Hilbert-Kunz multiplicity, and
-  ``ehk_power`` that of the k-th power of the maximal ideal;
+  ``e_hk`` is its integral, the Hilbert-Kunz multiplicity (at k: that of
+  the k-th power of the maximal ideal);
 * ``phi_function`` -- the unit-cell defect function, compactly supported and
   continuous, which controls the second-order growth of e_HK over powers of
-  the maximal ideal (``phi_scaled``: that of the k-th multiple);
+  the maximal ideal (at k: that of the k-th multiple);
 * ``limit_values`` -- e0, the integral of phi and the growth coefficient A;
 * ``tiling_values`` -- the exact translate-tiling criterion and its gap B,
   the only float in sight;
@@ -124,9 +124,11 @@ def hkd_function(pair) -> PiecewisePoly:
          _hkd_cached(f)) for f in _exact_factors(pair)])
 
 
-def e_hk(pair):
-    """Hilbert-Kunz multiplicity: the exact integral of the density."""
-    return hkd_function(pair).integral()
+def e_hk(pair, k: int = 1):
+    """Exact Hilbert-Kunz multiplicity with respect to the k-th power of the
+    maximal ideal, via the multiple-divisor identity
+    e_HK(R, m^k) = k * e_HK(X, kD); at k = 1, the integral of the density."""
+    return int(k) * hkd_function(pair.scaled(k)).integral()
 
 
 def cell_cover_scale(pair) -> int:
@@ -162,18 +164,12 @@ def _phi_cached(pair: ToricPair) -> PiecewisePoly:
     return phi
 
 
-def phi_function(pair) -> PiecewisePoly:
+def phi_function(pair, k: int = 1) -> PiecewisePoly:
     """Unit-cell defect function phi: compactly supported, continuous,
-    with phi(0) = 1.  For products it is combined multiplicatively."""
+    with phi(0) = 1.  For products it is combined multiplicatively.  At k it
+    is that of the k-th multiple divisor, t -> phi(k*t)."""
     return _product([(Poly.of(1), _phi_cached(f))
-                     for f in _exact_factors(pair)])
-
-
-def phi_scaled(pair, k: int) -> PiecewisePoly:
-    """Defect function of the k-th multiple divisor: t -> phi(k*t)."""
-    if int(k) != k or k < 1:
-        raise ValueError("positive integer multiple required")
-    return phi_function(pair).scale_arg(int(k))
+                     for f in _exact_factors(pair)]).scale_arg(k)
 
 
 def _limit(d, vol, phi):
@@ -213,12 +209,6 @@ def tiling_values(pair):
     then exactly 0.0; otherwise it is a positive float (the fractional
     exponents force floating point once d >= 3)."""
     return _tiling(pair.d, pair_volume(pair), phi_function(pair))
-
-
-def ehk_power(pair, k: int):
-    """Exact e_HK of the ring with respect to the k-th power of the maximal
-    ideal, via the multiple-divisor identity e_HK(R, m^k) = k * e_HK(X, kD)."""
-    return int(k) * e_hk(pair.scaled(k))
 
 
 class HKReport(Value):

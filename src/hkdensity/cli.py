@@ -223,14 +223,15 @@ def _cmd_density(pair, args):
 
 def _cmd_phi(pair, args):
     from . import analysis
-    return _function_artifact(analysis.phi_scaled(pair, args.k), args)
+    return _function_artifact(analysis.phi_function(pair, args.k), args)
 
 
 def _cmd_ehk(pair, args):
     from . import analysis
+    value = analysis.e_hk(pair, args.k)
     if args.k > 1:
-        return {"k": args.k, "e_hk_power": analysis.ehk_power(pair, args.k)}
-    return {"e_hk": analysis.e_hk(pair)}
+        return {"k": args.k, "e_hk_power": value}
+    return {"e_hk": value}
 
 
 def _cmd_limit(pair, args):

@@ -36,10 +36,6 @@ class NonIntegralVertexError(EngineError):
     code = "non_integral_vertex"
 
 
-class NegativeScaleError(EngineError):
-    code = "negative_scale"
-
-
 class DimMismatchError(EngineError):
     code = "dim_mismatch"
 

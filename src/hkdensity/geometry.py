@@ -24,7 +24,6 @@ from .errors import (
     DegenerateError,
     DimMismatchError,
     EmptyRegionError,
-    NegativeScaleError,
     NonIntegralVertexError,
     UnboundedError,
 )
@@ -250,9 +249,9 @@ def polytope_from_divisor(rays, coeffs) -> ConvexPolytope:
 
 def scale(poly: ConvexPolytope, t: int) -> ConvexPolytope:
     """The dilate t*P for an integer t >= 1."""
-    t = operator.index(t)
-    if t < 1:
-        raise NegativeScaleError("scale factor must be a positive integer")
+    if int(t) != t or t < 1:
+        raise ValueError("positive integer multiple required")
+    t = int(t)
     verts = tuple(vscale(v, t) for v in poly.vertices)
     hs = tuple((n, off * t) for n, off in poly.halfspaces)
     return ConvexPolytope(poly.dim, verts, hs)

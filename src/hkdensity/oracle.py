@@ -118,9 +118,9 @@ def slice_count(pair, q: int, m: int) -> int:
     Counts w in m*P with no lattice point u of P such that w - q*u lies in
     (m-q)*P; for m < q the constraint is vacuous and every point counts.
     """
-    if q < 1 or m < 0:
-        raise ValueError("need q >= 1 and m >= 0")
-    return _count(geo.anchored(pair.polytope), q, m)
+    if int(q) != q or int(m) != m or q < 1 or m < 0:
+        raise ValueError("need integers q >= 1 and m >= 0")
+    return _count(geo.anchored(pair.polytope), int(q), int(m))
 
 
 def f_n(pair, q: int, lam) -> OracleSample:
@@ -131,7 +131,7 @@ def f_n(pair, q: int, lam) -> OracleSample:
     m = floor(Rat(q) * lam)
     count = slice_count(pair, q, m)
     return OracleSample(q=int(q), m=m, count=count, f_value=Rat(
-        count, q ** (pair.d - 1)))
+        count, int(q) ** (pair.d - 1)))
 
 
 def oracle_ehk(pair, q: int):

@@ -51,9 +51,7 @@ class ToricPair(Value):
 
     def scaled(self, k: int) -> "ToricPair":
         """The pair of the dilated polytope k*P (the k-th multiple divisor)."""
-        if int(k) != k or k < 1:
-            raise ValueError("positive integer multiple required")
-        return ToricPair(geo.scale(self.polytope, int(k)))
+        return ToricPair(geo.scale(self.polytope, k))
 
 
 class SegrePair(Value):

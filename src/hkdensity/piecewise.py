@@ -182,10 +182,10 @@ class PiecewisePoly(Value):
                     for p, a, b in zip(self.pieces, bps, bps[1:])), Rat(0))
 
     def scale_arg(self, k) -> "PiecewisePoly":
-        """The function x -> f(k*x) for k > 0."""
-        k = Rat(k)
-        if k <= 0:
-            raise ValueError("positive scale required")
+        """The function x -> f(k*x) for an integer k >= 1."""
+        if int(k) != k or k < 1:
+            raise ValueError("positive integer multiple required")
+        k = int(k)
         bps = tuple(b / k for b in self.breakpoints)
         ps = tuple(Poly(tuple(c * k ** i for i, c in enumerate(p.coeffs)))
                    for p in self.pieces)

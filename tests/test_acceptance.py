@@ -23,7 +23,6 @@ from hkdensity import (
     oracle_ehk,
     pair_volume,
     phi_function,
-    phi_scaled,
     segre,
     tiling_values,
 )
@@ -179,7 +178,7 @@ def test_criterion_8_property_suite():
             assert rep.phi(lam) >= 1 - lam ** dm1 * vol
         assert rep.hkd.breakpoints[-1] <= 1 + pair.l
         for k in (1, 2, 3, 4, 5):
-            assert phi_scaled(pair, k).integral() == rep.phi_integral / k
+            assert phi_function(pair, k).integral() == rep.phi_integral / k
         if dm1 == 2:
             lhs = vol * rep.phi_integral ** dm1
             assert lhs >= Rat(dm1, dm1 + 1) ** dm1

@@ -12,7 +12,6 @@ from hkdensity import (
     ToricPair,
     UnsupportedDimensionError,
     e_hk,
-    ehk_power,
     h0,
     hk_report,
     hkd_function,
@@ -20,7 +19,7 @@ from hkdensity import (
     limit_values,
     pair_volume,
     phi_function,
-    phi_scaled,
+    scale,
     segre,
     tiling_values,
 )
@@ -114,15 +113,15 @@ def test_blowup1_defect_middle_piece():
 
 def test_phi_scaled_identity_and_shrink():
     pair = projective_line(2)
-    assert phi_scaled(pair, 1) == phi_function(pair)
-    scaled = phi_scaled(pair, 2)
+    assert phi_function(pair, 1) == line_defect_form(2)
+    scaled = phi_function(pair, 2)
     assert scaled == PiecewisePoly.build([0, Rat(1, 4)], [Poly.of(1, -4)])
 
 
 @pytest.mark.parametrize("k", [1, 2, 3, 4, 5])
 def test_phi_scaled_integral_scaling(k):
     pair = plane_anticanonical()
-    assert phi_scaled(pair, k).integral() == limit_values(pair)[1] / k
+    assert phi_function(pair, k).integral() == limit_values(pair)[1] / k
 
 
 # --- growth coefficient ---------------------------------------------------------------
@@ -140,14 +139,14 @@ def test_veronese_expansion_line():
     assert (lead, second) == (Rat(3, 2), Rat(1, 2))
     # exact multiplicities over powers of the maximal ideal: k(kn+1)/2
     for k in (1, 2, 3, 4):
-        assert ehk_power(pair, k) == Rat(k * (k * 3 + 1), 2)
-        assert ehk_power(pair, k) == lead * k ** 2 + second * k
+        assert e_hk(pair, k) == Rat(k * (k * 3 + 1), 2)
+        assert e_hk(pair, k) == lead * k ** 2 + second * k
         assert limit_values(pair.scaled(k))[0] == k ** (pair.d - 1) * e0
 
 
 def test_ehk_power_k1_matches_e_hk():
     pair = quadric_anticanonical()
-    assert ehk_power(pair, 1) == e_hk(pair)
+    assert e_hk(pair, 1) == hkd_function(pair).integral() == 3
 
 
 # --- tiling ----------------------------------------------------------------------------
@@ -240,8 +239,8 @@ def test_rectangle_density_obeys_product_rule(a, b):
     assert pw_to_json(hkd_function(product)) == pw_to_json(
         _hkd_cached(rectangle)) == pw_to_json(hkd_function(rectangle))
     if a * b <= 4:  # the doubled rectangle is slow in the planar engine
-        assert ehk_power(product, 2) == 2 * _hkd_cached(
-            rectangle.scaled(2)).integral() == ehk_power(rectangle, 2)
+        assert e_hk(product, 2) == 2 * _hkd_cached(
+            rectangle.scaled(2)).integral() == e_hk(rectangle, 2)
 
 
 # unimodular images of [0,a]x[0,b]: (a, b, vertices)
@@ -378,7 +377,7 @@ def test_higher_dimensional_box_matches_its_product(sides):
     product = segre(*[projective_line(n) for n in sides])
     assert hkd_function(box) == hkd_function(product)
     assert phi_function(box) == phi_function(product)
-    assert ehk_power(box, 2) == ehk_power(product, 2)
+    assert e_hk(box, 2) == e_hk(product, 2)
     assert hk_report(box) == hk_report(product)
     if sides == (1, 1, 1):
         f = hkd_function(box)
@@ -423,9 +422,11 @@ def test_unit_simplex_regular_ring():
 
 @pytest.mark.parametrize("call", [
     lambda pair, k: pair.scaled(k),
-    phi_scaled,
-    ehk_power,
-], ids=["scaled", "phi_scaled", "ehk_power"])
+    phi_function,
+    e_hk,
+    lambda pair, k: scale(pair.polytope, k),
+    lambda pair, k: phi_function(pair).scale_arg(k),
+], ids=["scaled", "phi_scaled", "ehk_power", "scale", "scale_arg"])
 def test_nonpositive_multiples_are_value_errors(call):
     for pair in (plane_anticanonical(), segre(projective_line(1),
                                               projective_line(2))):

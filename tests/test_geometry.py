@@ -12,7 +12,6 @@ from hkdensity import (
     DegenerateError,
     DimMismatchError,
     EmptyRegionError,
-    NegativeScaleError,
     NonIntegralVertexError,
     Rat,
     UnboundedError,
@@ -189,13 +188,14 @@ def test_scale_identity_and_zero():
     # 0*P is one point, not a polytope
     P = hrep_from_vrep([(0, 0), (1, 0), (0, 1)])
     assert scale(P, 1) == P
-    with pytest.raises(NegativeScaleError):
+    assert scale(P, 2.0) == scale(P, 2)
+    with pytest.raises(ValueError, match="positive integer"):
         scale(P, 0)
 
 
 def test_scale_negative_rejected():
     P = hrep_from_vrep([(0,), (1,)])
-    with pytest.raises(NegativeScaleError):
+    with pytest.raises(ValueError, match="positive integer"):
         scale(P, -1)
 
 

@@ -182,6 +182,27 @@ def test_oracle_ehk_needs_a_positive_integer_level(q):
         oracle_ehk(plane_degree_one(), q)
 
 
+@pytest.mark.parametrize("call", [
+    lambda pair: slice_count(pair, 2.5, 2),
+    lambda pair: slice_count(pair, 2.5, 3),
+    lambda pair: slice_count(pair, 2, Rat(5, 2)),
+    lambda pair: f_n(pair, Rat(5, 2), 1),
+    lambda pair: convergence_report(pair, 1, [2, 2.5]),
+], ids=["level_float", "level_float_deep", "degree_rat", "f_n_level_rat",
+        "convergence_level_float"])
+def test_counts_need_an_integer_level_and_degree(call):
+    # q is a Frobenius level and m a degree: a fraction of either is refused
+    # before the lattice walk
+    with pytest.raises(ValueError, match="integers q >= 1 and m >= 0"):
+        call(plane_degree_one())
+
+
+def test_integral_level_and_degree_read_as_ints():
+    pair = plane_degree_one()
+    assert slice_count(pair, 2.0, 2.0) == slice_count(pair, 2, 2) == 3
+    assert f_n(pair, 2.0, 1) == f_n(pair, 2, 1)
+
+
 # --- convergence reports ----------------------------------------------------------------
 
 def test_convergence_report_line():

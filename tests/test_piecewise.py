@@ -87,8 +87,9 @@ def test_eval_outside_domain_is_zero():
     lambda f: PiecewisePoly.build([1, 0], [Poly.of(1)]),
     lambda f: f.scale_arg(0),
     lambda f: PiecewisePoly.build([0, 1], [(1, -1)]),
+    lambda f: f.scale_arg(Rat(1, 2)),
 ], ids=["piece_missing", "decreasing_breakpoints", "zero_scale",
-        "coefficient_list"])
+        "coefficient_list", "fractional_scale"])
 def test_malformed_arguments_are_value_errors(call):
     with pytest.raises(ValueError):
         call(_ramp())
@@ -188,6 +189,7 @@ def test_jump_is_not_continuous():
 def test_scale_arg():
     f = _ramp()
     g = f.scale_arg(2)
+    assert f.scale_arg(2.0) == g
     assert g.breakpoints == (Rat(0), Rat(1, 2))
     assert g.pieces[0].coeffs == (Rat(1), Rat(-2))
     # x -> f(3x) takes the coefficient c_i to c_i * 3^i

@@ -27,7 +27,7 @@ from hkdensity import (
 )
 from math import factorial
 
-from hkdensity.analysis import cell_cover_scale, ehk_power
+from hkdensity.analysis import cell_cover_scale, e_hk
 from hkdensity.geometry import anchored
 from hkdensity.regions import cell_translates
 
@@ -355,7 +355,7 @@ def test_random_polygon_cell_translates_match_overlap_filter(points, maps,
 def _linear_coefficient(pair, k):
     """c_k = (e_HK(R, m^k) - e0*k^3/6 - A*k^2)/k of a planar base."""
     e0, _, a = limit_values(pair)
-    return (ehk_power(pair, k) - e0 * k ** 3 / 6 - a * k ** 2) / k
+    return (e_hk(pair, k) - e0 * k ** 3 / 6 - a * k ** 2) / k
 
 
 @pytest.mark.parametrize("pair", [
@@ -370,7 +370,7 @@ def test_plane_k_law_is_the_veronese_count():
     # R is the degree-3 Veronese of S = k[x, y, z], an extension of rank 3,
     # so e_HK(R, m^k) = length(S/(x, y, z)^(3k))/3 = C(3k + 2, 3)/3
     # (Watanabe-Yoshida)
-    got = [ehk_power(plane_anticanonical(), k) for k in (1, 2, 3)]
+    got = [e_hk(plane_anticanonical(), k) for k in (1, 2, 3)]
     assert got == [Rat(math.comb(3 * k + 2, 3), 3) for k in (1, 2, 3)]
     assert got == [Rat(10, 3), Rat(56, 3), 55]
 
@@ -408,7 +408,7 @@ def test_product_k_law_fits_limit_A(factors):
     # through e_HK(R, m^0) = 0 and k = 1..d: d + 1 values fix degree d
     pair = segre(*factors)
     d = pair.d
-    law = _interpolate([0] + [ehk_power(pair, k) for k in range(1, d + 1)])
+    law = _interpolate([0] + [e_hk(pair, k) for k in range(1, d + 1)])
     e0, _, a = limit_values(pair)
     assert law.coeffs[d] == e0 / factorial(d)
     assert law.coeffs[d - 1] == a
