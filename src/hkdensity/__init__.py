@@ -37,9 +37,7 @@ _EXPORTS = {
         "oracle_ehk", "slice_count",
     ),
     "pairs": ("SegrePair", "ToricPair", "segre"),
-    "piecewise": (
-        "PiecewisePoly", "Poly", "pw_from_json",
-    ),
+    "piecewise": ("PiecewisePoly", "Poly"),
     "rationals": ("Rat", "parse_rat", "rat_str"),
     "regions": (
         "SliceFamily", "family_volume_function", "hk_family", "phi_family",

@@ -140,9 +140,8 @@ def cell_cover_scale(pair) -> int:
     P = pair.polytope
     # v + [0,1]^n lies in P iff v meets each row at its worst corner
     eroded = [(n, off - sum(min(c, 0) for c in n)) for n, off in P.halfspaces]
-    lines = geo.lattice_lines(eroded, geo.fiber_box(P))
-    return 1 if any(a <= b for *_, bottoms, tops in lines
-                    for a, b in zip(bottoms, tops)) else 2
+    return 1 if geo.lattice_count(
+        geo.lattice_lines(eroded, geo.fiber_box(P))) else 2
 
 
 @lru_cache(maxsize=256)

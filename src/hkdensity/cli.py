@@ -119,7 +119,7 @@ def pw_to_json(f) -> dict:
 
 def _fields(value) -> dict:
     """The fields of a ``rationals.Value``, by name in constructor order."""
-    return {name: getattr(value, name) for name in value.__slots__}
+    return {name: getattr(value, name) for name in value._fields}
 
 
 def report_to_json(rep) -> dict:

@@ -9,7 +9,8 @@ on integers: rank comes from fraction-free elimination, and both
 conversions, points to facets and rows to vertices, read the extreme rays
 of a cone from one double-description kernel, whose cost follows the
 output size.  Points of lower affine dimension and half-spaces with a
-vertex off the lattice give errors, not polytopes.
+vertex off the lattice give errors, not polytopes.  Functions read a
+polytope where it lies; only the defect family and the oracle anchor it.
 
 All values are immutable and every operation is a pure function, so the
 module is safe to use from concurrent callers without locking.
@@ -268,11 +269,9 @@ def translate(poly: ConvexPolytope, v) -> ConvexPolytope:
 
 
 def anchored(poly):
-    """Translate so the lexicographically smallest vertex sits at the origin.
-
-    Every invariant of a pair is translation-invariant; anchoring makes the
-    dilates of the base polytope nested, which the support bounds rely on.
-    """
+    """Translate so the lexicographically smallest vertex sits at the origin:
+    for ``regions.phi_family``, whose cell translates need 0 in P, and for
+    the oracle, whose counts run faster on small integers."""
     v0 = min(poly.vertices)
     return translate(poly, vscale(v0, -1))
 

@@ -9,7 +9,7 @@ both continuous on their support.
 import bisect
 from math import lcm
 
-from .rationals import Rat, Value, parse_rat
+from .rationals import Rat, Value
 
 
 # ---------------------------------------------------------------------------
@@ -217,9 +217,3 @@ class PiecewisePoly(Value):
         if x < self.breakpoints[0] or x >= self.breakpoints[-1]:
             return ZERO_POLY
         return self.pieces[bisect.bisect_right(self.breakpoints, x) - 1]
-
-
-def pw_from_json(data: dict) -> PiecewisePoly:
-    bps = [parse_rat(b) for b in data["breakpoints"]]
-    ps = [Poly.of(*map(parse_rat, piece)) for piece in data["pieces"]]
-    return PiecewisePoly.build(bps, ps)

@@ -13,7 +13,8 @@ area sample.  The hk family runs in the level z itself, so the density's
 breakpoints past z = 1 are among its events as they are.  The translates
 u + (z - 1)P whose u share <n, u> carry one line for the facet normal n, so
 the hk family of a surface has a few dozen lines and a dozen or so distinct
-ones.
+ones.  It reads P as given (P + v shifts its picture by z*v); the defect
+family anchors P, as its translate set is exact only with 0 in P.
 The parameterized area function is recovered on every candidate interval,
 a vanishing tail included, by exact interpolation through both ends and
 the midpoint with a verification sample in the last quarter; a failed
@@ -388,18 +389,18 @@ def family_volume_function(family: SliceFamily, lo, hi) -> PiecewisePoly:
 
 def hk_family(poly) -> SliceFamily:
     """Family of the density level z itself: zP minus u + (z - 1)P over the
-    lattice points u of P, to be read on [1, 1 + l]."""
-    P = geo.anchored(poly)
+    lattice points u of P as given, to be read on [1, 1 + l]."""
     return SliceFamily(
-        minuend=(P, 0, 1),
-        translates=tuple(geo.lattice_points(P)),
-        shape=(P, -1, 1),
+        minuend=(poly, 0, 1),
+        translates=tuple(geo.lattice_points(poly)),
+        shape=(poly, -1, 1),
     )
 
 
 def phi_family(poly, lam_max) -> SliceFamily:
     """Family for the unit-cell defect: cell minus u + tP over the integer
-    translates that can meet the cell for t <= lam_max (the cover scale)."""
+    translates that can meet the cell for t <= lam_max (the cover scale).
+    P is anchored first: ``cell_translates`` needs 0 in P."""
     P = geo.anchored(poly)
     cell = geo.hrep_from_vrep(list(itertools.product((0, 1), repeat=P.dim)))
     return SliceFamily(

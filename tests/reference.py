@@ -17,7 +17,8 @@ rule, for the distinct-line scan ``regions._events``.
 
 CSV rows and SVG plots of a piecewise polynomial sampled one point at a
 time, ``f(end*i/N)`` as a ``Fraction``, for the integer grid sampler of
-``hkdensity.cli``.
+``hkdensity.cli``, and a reader of ``cli.pw_to_json`` documents, for tests
+that read a printed function back.
 
 The command line as the README's command and flag tables document it,
 parsed by ``argparse``, for the table-driven parser of ``hkdensity.cli``.
@@ -33,8 +34,8 @@ import re
 from fractions import Fraction
 
 from hkdensity import (DimMismatchError, PiecewisePoly, Poly, Rat,
-                       hkd_function, hrep_from_vrep, pair_volume, phi_function,
-                       rat_str, scale, translate)
+                       hkd_function, hrep_from_vrep, pair_volume, parse_rat,
+                       phi_function, rat_str, scale, translate)
 
 
 def _slack(row, x):
@@ -277,6 +278,13 @@ def function_svg(f, samples, title):
         f'<text x="{margin}" y="{margin - 10}" font-size="13">{title}</text>'
         "</svg>"
     )
+
+
+def pw_from_json(data):
+    """The PiecewisePoly of a ``cli.pw_to_json`` document."""
+    bps = [parse_rat(b) for b in data["breakpoints"]]
+    ps = [Poly.of(*map(parse_rat, piece)) for piece in data["pieces"]]
+    return PiecewisePoly.build(bps, ps)
 
 
 def _on(end, *coeffs):

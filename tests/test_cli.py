@@ -6,7 +6,7 @@ from pathlib import Path
 import pytest
 
 from hkdensity import (DimMismatchError, Rat, SegrePair, SpecParseError,
-                       ToricPair, pw_from_json)
+                       ToricPair)
 from hkdensity import cli
 from hkdensity.cli import main, parse_spec, run_command
 
@@ -178,7 +178,7 @@ def test_density_json_round_trip(capsys, monkeypatch):
     data = json.loads(out)
     assert data["breakpoints"] == ["0", "1", "3/2"]
     assert data["pieces"] == [["0", "2"], ["6", "-4"]]
-    assert pw_from_json(data) == line_density_form(2)
+    assert reference.pw_from_json(data) == line_density_form(2)
 
 
 def test_density_csv_row_count(capsys, monkeypatch):
@@ -687,15 +687,15 @@ def test_line_commands_never_run_the_engine(monkeypatch):
 
     assert answer("ehk") == {"e_hk": "1000001/2"}
     assert answer("ehk", "--k", "3") == {"k": 3, "e_hk_power": "9000003/2"}
-    assert pw_from_json(answer("density")) == line_density_form(n)
-    assert pw_from_json(answer("phi")) == line_defect_form(n)
+    assert reference.pw_from_json(answer("density")) == line_density_form(n)
+    assert reference.pw_from_json(answer("phi")) == line_defect_form(n)
     assert answer("limit") == {"e0": "1000000", "phi_integral": "1/2000000",
                                "limit_A": "1/2"}
     assert answer("tiling") == {"is_tiler": True, "B": "0"}
     report = answer("report")
     assert report["h0"] == 1000001 and report["e_hk"] == "1000001/2"
     assert report["tiling_gap_B"] == "0" and report["is_tiler"] is True
-    assert pw_from_json(report["hkd"]) == line_density_form(n)
+    assert reference.pw_from_json(report["hkd"]) == line_density_form(n)
 
 
 def test_readme_examples():

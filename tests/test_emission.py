@@ -108,13 +108,19 @@ def test_grid_samples_take_the_right_hand_piece_and_vanish_outside():
         f.grid(Rat(0), 4)
 
 
+# run_path compiles the file without writing a bytecode cache next to it
+_WORKLOADS = runpy.run_path(str(PERFBENCH / "workloads.py"))
+_BENCHMARKS = ("surfaces", "multiples", "oracle", "cli_small")
+
+
+def _expected(workload):
+    return json.loads((PERFBENCH / "expected" / f"{workload}.json").read_text())
+
+
 def _recorded_ops():
-    # run_path compiles the file without writing a bytecode cache next to it
-    workloads = runpy.run_path(str(PERFBENCH / "workloads.py"))["WORKLOADS"]
-    for workload in ("surfaces", "multiples", "oracle", "cli_small"):
-        expected = json.loads(
-            (PERFBENCH / "expected" / f"{workload}.json").read_text())
-        for op_id, argv, spec in workloads[workload]:
+    for workload in _BENCHMARKS:
+        expected = _expected(workload)
+        for op_id, argv, spec in _WORKLOADS["WORKLOADS"][workload]:
             yield pytest.param(argv, spec, expected[op_id],
                                id=f"{workload}/{op_id}")
 
@@ -123,6 +129,20 @@ def _recorded_ops():
 def test_recorded_benchmark_output(argv, spec, expected):
     status, text, _ = run_command(argv[0], json.dumps(spec), argv[1:])
     assert (status, text) == (0, expected)
+
+
+@pytest.mark.parametrize("seed", range(4))
+@pytest.mark.parametrize("workload", _BENCHMARKS)
+def test_seeded_benchmark_output(workload, seed):
+    # each seed moves every input by a signed permutation and a translation,
+    # and each op with a planar factor also runs mirrored: the benchmark's
+    # inputs, which must print the recorded bytes of the unmoved op
+    expected = _expected(workload)
+    wrong = [op_id for op_id, argv, spec
+             in _WORKLOADS["seeded_ops"](workload, seed)
+             if run_command(argv[0], spec, argv[1:])[:2]
+             != (0, expected[_WORKLOADS["expected_key"](op_id)])]
+    assert wrong == []
 
 
 # One of each catalog surface (plane, quadric, the three blow-ups, the

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from hkdensity import oracle
 from hkdensity import (
     Rat,
     ToricPair,
@@ -78,11 +79,17 @@ def test_slice_count_unconstrained_below_q(q):
 
 
 def test_slice_count_translation_invariant():
+    # slice_count anchors P, so it sees every translate alike; the count
+    # under it must not depend on where P lies either.  Each (q, m) counts
+    # points on both sides of level 1
     from hkdensity import translate
     pair = plane_anticanonical()
-    moved = ToricPair(translate(pair.polytope, (3, -2)))
-    for (q, m) in [(2, 3), (3, 5), (4, 9)]:
-        assert slice_count(pair, q, m) == slice_count(moved, q, m)
+    for shift in [(0, 0), (3, -2), (-5, 4), (-2, -7)]:
+        moved = translate(pair.polytope, shift)
+        for (q, m) in [(3, 2), (4, 5), (6, 7), (9, 11)]:
+            expected = slice_count(pair, q, m)
+            assert slice_count(ToricPair(moved), q, m) == expected
+            assert oracle._count(moved, q, m) == expected
 
 
 # --- normalized samples ------------------------------------------------------------

@@ -2,15 +2,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hkdensity import (
-    PiecewisePoly,
-    Poly,
-    Rat,
-    pw_from_json,
-    pw_to_json,
-)
+from hkdensity import PiecewisePoly, Poly, Rat, pw_to_json
 
 from conftest import line_density_form, projective_line
+from reference import pw_from_json
 
 
 # --- polynomial arithmetic ---------------------------------------------------
@@ -134,7 +129,11 @@ def test_build_makes_the_canonical_value():
     assert PiecewisePoly.build([3], []) == ZERO == PiecewisePoly((Rat(0),), ())
 
 
-_SMALL = st.fractions(min_value=-2, max_value=2, max_denominator=4)
+# fractions in [-2, 2] with denominator at most 4, each one draw from the
+# list of them; a value draws its breakpoints and all its coefficients as
+# two lists, which keeps Hypothesis' per-draw cost small
+_SMALL = st.sampled_from(sorted(
+    {Rat(n, d) for d in range(1, 5) for n in range(-2 * d, 2 * d + 1)}))
 
 
 @st.composite
@@ -142,11 +141,14 @@ def _pairs(draw, max_degree):
     """(f, g): a random value f, and g either drawn on its own or f rebuilt
     on extra breakpoints with one piece perhaps shifted by a constant, so
     that f == g holds in many draws and fails in many."""
-    polys = st.builds(Poly.of, *[_SMALL] * (max_degree + 1))
+    size = max_degree + 1
 
     def value():
         bps = sorted(draw(st.sets(_SMALL, min_size=1, max_size=5)))
-        return PiecewisePoly.build(bps, [draw(polys) for _ in bps[1:]])
+        n = (len(bps) - 1) * size
+        coeffs = draw(st.lists(_SMALL, min_size=n, max_size=n))
+        return PiecewisePoly.build(bps, [Poly.of(*coeffs[i:i + size])
+                                         for i in range(0, n, size)])
 
     f = value()
     if draw(st.booleans()):

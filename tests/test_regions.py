@@ -21,6 +21,7 @@ from hkdensity import (
     hkd_function,
     hrep_from_vrep,
     phi_family,
+    translate,
 )
 
 from conftest import (
@@ -180,10 +181,10 @@ def test_missed_event_on_the_last_interval_fails_certificate(monkeypatch):
 
 
 def test_edge_landing_inside_a_parallel_edge_is_an_event():
-    # anchored, the base P has the edge x = 0 of length 1 on its lowest
-    # facet line and the edge x = 4 of length 3.  At t = 1/4 the left edge
-    # of (1, 0) + tP lands strictly inside the right edge of tP: the
-    # parallel pair gives no moving point, so the scan meets the triple
+    # the base P has the edge x = -3 of length 1 on its lowest facet line
+    # and the edge x = 1 of length 3.  At t = z - 1 = 1/4 the left edge of
+    # (-2, -1) + tP lands strictly inside the right edge of (-3, -1) + tP:
+    # the parallel pair gives no moving point, so the scan meets the triple
     # from the left edge's neighbours
     pair = ToricPair.from_vertices(
         [(-3, -1), (-3, 0), (0, -2), (1, -2), (1, 1)])
@@ -265,6 +266,17 @@ def test_density_breakpoints_are_events_of_the_hk_family(pair):
     events = regions._events(regions._FamilyRecord(family, Rat(lo), Rat(hi)))
     breakpoints = {b for b in hkd_function(pair).breakpoints if b > 1}
     assert breakpoints and breakpoints <= events
+
+
+@pytest.mark.parametrize("pair", [hirzebruch(1, 1, 2), symmetric_hexagon()],
+                         ids=["hirzebruch112", "hexagon"])
+def test_hk_family_reads_any_translate_alike(pair):
+    # hk_family reads P where it lies: the picture for P + v is the one for
+    # P shifted by z*v, so every translate has the same area function
+    P, hi = pair.polytope, 1 + pair.l
+    f = family_volume_function(hk_family(P), 1, hi)
+    for v in [(1, 0), (-3, 2), (4, -5), (-6, -1)]:
+        assert family_volume_function(hk_family(translate(P, v)), 1, hi) == f
 
 
 @pytest.mark.parametrize("pair_factory", [
